@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "align/banded_nw.hpp"
+#include "align/banded_nw_kernels.hpp"
 #include "align/overlapper.hpp"
 #include "align/suffix_array.hpp"
 #include "common/rng.hpp"
@@ -76,6 +77,21 @@ void BM_BandedNw(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedNw)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
+// The scalar oracle on the same pair; BM_BandedNw runs the dispatched kernel
+// (AVX2 at band 8 on hosts that have it, scalar at band 16 either way).
+void BM_BandedNwScalar(benchmark::State& state) {
+  const auto band = static_cast<std::uint32_t>(state.range(0));
+  const auto a = random_dna(4, 100);
+  auto b = a;
+  b[10] = b[10] == 'A' ? 'C' : 'A';
+  b[50] = b[50] == 'G' ? 'T' : 'G';
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        align::detail::banded_global_align_scalar(a, b, band));
+  }
+}
+BENCHMARK(BM_BandedNwScalar)->Arg(8)->Arg(16);
+
 void BM_OverlapQuery(benchmark::State& state) {
   // Index 500 reads from a genome, query one read against it.
   Rng rng(5);
@@ -128,6 +144,19 @@ void BM_BandedNwScoreOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BandedNwScoreOnly)->Arg(8)->Arg(16);
+
+void BM_BandedNwScoreOnlyScalar(benchmark::State& state) {
+  const auto band = static_cast<std::uint32_t>(state.range(0));
+  const auto a = random_dna(4, 100);
+  auto b = a;
+  b[10] = b[10] == 'A' ? 'C' : 'A';
+  b[50] = b[50] == 'G' ? 'T' : 'G';
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        align::detail::banded_score_only_scalar(a, b, band));
+  }
+}
+BENCHMARK(BM_BandedNwScoreOnlyScalar)->Arg(8)->Arg(16);
 
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   // Pure pool overhead: scatter + steal + join of trivially small chunks.

@@ -34,11 +34,14 @@
 namespace focus::align {
 
 struct AlignScratch {
-  // Banded-NW rows (score-only and full pass) and the move matrix
-  // (full pass only).
+  // Banded-NW rows (score-only and full pass, scalar kernel), the move
+  // matrix (full pass; row-major for the scalar kernel, 16 bytes per
+  // anti-diagonal for the AVX2 kernel), and the AVX2 kernel's padded
+  // sequence copies (a, then b).
   std::vector<std::int32_t> nw_prev;
   std::vector<std::int32_t> nw_cur;
   std::vector<std::uint8_t> nw_moves;
+  std::vector<char> nw_seqs;
 
   // Seed-hit collection: diagonal lists indexed by reference member index,
   // the member indices touched by the current query (whose lists are
@@ -57,6 +60,7 @@ struct AlignScratch {
     total += nw_prev.capacity() * sizeof(std::int32_t);
     total += nw_cur.capacity() * sizeof(std::int32_t);
     total += nw_moves.capacity() * sizeof(std::uint8_t);
+    total += nw_seqs.capacity();
     total += member_diags.capacity() * sizeof(std::vector<std::int64_t>);
     for (const auto& diags : member_diags) {
       total += diags.capacity() * sizeof(std::int64_t);

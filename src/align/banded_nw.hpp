@@ -7,9 +7,9 @@
 //
 // The kernel is two-pass and allocation-free:
 //
-//   1. banded_score_only() computes the optimal score with two reusable DP
-//      rows from the thread-local scratch arena (align_scratch.hpp) — no
-//      move matrix, no traceback, no allocation.
+//   1. banded_score_only() computes the optimal score from buffers in the
+//      thread-local scratch arena (align_scratch.hpp) — no move matrix, no
+//      traceback, no allocation.
 //   2. score_may_pass() turns that score into conservative upper bounds on
 //      alignment columns and identity; candidates whose bounds already fail
 //      the overlap thresholds are rejected without ever running pass 2.
@@ -20,6 +20,13 @@
 // Both passes compute the same recurrence, so banded_score_only().score ==
 // banded_global_align().score exactly, and the prefilter never changes which
 // overlaps are accepted — only how much work rejection costs.
+//
+// Each pass runs one of two kernels chosen at run time: an AVX2 kernel over
+// anti-diagonals (16 int16 lanes) when the CPU has AVX2, the band is at most
+// 32 cells wide and the scoring provably cannot saturate int16; otherwise the
+// scalar row kernel. Every result field is identical either way, and the
+// work charges below do not depend on the kernel (banded_nw_kernels.hpp,
+// DESIGN.md §6a).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,10 @@
 // Virtual-time cost model for the message-passing runtime.
 //
 // The paper's experiments ran MPI on a 452-node cluster; this reproduction
-// runs on a single core. To recover the *shape* of the paper's speedup and
-// runtime curves deterministically, every rank carries a virtual clock:
+// runs every rank as a thread on one machine, whose few cores (and SIMD
+// kernels) say nothing about a cluster's. To recover the *shape* of the
+// paper's speedup and runtime curves deterministically, every rank carries a
+// virtual clock:
 //
 //   * compute  — algorithms call Comm::charge(work_units); the clock advances
 //     by gamma * units. Work units are deterministic operation counts (edges

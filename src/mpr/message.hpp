@@ -88,6 +88,7 @@ class Message {
 
   void take(void* dst, std::size_t n) {
     FOCUS_CHECK(n <= remaining(), "message unpack past end of buffer");
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(dst, bytes_.data() + cursor_, n);
     cursor_ += n;
   }

@@ -5,7 +5,8 @@
 // receive a Comm bound to their rank, exchange typed byte messages, and
 // synchronize with barriers and collectives. Ranks execute as preemptively
 // scheduled threads inside one process; see cost_model.hpp for how virtual
-// time reproduces cluster timing behaviour on a single-core host.
+// time reproduces cluster timing behaviour on one shared-memory host, however
+// many cores it has.
 //
 // Determinism contract: recv() requires an explicit (source, tag), all ranks
 // call collectives in the same order, and virtual clocks advance only through

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "align/align_scratch.hpp"
+#include "align/banded_nw.hpp"
+#include "align/banded_nw_kernels.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/assembler.hpp"
@@ -98,7 +100,10 @@ TEST(AlignScratch, ResetHonorsSoftCap) {
   s.member_diags.resize(8);
   s.member_diags[0].resize(100);
   s.touched.reserve(50);
+  const std::size_t without_seqs = s.footprint_bytes();
+  s.nw_seqs.resize(300);  // the vector kernel's padded sequence copies
   const std::size_t warm = s.footprint_bytes();
+  EXPECT_EQ(warm, without_seqs + s.nw_seqs.capacity());
   ASSERT_GT(warm, 0u);
 
   s.reset(warm + 1);  // under the cap: stays warm
@@ -109,6 +114,35 @@ TEST(AlignScratch, ResetHonorsSoftCap) {
   s.nw_cur.resize(64);
   s.reset(0);  // 0 = always release
   EXPECT_EQ(s.footprint_bytes(), 0u);
+}
+
+TEST(AlignScratch, ResetReleasesBandedNwBuffers) {
+  // A fresh thread owns a fresh arena: whatever the two NW passes leave in it
+  // is counted by footprint_bytes() and released by reset().
+  std::thread([] {
+    align::AlignScratch& s = align::tls_align_scratch();
+    ASSERT_EQ(s.footprint_bytes(), 0u);
+    std::string a, b;
+    for (int i = 0; i < 150; ++i) a.push_back("ACGT"[(i * 7 + i / 5) % 4]);
+    b = a.substr(3) + "TTGCA";
+    (void)align::banded_score_only(a, b, 8);
+    (void)align::banded_global_align(a, b, 8);
+    const std::size_t warm = s.footprint_bytes();
+    EXPECT_GE(warm, s.nw_moves.capacity() + s.nw_seqs.capacity());
+    if (align::detail::select_nw_kernel(a.size(), b.size(), 8, {}) ==
+        align::detail::NwKernel::kAvx2) {
+      // Anti-diagonal moves (16 bytes each) and both padded sequences.
+      EXPECT_GE(s.nw_moves.capacity(), (a.size() + b.size() + 1) * 16);
+      EXPECT_GE(s.nw_seqs.capacity(), a.size() + b.size());
+    } else {
+      EXPECT_GT(s.nw_prev.capacity(), 0u);
+    }
+    s.reset(warm);  // at the cap: stays warm
+    EXPECT_EQ(s.footprint_bytes(), warm);
+    s.reset(0);
+    EXPECT_EQ(s.footprint_bytes(), 0u);
+    EXPECT_EQ(s.nw_seqs.capacity(), 0u);
+  }).join();
 }
 
 // ---------------------------------------------------------------------------

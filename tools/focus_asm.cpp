@@ -7,17 +7,66 @@
 //   <prefix>.stats.txt       assembly statistics + stage timings
 //   <prefix>.partition.tsv   read id -> hybrid-graph partition
 //   <prefix>.graph.gfa       the simplified assembly graph (GFA 1.0)
+//
+// Exit status: 0 on success, 1 on an input or assembly error, 2 on a usage
+// error (unknown flag, missing value, or a numeric value that is malformed
+// or out of range).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "core/assembler.hpp"
 #include "dist/gfa.hpp"
 #include "io/fastx.hpp"
 
 namespace {
+
+using focus::Error;
+
+/// A malformed or out-of-range flag value; the message names the flag.
+class CliError : public Error {
+ public:
+  using Error::Error;
+};
+
+// Numeric flags parse strictly (digits only or a full strtod, no trailing
+// junk, no sign on integers, no overflow) and must then fall in [lo, hi].
+std::uint64_t flag_u64(const std::string& flag, const char* value,
+                       std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t parsed = 0;
+  try {
+    parsed = focus::env::parse_u64(flag.c_str(), value);
+  } catch (const Error& e) {
+    throw CliError(e.what());
+  }
+  if (parsed < lo || parsed > hi) {
+    throw CliError(flag + " must be in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "], got '" + value + "'");
+  }
+  return parsed;
+}
+
+double flag_double(const std::string& flag, const char* value, double lo,
+                   double hi) {
+  double parsed = 0.0;
+  try {
+    parsed = focus::env::parse_double(flag.c_str(), value);
+  } catch (const Error& e) {
+    throw CliError(e.what());
+  }
+  if (!(parsed >= lo && parsed <= hi)) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
+    throw CliError(flag + " must be in " + range + ", got '" + value + "'");
+  }
+  return parsed;
+}
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -33,7 +82,9 @@ void usage(const char* argv0) {
                "  --min-contig <bp>       shortest reported contig (default 100)\n"
                "  --trim-q <phred>        3' quality-trim threshold (default 20)\n"
                "  --multilevel            use the naive multilevel partitioning\n"
-               "                          instead of the hybrid graph set\n",
+               "                          instead of the hybrid graph set\n"
+               "\n"
+               "exit status: 0 ok, 1 input or assembly error, 2 usage error\n",
                argv0);
 }
 
@@ -62,21 +113,29 @@ int main(int argc, char** argv) {
       } else if (arg == "-o") {
         prefix = next();
       } else if (arg == "-k") {
-        config.partitions = std::atoi(next());
+        const char* value = next();
+        config.partitions = static_cast<int>(flag_u64(arg, value, 1, 1u << 30));
+        if ((config.partitions & (config.partitions - 1)) != 0) {
+          throw CliError("-k must be a power of two, got '" +
+                         std::string(value) + "'");
+        }
       } else if (arg == "-r") {
-        config.ranks = std::atoi(next());
+        config.ranks = static_cast<int>(flag_u64(arg, next(), 1, INT_MAX));
       } else if (arg == "--min-overlap") {
-        config.overlap.min_overlap = static_cast<std::uint32_t>(std::atoi(next()));
+        config.overlap.min_overlap =
+            static_cast<std::uint32_t>(flag_u64(arg, next(), 0, UINT32_MAX));
       } else if (arg == "--min-identity") {
-        config.overlap.min_identity = std::atof(next());
+        config.overlap.min_identity = flag_double(arg, next(), 0.0, 1.0);
       } else if (arg == "--seed-k") {
-        config.overlap.k = static_cast<unsigned>(std::atoi(next()));
+        config.overlap.k = static_cast<unsigned>(flag_u64(arg, next(), 8, 32));
       } else if (arg == "--subsets") {
-        config.overlap.subsets = static_cast<std::size_t>(std::atoi(next()));
+        config.overlap.subsets =
+            static_cast<std::size_t>(flag_u64(arg, next(), 1, 1024));
       } else if (arg == "--min-contig") {
-        config.min_contig_length = static_cast<std::size_t>(std::atoi(next()));
+        config.min_contig_length =
+            static_cast<std::size_t>(flag_u64(arg, next(), 0, SIZE_MAX));
       } else if (arg == "--trim-q") {
-        config.preprocess.min_quality = std::atof(next());
+        config.preprocess.min_quality = flag_double(arg, next(), 0.0, 93.0);
       } else if (arg == "--multilevel") {
         config.use_hybrid_partitioning = false;
       } else if (arg == "-h" || arg == "--help") {
@@ -155,6 +214,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(result.stats.max_contig),
                  prefix.c_str());
     return 0;
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "[focus_asm] error: %s\n", e.what());
+    usage(argv[0]);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[focus_asm] error: %s\n", e.what());
     return 1;

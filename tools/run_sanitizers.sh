@@ -2,10 +2,14 @@
 # Runs the tier-1 ctest suite under ThreadSanitizer and combined
 # AddressSanitizer+UndefinedBehaviorSanitizer — so the seed-backend
 # equivalence suite (hashed k-mer index vs suffix-array oracle, packed-read
-# bit manipulation, two-pass NW scratch reuse), the partitioner determinism
-# suite (fork_join recursion, pooled KL/k-way scoring, concurrent
-# multi-trial initial bisections, the chunked KL pair search, byte-identical
-# partitions across thread widths), the distributed-index overlap suite
+# bit manipulation, two-pass NW scratch reuse), the banded-NW kernel
+# equivalence suite (banded_nw_simd_test: the AVX2 anti-diagonal kernel vs
+# the scalar oracle, field for field; its unaligned 16-byte loads over the
+# padded sequence copies in AlignScratch are what ASan checks), the
+# partitioner determinism suite (fork_join recursion, pooled KL/k-way
+# scoring, concurrent multi-trial initial bisections, the chunked KL pair
+# search, byte-identical partitions across thread widths), the
+# distributed-index overlap suite
 # (sharded k-mer index alltoall rounds across rank counts, per-subset repeat
 # masking, the FT overlap driver's block replay), the protocol-equivalence
 # suite (master vs symmetric owner-computes simplify/traverse across rank
@@ -44,6 +48,7 @@
 #
 #   tools/run_sanitizers.sh thread -R Thread       # only pool tests, TSan
 #   tools/run_sanitizers.sh asan-ubsan -R Seed     # equivalence, ASan+UBSan
+#   tools/run_sanitizers.sh asan-ubsan -R 'BandedNw|Seed'  # NW kernels too
 #   tools/run_sanitizers.sh thread -L fault        # fault suite under TSan
 set -euo pipefail
 

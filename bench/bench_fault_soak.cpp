@@ -1,9 +1,7 @@
 // Whole-pipeline chaos soak — the full FocusAssembler (plus the variant
 // caller and GFA emitter on its output graph) driven through crash-at-every-
 // op sweeps and seeded mixed-fault storms (crash / drop / duplicate /
-// corrupt / delay), across rank counts, wire protocols and graph-store
-// backends. csr-spill runs also arm the spill manager's nth-write disk
-// fault, so message recovery and disk-write recovery fire in the same run.
+// corrupt / delay), across rank counts and wire protocols.
 //
 //   $ ./bench_fault_soak [--smoke] [output.json]
 //
@@ -37,8 +35,7 @@ constexpr PartId kGraphParts = 4;
 double soak_scale() { return bench::bench_scale(0.3); }
 double soak_coverage() { return bench::bench_coverage(6.0); }
 
-core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol,
-                              graph::GraphStoreBackend backend) {
+core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol) {
   core::FocusConfig cfg;
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
@@ -54,8 +51,6 @@ core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol,
   cfg.fault = mpr::FaultConfig{};
   cfg.fault.max_retries = 32;
   cfg.dist.protocol = protocol;
-  cfg.graph_store = graph::GraphStoreConfig{};
-  cfg.graph_store.backend = backend;
   return cfg;
 }
 
@@ -81,12 +76,11 @@ struct Expected {
 
 /// Fault-free reference at one rank count. Traversal output is a function
 /// of the rank count (subpath gather order feeds the greedy join), so each
-/// rank count gets its own oracle; protocols and backends remain
-/// output-equivalent at a fixed rank count.
+/// rank count gets its own oracle; protocols remain output-equivalent at a
+/// fixed rank count.
 Expected make_oracle(const io::ReadSet& raw, int ranks) {
   const auto result = core::assemble_reads(
-      raw, soak_config(ranks, dist::DistProtocol::kMaster,
-                       graph::GraphStoreBackend::kInMemory));
+      raw, soak_config(ranks, dist::DistProtocol::kMaster));
   Expected e;
   e.contigs = result.contigs;
   e.n50 = result.stats.n50;
@@ -128,7 +122,6 @@ struct RunRecord {
   int dataset = 0;
   int ranks = 0;
   std::string protocol;
-  std::string backend;
   std::uint64_t seed = 0;  // storm runs
   int victim = 0;          // crash runs
   std::uint64_t op = 0;    // crash runs
@@ -172,10 +165,6 @@ std::string protocol_name(dist::DistProtocol p) {
   return p == dist::DistProtocol::kSymmetric ? "symmetric" : "master";
 }
 
-std::string backend_name(graph::GraphStoreBackend b) {
-  return b == graph::GraphStoreBackend::kCsrSpill ? "csr-spill" : "memory";
-}
-
 void write_report(const std::string& path, bool smoke,
                   const std::vector<RunRecord>& runs) {
   std::uint64_t unrecovered = 0, total_retries = 0;
@@ -204,9 +193,8 @@ void write_report(const std::string& path, bool smoke,
     const auto& r = runs[i];
     std::fprintf(f,
                  "    {\"kind\": \"%s\", \"dataset\": \"D%d\", \"ranks\": %d, "
-                 "\"protocol\": \"%s\", \"backend\": \"%s\", ",
-                 r.kind.c_str(), r.dataset, r.ranks, r.protocol.c_str(),
-                 r.backend.c_str());
+                 "\"protocol\": \"%s\", ",
+                 r.kind.c_str(), r.dataset, r.ranks, r.protocol.c_str());
     if (r.kind == "storm") {
       std::fprintf(f, "\"seed\": %llu, ",
                    static_cast<unsigned long long>(r.seed));
@@ -292,15 +280,13 @@ int main(int argc, char** argv) {
       for (const auto protocol : protocols) {
         const int victim = protocol == dist::DistProtocol::kMaster ? 1 : 0;
         for (std::uint64_t op = 1; op <= crash_ops; ++op) {
-          auto cfg = soak_config(ranks, protocol,
-                                 graph::GraphStoreBackend::kInMemory);
+          auto cfg = soak_config(ranks, protocol);
           cfg.fault_plan.crashes.push_back({victim, op});
           RunRecord rec;
           rec.kind = "crash";
           rec.dataset = datasets[di];
           rec.ranks = ranks;
           rec.protocol = protocol_name(protocol);
-          rec.backend = backend_name(cfg.graph_store.backend);
           rec.victim = victim;
           rec.op = op;
           soak_run(raws[di], cfg, oracles.at({di, ranks}), rec);
@@ -318,29 +304,22 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[fault_soak] crash sweep done (%zu runs)\n",
                runs.size());
 
-  // Seeded mixed-fault storms, spread over dataset x ranks x protocol x
-  // backend; csr-spill runs also arm the nth-write disk fault.
+  // Seeded mixed-fault storms, spread over dataset x ranks x protocol.
   for (std::uint64_t seed = 0; seed < storm_seeds; ++seed) {
     const std::size_t di = seed % datasets.size();
     const int ranks = rank_counts[seed % rank_counts.size()];
     const auto protocol = protocols[(seed / 2) % protocols.size()];
-    const auto backend = (seed % 4 < 2) ? graph::GraphStoreBackend::kInMemory
-                                        : graph::GraphStoreBackend::kCsrSpill;
-    auto cfg = soak_config(ranks, protocol, backend);
+    auto cfg = soak_config(ranks, protocol);
     cfg.fault_plan.seed = seed * 31 + 17;
     cfg.fault_plan.p_drop = 0.02;
     cfg.fault_plan.p_duplicate = 0.02;
     cfg.fault_plan.p_corrupt = 0.02;
     cfg.fault_plan.p_delay = 0.02;
-    if (backend == graph::GraphStoreBackend::kCsrSpill) {
-      cfg.graph_store.write_fault_nth = 1 + seed % 3;
-    }
     RunRecord rec;
     rec.kind = "storm";
     rec.dataset = datasets[di];
     rec.ranks = ranks;
     rec.protocol = protocol_name(protocol);
-    rec.backend = backend_name(backend);
     rec.seed = seed;
     soak_run(raws[di], cfg, oracles.at({di, ranks}), rec);
     if (!rec.ok) {
@@ -356,11 +335,11 @@ int main(int argc, char** argv) {
   for (const auto& r : runs) {
     if (!r.ok) ++unrecovered;
   }
-  std::vector<int> widths = {10, 8, 12, 12, 8};
-  bench::print_row({"kind", "runs", "protocols", "backends", "bad"}, widths);
-  bench::print_row({"all", std::to_string(runs.size()), "2", "2",
-                    std::to_string(unrecovered)},
-                   widths);
+  std::vector<int> widths = {10, 8, 12, 8};
+  bench::print_row({"kind", "runs", "protocols", "bad"}, widths);
+  bench::print_row(
+      {"all", std::to_string(runs.size()), "2", std::to_string(unrecovered)},
+      widths);
   if (unrecovered != 0) {
     std::fprintf(stderr, "[fault_soak] FAIL: %llu unrecovered runs\n",
                  static_cast<unsigned long long>(unrecovered));

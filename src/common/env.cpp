@@ -25,9 +25,6 @@ EnvSnapshot EnvSnapshot::capture() {
   s.seed_strategy = read("FOCUS_SEED_STRATEGY");
   s.dist_protocol = read("FOCUS_DIST_PROTOCOL");
   s.graph_backend = read("FOCUS_GRAPH_BACKEND");
-  s.graph_mem_budget = read("FOCUS_GRAPH_MEM_BUDGET");
-  s.graph_spill_dir = read("FOCUS_GRAPH_SPILL_DIR");
-  s.graph_write_fault = read("FOCUS_GRAPH_WRITE_FAULT");
   s.fault_seed = read("FOCUS_FAULT_SEED");
   s.fault_crash = read("FOCUS_FAULT_CRASH");
   s.fault_drop = read("FOCUS_FAULT_DROP");

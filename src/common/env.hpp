@@ -34,9 +34,6 @@ struct EnvSnapshot {
   std::optional<std::string> seed_strategy;       // FOCUS_SEED_STRATEGY
   std::optional<std::string> dist_protocol;       // FOCUS_DIST_PROTOCOL
   std::optional<std::string> graph_backend;       // FOCUS_GRAPH_BACKEND
-  std::optional<std::string> graph_mem_budget;    // FOCUS_GRAPH_MEM_BUDGET
-  std::optional<std::string> graph_spill_dir;     // FOCUS_GRAPH_SPILL_DIR
-  std::optional<std::string> graph_write_fault;   // FOCUS_GRAPH_WRITE_FAULT
   std::optional<std::string> fault_seed;          // FOCUS_FAULT_SEED
   std::optional<std::string> fault_crash;         // FOCUS_FAULT_CRASH
   std::optional<std::string> fault_drop;          // FOCUS_FAULT_DROP

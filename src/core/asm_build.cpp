@@ -111,123 +111,4 @@ AsmBuildResult build_assembly_graph(const graph::HybridGraphSet& hybrid,
   return out;
 }
 
-AsmStoreBuildResult build_assembly_graph_store(
-    const graph::HybridGraphSet& hybrid, const graph::Digraph& read_graph,
-    const io::ReadSet& reads, std::span<const PartId> node_part, PartId nparts,
-    const graph::GraphStoreConfig& config, bool use_consensus) {
-  const std::size_t cluster_count = hybrid.cluster_reads.size();
-  FOCUS_CHECK(node_part.size() == cluster_count,
-              "node partition size mismatch");
-  AsmStoreBuildResult out;
-  out.cluster_of.assign(reads.size(), kInvalidNode);
-
-  // Pass A: cursor arithmetic over every layout — contig lengths and read
-  // offsets, no sequence bytes. Mirrors the merge loop of
-  // build_assembly_graph exactly (consensus never changes the length).
-  std::vector<std::int64_t> offset(reads.size(), -1);
-  std::vector<std::int64_t> contig_len(cluster_count, 0);
-  dist::StoredAsmGraphBuilder builder(config, node_part, nparts);
-  for (NodeId h = 0; h < cluster_count; ++h) {
-    const auto& layout = hybrid.layouts[h];
-    FOCUS_ASSERT(!layout.empty(), "cluster with empty layout");
-    std::int64_t len = 0;
-    for (std::size_t i = 0; i < layout.size(); ++i) {
-      const NodeId read = layout[i].read;
-      FOCUS_ASSERT(read < reads.size(), "layout read out of range");
-      const auto seq_len =
-          static_cast<std::int64_t>(reads[read].seq.size());
-      if (i == 0) {
-        len = seq_len;
-        offset[read] = 0;
-      } else {
-        const auto ov =
-            static_cast<std::int64_t>(layout[i - 1].overlap_to_next);
-        std::int64_t cursor = len - ov;
-        if (cursor < 0) cursor = 0;
-        offset[read] = cursor;
-        const std::int64_t keep = std::min(ov, seq_len);
-        if (keep < seq_len) len += seq_len - keep;
-      }
-    }
-    contig_len[h] = len;
-    const NodeId node = builder.declare_node(
-        static_cast<std::uint32_t>(len),
-        static_cast<Weight>(hybrid.cluster_reads[h].size()));
-    FOCUS_ASSERT(node == h, "assembly node ids must mirror hybrid node ids");
-    for (const NodeId read : hybrid.cluster_reads[h]) {
-      out.cluster_of[read] = h;
-    }
-  }
-
-  // Pass B: identical estimate map — lengths come from pass A instead of
-  // materialized contigs, and the sorted map iteration reproduces AsmGraph's
-  // edge-id assignment order.
-  struct EdgeEstimate {
-    std::int64_t overlap = 0;
-    std::int64_t offset = 0;
-  };
-  std::map<std::pair<NodeId, NodeId>, EdgeEstimate> best_estimate;
-  for (NodeId a = 0; a < read_graph.node_count(); ++a) {
-    if (offset[a] < 0) continue;
-    const NodeId ca = out.cluster_of[a];
-    if (ca == kInvalidNode) continue;
-    const auto la = static_cast<std::int64_t>(reads[a].seq.size());
-    const std::int64_t len_ca = contig_len[ca];
-    for (const graph::DiEdge& e : read_graph.out_edges(a)) {
-      const NodeId b = e.to;
-      if (offset[b] < 0) continue;
-      const NodeId cb = out.cluster_of[b];
-      if (cb == kInvalidNode || cb == ca) continue;
-      const std::int64_t len_cb = contig_len[cb];
-      const std::int64_t cb_start =
-          offset[a] + la - static_cast<std::int64_t>(e.overlap) - offset[b];
-      const std::int64_t est = std::min(len_ca, cb_start + len_cb) -
-                               std::max<std::int64_t>(0, cb_start);
-      if (est <= 0) continue;
-      if (cb_start <= 0) continue;
-      const std::int64_t clipped = std::min({est, len_ca, len_cb});
-      auto [it, inserted] = best_estimate.try_emplace(
-          {ca, cb}, EdgeEstimate{clipped, cb_start});
-      if (!inserted && clipped > it->second.overlap) {
-        it->second = EdgeEstimate{clipped, cb_start};
-      }
-    }
-  }
-  for (const auto& [key, est] : best_estimate) {
-    builder.add_edge(key.first, key.second,
-                     static_cast<std::uint32_t>(est.overlap),
-                     static_cast<std::uint32_t>(est.offset));
-  }
-
-  // Pass C: materialize contigs partition by partition while the builder
-  // seals slices — the only point sequence bytes exist, and only one
-  // partition's worth at a time.
-  out.store = builder.finish([&](NodeId h) {
-    const auto& layout = hybrid.layouts[h];
-    std::string contig;
-    for (std::size_t i = 0; i < layout.size(); ++i) {
-      const std::string& seq = reads[layout[i].read].seq;
-      if (i == 0) {
-        contig = seq;
-      } else {
-        const auto ov =
-            static_cast<std::int64_t>(layout[i - 1].overlap_to_next);
-        const auto keep = static_cast<std::size_t>(std::min<std::int64_t>(
-            ov, static_cast<std::int64_t>(seq.size())));
-        if (keep < seq.size()) contig += seq.substr(keep);
-      }
-    }
-    if (use_consensus && layout.size() > 1) {
-      auto called = consensus_from_layout(reads, layout);
-      FOCUS_ASSERT(called.sequence.size() == contig.size(),
-                   "consensus length diverged from layout merge");
-      contig = std::move(called.sequence);
-    }
-    FOCUS_ASSERT(contig.size() == static_cast<std::size_t>(contig_len[h]),
-                 "pass-A contig length diverged from merge");
-    return contig;
-  });
-  return out;
-}
-
 }  // namespace focus::core

@@ -4,11 +4,9 @@
 // structure the distributed algorithms of paper §V operate on.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "dist/asm_graph.hpp"
-#include "dist/stored_graph.hpp"
 #include "graph/digraph.hpp"
 #include "graph/hybrid.hpp"
 #include "io/read.hpp"
@@ -37,24 +35,5 @@ AsmBuildResult build_assembly_graph(const graph::HybridGraphSet& hybrid,
                                     const graph::Digraph& read_graph,
                                     const io::ReadSet& reads,
                                     bool use_consensus = true);
-
-struct AsmStoreBuildResult {
-  dist::StoredAsmGraph store;
-  std::vector<NodeId> cluster_of;  // as in AsmBuildResult
-};
-
-/// Out-of-core twin of build_assembly_graph: same node ids, edge ids and
-/// contig bytes, but built straight into a StoredAsmGraph so no full
-/// AsmGraph ever exists in memory. Pass A walks every layout with cursor
-/// arithmetic only (lengths and read offsets, no sequence bytes); pass B
-/// derives the same edge estimates from those lengths, inserted in the same
-/// sorted (from, to) order — so edge ids match AsmGraph's; pass C
-/// materializes contigs one partition at a time while the builder seals
-/// slices. `node_part` is the partition of each hybrid node (the same vector
-/// later passed to the distributed drivers); it decides slice membership.
-AsmStoreBuildResult build_assembly_graph_store(
-    const graph::HybridGraphSet& hybrid, const graph::Digraph& read_graph,
-    const io::ReadSet& reads, std::span<const PartId> node_part, PartId nparts,
-    const graph::GraphStoreConfig& config, bool use_consensus = true);
 
 }  // namespace focus::core

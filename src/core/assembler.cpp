@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -211,9 +210,9 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
 
   // --- Stage 6: assembly graph + distributed simplification (§V-A/B/C). ---
   wall.restart();
-  // Partition of each assembly node: hybrid partition if partitioning the
-  // hybrid set; majority over cluster reads otherwise. Computed before the
-  // graph build because the spill backend slices the graph by partition.
+  // Partition of each assembly node (assembly node ids mirror hybrid node
+  // ids): hybrid partition if partitioning the hybrid set; majority over
+  // cluster reads otherwise.
   std::vector<PartId> node_part(result.hybrid.cluster_reads.size(), 0);
   if (config_.use_hybrid_partitioning) {
     node_part = result.partitioning.finest();
@@ -231,48 +230,13 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     }
   }
 
-  const bool use_store =
-      config_.graph_store.backend == graph::GraphStoreBackend::kCsrSpill;
-
-  // Under the spill backend, the multilevel hierarchy — finished since stage
-  // 5 but part of the returned result — parks on disk while the graph stages
-  // run, so peak RSS covers only the working assembly graph.
-  std::unique_ptr<graph::SpillManager> hierarchy_store;
-  std::optional<graph::HierarchySpill> hierarchy_spill;
-  if (use_store) {
-    hierarchy_store =
-        std::make_unique<graph::SpillManager>(config_.graph_store);
-    hierarchy_spill.emplace(*hierarchy_store, 0);
-    for (std::size_t l = 0; l < result.multilevel.levels.size(); ++l) {
-      hierarchy_spill->spill_level(l, result.multilevel.levels[l]);
-      result.multilevel.levels[l] = graph::Graph();
-    }
-    hierarchy_store->evict_all();
-  }
-
-  AsmBuildResult built;
-  AsmStoreBuildResult stored;
-  if (use_store) {
-    stored = build_assembly_graph_store(result.hybrid, read_graph,
-                                        result.reads, node_part,
-                                        config_.partitions,
-                                        config_.graph_store);
-  } else {
-    built = build_assembly_graph(result.hybrid, read_graph, result.reads);
-  }
+  AsmBuildResult built =
+      build_assembly_graph(result.hybrid, read_graph, result.reads);
   {
-    auto simplified =
-        use_store
-            ? dist::simplify_parallel(
-                  stored.store, node_part, config_.partitions,
-                  config_.simplify, config_.ranks, config_.cost,
-                  config_.partitioner.threads, config_.fault_plan,
-                  config_.fault, config_.dist)
-            : dist::simplify_parallel(
-                  built.graph, node_part, config_.partitions,
-                  config_.simplify, config_.ranks, config_.cost,
-                  config_.partitioner.threads, config_.fault_plan,
-                  config_.fault, config_.dist);
+    auto simplified = dist::simplify_parallel(
+        built.graph, node_part, config_.partitions, config_.simplify,
+        config_.ranks, config_.cost, config_.partitioner.threads,
+        config_.fault_plan, config_.fault, config_.dist);
     result.simplify_stats = simplified.stats;
     result.simplify_run = simplified.run;
     StageTiming t;
@@ -284,23 +248,16 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
   // --- Stage 7: distributed traversal + contig construction (§V-D). -------
   wall.restart();
   {
-    auto traversed =
-        use_store
-            ? dist::traverse_parallel(
-                  stored.store, node_part, config_.partitions, config_.ranks,
-                  config_.cost, config_.partitioner.threads,
-                  config_.fault_plan, config_.fault, config_.dist)
-            : dist::traverse_parallel(
-                  built.graph, node_part, config_.partitions, config_.ranks,
-                  config_.cost, config_.partitioner.threads,
-                  config_.fault_plan, config_.fault, config_.dist);
+    auto traversed = dist::traverse_parallel(
+        built.graph, node_part, config_.partitions, config_.ranks,
+        config_.cost, config_.partitioner.threads, config_.fault_plan,
+        config_.fault, config_.dist);
     result.paths = std::move(traversed.paths);
     result.traverse_run = traversed.run;
     std::vector<std::string> contigs;
     contigs.reserve(result.paths.size());
     for (const auto& path : result.paths) {
-      contigs.push_back(use_store ? stored.store.merge_path_contigs(path)
-                                  : built.graph.merge_path_contigs(path));
+      contigs.push_back(built.graph.merge_path_contigs(path));
     }
     result.contigs =
         dedupe_contigs(std::move(contigs), config_.min_contig_length);
@@ -310,15 +267,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     t.vtime = traversed.run.makespan;
     result.timings["7-traverse"] = t;
   }
-  // The result surface stays AsmGraph-typed either way; to_asm_graph carries
-  // ids, field values and removed flags over verbatim.
-  result.assembly_graph =
-      use_store ? stored.store.to_asm_graph() : std::move(built.graph);
-  if (use_store) {
-    for (std::size_t l = 0; l < hierarchy_spill->levels(); ++l) {
-      result.multilevel.levels[l] = hierarchy_spill->load_level(l);
-    }
-  }
+  result.assembly_graph = std::move(built.graph);
 
   return result;
 }

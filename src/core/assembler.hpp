@@ -19,6 +19,7 @@
 #include "core/stats.hpp"
 #include "dist/parallel.hpp"
 #include "graph/coarsen.hpp"
+#include "graph/graph_store.hpp"
 #include "graph/hybrid.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/cost_model.hpp"
@@ -63,11 +64,9 @@ struct FocusConfig {
   /// Wire protocol of the fault-tolerant stages (all of the above). Defaults
   /// to the FOCUS_DIST_PROTOCOL environment selection; see dist::DistProtocol.
   dist::DistConfig dist;
-  /// Storage backend of the assembly-graph stages (6 and 7). Defaults to the
-  /// FOCUS_GRAPH_BACKEND environment selection. kCsrSpill builds the
-  /// assembly graph straight into a spill-backed StoredAsmGraph (DESIGN.md
-  /// §8) and parks the multilevel hierarchy on disk while the graph stages
-  /// run; outputs are byte-identical to the in-memory backend.
+  /// Storage backend of the assembly-graph stages (6 and 7): always the
+  /// in-memory AsmGraph. Resolved from FOCUS_GRAPH_BACKEND so that the
+  /// removed 'csr-spill' value fails loudly (DESIGN.md §8).
   graph::GraphStoreConfig graph_store;
 };
 

@@ -63,15 +63,6 @@ class AsmGraph {
   const AsmNode& node(NodeId v) const { return nodes_[v]; }
   const AsmEdge& edge(EdgeId e) const { return edges_[e]; }
 
-  /// Contig accessors shared with dist::StoredAsmGraph so the simplify and
-  /// traverse kernels can be templates over either backend. Here contig()
-  /// returns a reference into the node; the stored graph returns an owning
-  /// string decoded from its partition slice — generic code binds the result
-  /// with `decltype(auto)` and reads it through std::string_view.
-  const std::string& contig(NodeId v) const { return nodes_[v].contig; }
-  std::size_t contig_size(NodeId v) const { return nodes_[v].contig.size(); }
-  Weight node_reads(NodeId v) const { return nodes_[v].reads; }
-
   bool node_live(NodeId v) const { return !nodes_[v].removed; }
   bool edge_live(EdgeId e) const {
     const AsmEdge& edge = edges_[e];

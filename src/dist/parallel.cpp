@@ -14,7 +14,6 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "dist/stored_graph.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/ft_phase.hpp"
 #include "mpr/rounds.hpp"
@@ -71,9 +70,8 @@ bool mine(std::size_t partition, const mpr::Comm& comm) {
 /// estimator's own cost into `estimator_work` (each rank is charged for it:
 /// in a real deployment every rank computes the schedule redundantly from
 /// replicated partition metadata).
-template <class GraphT>
 std::vector<double> simplify_scan_estimates(
-    const GraphT& g, const std::vector<std::vector<NodeId>>& nodes,
+    const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
     const SimplifyConfig& config, double* estimator_work) {
   std::vector<double> est(nodes.size(), 0.0);
   for (std::size_t p = 0; p < nodes.size(); ++p) {
@@ -84,7 +82,7 @@ std::vector<double> simplify_scan_estimates(
       if (estimator_work != nullptr) {
         *estimator_work += 1.0 + static_cast<double>(out.size());
       }
-      const std::size_t cv_size = g.contig_size(v);
+      const std::size_t cv_size = g.node(v).contig.size();
       for (const EdgeId e : out) {
         if (out.size() >= 2) {
           est[p] += static_cast<double>(g.live_out_degree(g.edge(e).to));
@@ -92,7 +90,7 @@ std::vector<double> simplify_scan_estimates(
         const std::size_t offset = g.edge(e).offset;
         if (offset < cv_size) {
           const std::size_t window =
-              std::min(cv_size - offset, g.contig_size(g.edge(e).to));
+              std::min(cv_size - offset, g.node(g.edge(e).to).contig.size());
           est[p] += align::banded_align_work(window, window, config.band);
         }
       }
@@ -209,8 +207,7 @@ using mpr::ft_worker_loop;
 using mpr::sym_collect_phase;
 using mpr::sym_wal_commit;
 
-template <class GraphT>
-void ft_simplify_master(mpr::Comm& comm, GraphT& g,
+void ft_simplify_master(mpr::Comm& comm, AsmGraph& g,
                         const std::vector<std::vector<NodeId>>& nodes,
                         const SimplifyConfig& config, PartId nparts,
                         const mpr::FaultConfig& fault, SimplifyStats* stats) {
@@ -306,8 +303,7 @@ void ft_simplify_master(mpr::Comm& comm, GraphT& g,
   *stats = ckpt.stats;
 }
 
-template <class GraphT>
-void ft_simplify_worker(mpr::Comm& comm, const GraphT& g,
+void ft_simplify_worker(mpr::Comm& comm, const AsmGraph& g,
                         const std::vector<std::vector<NodeId>>& nodes,
                         const SimplifyConfig& config) {
   TransitiveScratch scratch;
@@ -355,8 +351,7 @@ constexpr int kTagSymContained = 215;
 constexpr int kTagSymTips = 216;
 constexpr int kTagSymBubbles = 217;
 
-template <class GraphT>
-void simplify_symmetric_rank(mpr::Comm& comm, GraphT& g,
+void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
                              const std::vector<std::vector<NodeId>>& nodes,
                              std::span<const PartId> part,
                              const SimplifyConfig& config,
@@ -506,8 +501,7 @@ void simplify_symmetric_rank(mpr::Comm& comm, GraphT& g,
 /// the loop starts wherever the inherited log ends. The final counters are a
 /// pure function of the log, so any coordinator — original, successor, or a
 /// late orphan finding a complete log — reports the same stats.
-template <class GraphT>
-void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, GraphT& g,
+void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
                              const std::vector<std::vector<NodeId>>& nodes,
                              const SimplifyConfig& config, PartId nparts,
                              const mpr::FaultConfig& fault,
@@ -613,9 +607,8 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, GraphT& g,
   *stats = total;
 }
 
-template <class GraphT>
 ParallelSimplifyResult ft_sym_simplify(
-    GraphT& g, const std::vector<std::vector<NodeId>>& nodes, PartId nparts,
+    AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes, PartId nparts,
     const SimplifyConfig& config, int nranks, mpr::CostModel cost,
     const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault) {
   ParallelSimplifyResult out;
@@ -662,8 +655,7 @@ ParallelSimplifyResult ft_sym_simplify(
 
 }  // namespace
 
-template <class GraphT>
-ParallelSimplifyResult simplify_parallel(GraphT& g,
+ParallelSimplifyResult simplify_parallel(AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts,
                                          const SimplifyConfig& config,
@@ -849,8 +841,7 @@ namespace {
 
 using Subpaths = std::vector<std::vector<NodeId>>;
 
-template <class GraphT>
-void ft_traverse_master(mpr::Comm& comm, const GraphT& g,
+void ft_traverse_master(mpr::Comm& comm, const AsmGraph& g,
                         const std::vector<std::vector<NodeId>>& nodes,
                         std::span<const PartId> part, PartId nparts,
                         const mpr::FaultConfig& fault, Subpaths* paths) {
@@ -884,8 +875,7 @@ void ft_traverse_master(mpr::Comm& comm, const GraphT& g,
   ft_shutdown_workers(comm, st);
 }
 
-template <class GraphT>
-void ft_traverse_worker(mpr::Comm& comm, const GraphT& g,
+void ft_traverse_worker(mpr::Comm& comm, const AsmGraph& g,
                         const std::vector<std::vector<NodeId>>& nodes,
                         std::span<const PartId> part) {
   std::vector<bool> visited(g.node_count(), false);
@@ -951,9 +941,8 @@ struct JumpReply {  // all-u32 so the frame has no padding bytes under CRC
   std::uint32_t flags;  // bit 0: target settled; bit 1: target is a cycle
 };
 
-template <class GraphT>
 void traverse_symmetric_rank(
-    mpr::Comm& comm, const GraphT& g,
+    mpr::Comm& comm, const AsmGraph& g,
     const std::vector<std::vector<NodeId>>& nodes,
     std::span<const PartId> part, const std::vector<int>& owner,
     const std::vector<std::vector<std::uint32_t>>& owned, Subpaths* paths) {
@@ -1289,8 +1278,7 @@ void traverse_symmetric_rank(
 /// phase committed to the log, then joining from the durable record — which
 /// is identical whether this rank collected the sub-paths itself or
 /// inherited them from a crashed predecessor.
-template <class GraphT>
-void sym_traverse_coordinate(mpr::Comm& comm, SymWal& wal, const GraphT& g,
+void sym_traverse_coordinate(mpr::Comm& comm, SymWal& wal, const AsmGraph& g,
                              const std::vector<std::vector<NodeId>>& nodes,
                              std::span<const PartId> part, PartId nparts,
                              const mpr::FaultConfig& fault,
@@ -1332,9 +1320,8 @@ void sym_traverse_coordinate(mpr::Comm& comm, SymWal& wal, const GraphT& g,
   comm.charge(join_work);
 }
 
-template <class GraphT>
 ParallelTraverseResult ft_sym_traverse(
-    const GraphT& g, const std::vector<std::vector<NodeId>>& nodes,
+    const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
     std::span<const PartId> part, PartId nparts, int nranks,
     mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
     const mpr::FaultConfig& fault) {
@@ -1367,8 +1354,7 @@ ParallelTraverseResult ft_sym_traverse(
 
 }  // namespace
 
-template <class GraphT>
-ParallelTraverseResult traverse_parallel(const GraphT& g,
+ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts, int nranks,
                                          mpr::CostModel cost,
@@ -1552,23 +1538,6 @@ void ft_overlap_symmetric(mpr::Comm& comm, const io::ReadSet& reads,
 }
 
 }  // namespace
-
-// Explicit instantiations of the templated drivers for the two graph
-// backends (see parallel.hpp).
-#define FOCUS_INSTANTIATE_PARALLEL(G)                                        \
-  template ParallelSimplifyResult simplify_parallel<G>(                      \
-      G&, std::span<const PartId>, PartId, const SimplifyConfig&, int,       \
-      mpr::CostModel, unsigned, const mpr::FaultPlan&,                       \
-      const mpr::FaultConfig&, const DistConfig&);                           \
-  template ParallelTraverseResult traverse_parallel<G>(                      \
-      const G&, std::span<const PartId>, PartId, int, mpr::CostModel,        \
-      unsigned, const mpr::FaultPlan&, const mpr::FaultConfig&,              \
-      const DistConfig&);
-
-FOCUS_INSTANTIATE_PARALLEL(AsmGraph)
-FOCUS_INSTANTIATE_PARALLEL(StoredAsmGraph)
-
-#undef FOCUS_INSTANTIATE_PARALLEL
 
 ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        const align::OverlapperConfig& config,

@@ -86,12 +86,7 @@ struct ParallelSimplifyResult {
 /// virtual-time measurement is not confounded by host parallelism.
 /// `fault_plan` selects the fault-tolerant protocol (see file comment);
 /// `fault` bounds its retries and sets the receive deadline.
-///
-/// GraphT is dist::AsmGraph or dist::StoredAsmGraph (explicit instantiations
-/// in parallel.cpp) — both protocols iterate partitions through either
-/// backend and produce byte-identical results (tests/graph_store_test.cpp).
-template <class GraphT>
-ParallelSimplifyResult simplify_parallel(GraphT& g,
+ParallelSimplifyResult simplify_parallel(AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts,
                                          const SimplifyConfig& config,
@@ -109,10 +104,8 @@ struct ParallelTraverseResult {
 /// Distributed maximal-path traversal: workers grow partition-local
 /// sub-paths; the master joins them across partition boundaries (symmetric
 /// protocol: owners join their own groups and rank 0 only merges pre-sorted
-/// runs). `threads`, `fault_plan`, `fault` and GraphT as in
-/// simplify_parallel.
-template <class GraphT>
-ParallelTraverseResult traverse_parallel(const GraphT& g,
+/// runs). `threads`, `fault_plan` and `fault` as in simplify_parallel.
+ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts, int nranks,
                                          mpr::CostModel cost = {},

@@ -5,12 +5,10 @@
 
 #include "align/banded_nw.hpp"
 #include "common/error.hpp"
-#include "dist/stored_graph.hpp"
 
 namespace focus::dist {
 
-template <class GraphT>
-std::vector<EdgeId> find_transitive_edges(const GraphT& g,
+std::vector<EdgeId> find_transitive_edges(const AsmGraph& g,
                                           std::span<const NodeId> scan,
                                           TransitiveScratch& scratch,
                                           double* work) {
@@ -45,30 +43,25 @@ std::vector<EdgeId> find_transitive_edges(const GraphT& g,
   return found;
 }
 
-template <class GraphT>
-std::vector<EdgeId> find_transitive_edges(const GraphT& g,
+std::vector<EdgeId> find_transitive_edges(const AsmGraph& g,
                                           std::span<const NodeId> scan,
                                           double* work) {
   TransitiveScratch scratch;
   return find_transitive_edges(g, scan, scratch, work);
 }
 
-template <class GraphT>
-ContainmentFindings find_containments(const GraphT& g,
+ContainmentFindings find_containments(const AsmGraph& g,
                                       std::span<const NodeId> scan,
                                       const SimplifyConfig& config,
                                       double* work) {
   ContainmentFindings out;
   for (const NodeId v : scan) {
     if (!g.node_live(v)) continue;
-    // const& from AsmGraph, an owning string from StoredAsmGraph.
-    decltype(auto) cv_seq = g.contig(v);
-    const std::string_view cv(cv_seq);
+    const std::string_view cv = g.node(v).contig;
     for (const EdgeId e : g.live_out(v)) {
       if (g.edge(e).verified) continue;  // cross-part edges may be rescanned
       const NodeId w = g.edge(e).to;
-      decltype(auto) cw_seq = g.contig(w);
-      const std::string_view cw(cw_seq);
+      const std::string_view cw = g.node(w).contig;
 
       // The edge's offset estimate locates cw within cv's coordinates; the
       // expected overlap window follows directly. The banded alignment's
@@ -116,8 +109,7 @@ namespace {
 // Follows the unambiguous chain starting at `v` in the given direction
 // (true = forward/out). Returns the chain nodes (including v) and stops at
 // a branching node or after max_nodes.
-template <class GraphT>
-std::vector<NodeId> follow_chain(const GraphT& g, NodeId v, bool forward,
+std::vector<NodeId> follow_chain(const AsmGraph& g, NodeId v, bool forward,
                                  std::size_t max_nodes, double* work) {
   std::vector<NodeId> chain{v};
   NodeId cur = v;
@@ -136,10 +128,9 @@ std::vector<NodeId> follow_chain(const GraphT& g, NodeId v, bool forward,
   return chain;
 }
 
-template <class GraphT>
-std::uint32_t chain_bp(const GraphT& g, const std::vector<NodeId>& chain) {
+std::uint32_t chain_bp(const AsmGraph& g, const std::vector<NodeId>& chain) {
   std::uint64_t bp = 0;
-  for (const NodeId v : chain) bp += g.contig_size(v);
+  for (const NodeId v : chain) bp += g.node(v).contig.size();
   return static_cast<std::uint32_t>(std::min<std::uint64_t>(bp, 0xffffffffu));
 }
 
@@ -158,13 +149,12 @@ struct BranchStrength {
   }
 };
 
-template <class GraphT>
-BranchStrength branch_strength(const GraphT& g,
+BranchStrength branch_strength(const AsmGraph& g,
                                const std::vector<NodeId>& chain) {
   BranchStrength s;
   for (const NodeId v : chain) {
-    s.bp += g.contig_size(v);
-    s.reads += g.node_reads(v);
+    s.bp += g.node(v).contig.size();
+    s.reads += g.node(v).reads;
   }
   s.endpoint = chain.front();
   return s;
@@ -172,8 +162,7 @@ BranchStrength branch_strength(const GraphT& g,
 
 }  // namespace
 
-template <class GraphT>
-std::vector<NodeId> find_tips(const GraphT& g, std::span<const NodeId> scan,
+std::vector<NodeId> find_tips(const AsmGraph& g, std::span<const NodeId> scan,
                               const SimplifyConfig& config, double* work) {
   std::vector<NodeId> tips;
 
@@ -220,8 +209,7 @@ std::vector<NodeId> find_tips(const GraphT& g, std::span<const NodeId> scan,
   return tips;
 }
 
-template <class GraphT>
-std::vector<NodeId> find_bubbles(const GraphT& g,
+std::vector<NodeId> find_bubbles(const AsmGraph& g,
                                  std::span<const NodeId> scan,
                                  const SimplifyConfig& config, double* work) {
   std::vector<NodeId> removals;
@@ -248,7 +236,7 @@ std::vector<NodeId> find_bubbles(const GraphT& g,
           break;
         }
         b.interior.push_back(cur);
-        b.coverage += g.node_reads(cur);
+        b.coverage += g.node(cur).reads;
         const auto next = g.live_out(cur);
         if (next.size() != 1) break;  // dead end or fork: not a simple bubble
         cur = g.edge(next[0]).to;
@@ -283,8 +271,7 @@ std::vector<NodeId> find_bubbles(const GraphT& g,
   return removals;
 }
 
-template <class GraphT>
-std::size_t apply_edge_removals(GraphT& g, std::vector<EdgeId> edges) {
+std::size_t apply_edge_removals(AsmGraph& g, std::vector<EdgeId> edges) {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   std::size_t applied = 0;
@@ -297,8 +284,7 @@ std::size_t apply_edge_removals(GraphT& g, std::vector<EdgeId> edges) {
   return applied;
 }
 
-template <class GraphT>
-std::size_t apply_node_removals(GraphT& g, std::vector<NodeId> nodes) {
+std::size_t apply_node_removals(AsmGraph& g, std::vector<NodeId> nodes) {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   std::size_t applied = 0;
@@ -311,8 +297,7 @@ std::size_t apply_node_removals(GraphT& g, std::vector<NodeId> nodes) {
   return applied;
 }
 
-template <class GraphT>
-std::size_t apply_verifications(GraphT& g,
+std::size_t apply_verifications(AsmGraph& g,
                                 const std::vector<EdgeVerification>& v) {
   std::size_t applied = 0;
   for (const auto& rec : v) {
@@ -324,8 +309,7 @@ std::size_t apply_verifications(GraphT& g,
   return applied;
 }
 
-template <class GraphT>
-SimplifyStats simplify_serial(GraphT& g, const SimplifyConfig& config,
+SimplifyStats simplify_serial(AsmGraph& g, const SimplifyConfig& config,
                               double* work) {
   SimplifyStats stats;
   std::vector<NodeId> all;
@@ -347,30 +331,5 @@ SimplifyStats simplify_serial(GraphT& g, const SimplifyConfig& config,
       apply_node_removals(g, find_bubbles(g, all, config, work));
   return stats;
 }
-
-// Explicit instantiations: the kernels are declared (not defined) in
-// simplify.hpp and exist for exactly the two graph backends.
-#define FOCUS_INSTANTIATE_SIMPLIFY(G)                                         \
-  template std::vector<EdgeId> find_transitive_edges<G>(                      \
-      const G&, std::span<const NodeId>, TransitiveScratch&, double*);        \
-  template std::vector<EdgeId> find_transitive_edges<G>(                      \
-      const G&, std::span<const NodeId>, double*);                            \
-  template ContainmentFindings find_containments<G>(                          \
-      const G&, std::span<const NodeId>, const SimplifyConfig&, double*);     \
-  template std::vector<NodeId> find_tips<G>(                                  \
-      const G&, std::span<const NodeId>, const SimplifyConfig&, double*);     \
-  template std::vector<NodeId> find_bubbles<G>(                               \
-      const G&, std::span<const NodeId>, const SimplifyConfig&, double*);     \
-  template std::size_t apply_edge_removals<G>(G&, std::vector<EdgeId>);       \
-  template std::size_t apply_node_removals<G>(G&, std::vector<NodeId>);       \
-  template std::size_t apply_verifications<G>(                                \
-      G&, const std::vector<EdgeVerification>&);                              \
-  template SimplifyStats simplify_serial<G>(G&, const SimplifyConfig&,        \
-                                            double*);
-
-FOCUS_INSTANTIATE_SIMPLIFY(AsmGraph)
-FOCUS_INSTANTIATE_SIMPLIFY(StoredAsmGraph)
-
-#undef FOCUS_INSTANTIATE_SIMPLIFY
 
 }  // namespace focus::dist

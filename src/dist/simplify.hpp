@@ -7,12 +7,6 @@
 // changes; the master *applies* them" — exactly the paper's master/worker
 // protocol — so the same building blocks serve the serial driver (one subset
 // = all nodes) and the mpr-parallel driver (one subset per partition).
-//
-// All passes are templates over the graph backend: GraphT is dist::AsmGraph
-// (in-memory) or dist::StoredAsmGraph (partition slices under a spill
-// budget). Definitions live in simplify.cpp with explicit instantiations for
-// both — the backends produce byte-identical results
-// (tests/graph_store_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -66,15 +60,13 @@ struct TransitiveScratch {
 
 /// §V-A: transitive edges seen from the nodes in `scan`. `scratch` persists
 /// across calls by the same rank.
-template <class GraphT>
-std::vector<EdgeId> find_transitive_edges(const GraphT& g,
+std::vector<EdgeId> find_transitive_edges(const AsmGraph& g,
                                           std::span<const NodeId> scan,
                                           TransitiveScratch& scratch,
                                           double* work = nullptr);
 
 /// Convenience overload with a call-local scratch.
-template <class GraphT>
-std::vector<EdgeId> find_transitive_edges(const GraphT& g,
+std::vector<EdgeId> find_transitive_edges(const AsmGraph& g,
                                           std::span<const NodeId> scan,
                                           double* work = nullptr);
 
@@ -94,22 +86,19 @@ struct ContainmentFindings {
 
 /// §V-B: aligns each scanned node's contig against its out-neighbors'
 /// contigs; classifies edges (verified / false) and detects containment.
-template <class GraphT>
-ContainmentFindings find_containments(const GraphT& g,
+ContainmentFindings find_containments(const AsmGraph& g,
                                       std::span<const NodeId> scan,
                                       const SimplifyConfig& config,
                                       double* work = nullptr);
 
 /// §V-C: nodes on short dead-end paths reachable from the scanned nodes.
-template <class GraphT>
-std::vector<NodeId> find_tips(const GraphT& g, std::span<const NodeId> scan,
+std::vector<NodeId> find_tips(const AsmGraph& g, std::span<const NodeId> scan,
                               const SimplifyConfig& config,
                               double* work = nullptr);
 
 /// §V-C: interior nodes of the weaker branch of each simple bubble whose
 /// branch point is a scanned node.
-template <class GraphT>
-std::vector<NodeId> find_bubbles(const GraphT& g,
+std::vector<NodeId> find_bubbles(const AsmGraph& g,
                                  std::span<const NodeId> scan,
                                  const SimplifyConfig& config,
                                  double* work = nullptr);
@@ -119,20 +108,16 @@ std::vector<NodeId> find_bubbles(const GraphT& g,
 /// Applies recorded changes, deduplicating (cross-partition edges are
 /// recorded by both sides, paper §V-A). Returns the number of *distinct*
 /// applied changes.
-template <class GraphT>
-std::size_t apply_edge_removals(GraphT& g, std::vector<EdgeId> edges);
-template <class GraphT>
-std::size_t apply_node_removals(GraphT& g, std::vector<NodeId> nodes);
-template <class GraphT>
-std::size_t apply_verifications(GraphT& g,
+std::size_t apply_edge_removals(AsmGraph& g, std::vector<EdgeId> edges);
+std::size_t apply_node_removals(AsmGraph& g, std::vector<NodeId> nodes);
+std::size_t apply_verifications(AsmGraph& g,
                                 const std::vector<EdgeVerification>& v);
 
 // --- Serial driver. ---------------------------------------------------------
 
 /// Full simplification pipeline on one process: transitive reduction →
 /// containment/verification → tips → bubbles.
-template <class GraphT>
-SimplifyStats simplify_serial(GraphT& g, const SimplifyConfig& config,
+SimplifyStats simplify_serial(AsmGraph& g, const SimplifyConfig& config,
                               double* work = nullptr);
 
 }  // namespace focus::dist

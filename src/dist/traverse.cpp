@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
-#include "dist/stored_graph.hpp"
 
 namespace focus::dist {
 
@@ -18,9 +17,8 @@ bool same_partition(std::span<const PartId> part, NodeId from, NodeId to) {
 
 }  // namespace
 
-template <class GraphT>
 std::vector<std::vector<NodeId>> extract_subpaths(
-    const GraphT& g, std::span<const NodeId> scan,
+    const AsmGraph& g, std::span<const NodeId> scan,
     std::span<const PartId> part, std::vector<bool>& visited, double* work) {
   FOCUS_CHECK(visited.size() == g.node_count(), "visited vector size mismatch");
   std::vector<std::vector<NodeId>> paths;
@@ -76,9 +74,8 @@ void clear_visited(const std::vector<std::vector<NodeId>>& paths,
   }
 }
 
-template <class GraphT>
 std::vector<std::vector<NodeId>> join_subpaths(
-    const GraphT& g, std::vector<std::vector<NodeId>> subpaths,
+    const AsmGraph& g, std::vector<std::vector<NodeId>> subpaths,
     double* work) {
   // left_of[v] = index of the sub-path whose left endpoint is v.
   std::unordered_map<NodeId, std::size_t> left_of;
@@ -135,8 +132,7 @@ std::vector<std::vector<NodeId>> join_subpaths(
   return joined;
 }
 
-template <class GraphT>
-std::vector<std::vector<NodeId>> traverse_serial(const GraphT& g,
+std::vector<std::vector<NodeId>> traverse_serial(const AsmGraph& g,
                                                  double* work) {
   std::vector<NodeId> all;
   all.reserve(g.node_count());
@@ -145,20 +141,5 @@ std::vector<std::vector<NodeId>> traverse_serial(const GraphT& g,
   auto subpaths = extract_subpaths(g, all, {}, visited, work);
   return join_subpaths(g, std::move(subpaths), work);
 }
-
-// Explicit instantiations for the two graph backends (see traverse.hpp).
-#define FOCUS_INSTANTIATE_TRAVERSE(G)                                    \
-  template std::vector<std::vector<NodeId>> extract_subpaths<G>(         \
-      const G&, std::span<const NodeId>, std::span<const PartId>,        \
-      std::vector<bool>&, double*);                                      \
-  template std::vector<std::vector<NodeId>> join_subpaths<G>(            \
-      const G&, std::vector<std::vector<NodeId>>, double*);              \
-  template std::vector<std::vector<NodeId>> traverse_serial<G>(const G&, \
-                                                               double*);
-
-FOCUS_INSTANTIATE_TRAVERSE(AsmGraph)
-FOCUS_INSTANTIATE_TRAVERSE(StoredAsmGraph)
-
-#undef FOCUS_INSTANTIATE_TRAVERSE
 
 }  // namespace focus::dist

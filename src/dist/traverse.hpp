@@ -19,12 +19,9 @@ namespace focus::dist {
 /// extension never crosses a partition boundary (worker behaviour); an empty
 /// `part` means unrestricted (serial behaviour). `visited` persists across
 /// calls by the same worker. Every live scanned node ends up in exactly one
-/// path (possibly a singleton). GraphT is dist::AsmGraph or
-/// dist::StoredAsmGraph (explicit instantiations in traverse.cpp); both
-/// backends produce byte-identical paths.
-template <class GraphT>
+/// path (possibly a singleton).
 std::vector<std::vector<NodeId>> extract_subpaths(
-    const GraphT& g, std::span<const NodeId> scan,
+    const AsmGraph& g, std::span<const NodeId> scan,
     std::span<const PartId> part, std::vector<bool>& visited,
     double* work = nullptr);
 
@@ -37,14 +34,12 @@ void clear_visited(const std::vector<std::vector<NodeId>>& paths,
                    std::vector<bool>& visited);
 
 /// Master-side joining of worker sub-paths; returns the final maximal paths.
-template <class GraphT>
 std::vector<std::vector<NodeId>> join_subpaths(
-    const GraphT& g, std::vector<std::vector<NodeId>> subpaths,
+    const AsmGraph& g, std::vector<std::vector<NodeId>> subpaths,
     double* work = nullptr);
 
 /// Serial driver: extraction over all live nodes followed by joining.
-template <class GraphT>
-std::vector<std::vector<NodeId>> traverse_serial(const GraphT& g,
+std::vector<std::vector<NodeId>> traverse_serial(const AsmGraph& g,
                                                  double* work = nullptr);
 
 }  // namespace focus::dist

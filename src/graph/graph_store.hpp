@@ -1,38 +1,8 @@
-// Out-of-core graph storage: partition-granular slices spilled to CRC-checked
-// files under an LRU residency budget (ROADMAP item 2, DESIGN.md §8).
-//
-// A "slice" is an immutable byte blob — the CSR adjacency plus 2-bit packed
-// contig payload of one assembly-graph partition (dist/stored_graph.*), or one
-// serialized level of a coarsening hierarchy (HierarchySpill below). The
-// SpillManager owns residency: a slice enters resident, the LRU walk evicts
-// the coldest slices to disk once the byte budget is exceeded, and a fetch
-// transparently reloads and CRC-verifies the file. Slices are immutable after
-// sealing, so a slice file is written at most once (first eviction) and later
-// evictions just drop the resident copy; all mutation state — removed flags,
-// verified overlaps — lives in small resident overlays owned by the stored
-// graph, never in the slice.
-//
-// File format (one slice per file): a fixed header of four little-endian
-// fields — magic "FSLC", format version, payload byte count, CRC-32 of the
-// payload (the same IEEE CRC-32 the mpr message frames use,
-// common/checksum.hpp) — followed by the raw payload bytes. A truncated file
-// or a CRC mismatch raises focus::Error naming the file; writes go through a
-// temp file + atomic rename so a crash mid-write never leaves a plausible
-// half slice behind.
+// Storage backend of the assembly-graph stages (FocusConfig::graph_store).
+// Every rank holds its assembly graph in memory as a dist::AsmGraph; an
+// operator who still selects the removed csr-spill backend gets a typed
+// error instead of a silent fallback (DESIGN.md §8).
 #pragma once
-
-#include <cstdint>
-#include <filesystem>
-#include <functional>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "common/types.hpp"
-#include "graph/graph.hpp"
 
 namespace focus {
 struct EnvSnapshot;
@@ -40,170 +10,17 @@ struct EnvSnapshot;
 
 namespace focus::graph {
 
-/// Storage backend of the assembly-graph phases (FocusConfig::graph_store).
-/// kInMemory is the historical dist::AsmGraph path; kCsrSpill routes the
-/// graph phases through dist::StoredAsmGraph, whose partition slices live
-/// under a SpillManager. Both produce byte-identical assemblies
-/// (tests/graph_store_test.cpp).
 enum class GraphStoreBackend {
   kInMemory,
-  kCsrSpill,
 };
 
 struct GraphStoreConfig {
   GraphStoreBackend backend = GraphStoreBackend::kInMemory;
-  /// Resident-slice byte budget for kCsrSpill; 0 = unlimited (slices are
-  /// still CRC-framed but never evicted).
-  std::size_t mem_budget_bytes = 0;
-  /// Directory for slice files; empty = the system temp directory. Each
-  /// SpillManager creates (and removes on destruction) a unique subdirectory.
-  std::string spill_dir;
-  /// Inject one simulated mid-write crash on the nth slice write of every
-  /// SpillManager built from this config (1-based; 0 = off). The partial
-  /// temp file is discarded and the write retried — outputs are unchanged,
-  /// stats().write_retries counts the injection. Lets fault soaks exercise
-  /// the disk-fault recovery path through drivers that construct their
-  /// SpillManagers internally (the assembler's kCsrSpill stages).
-  std::uint64_t write_fault_nth = 0;
 
-  /// Reads FOCUS_GRAPH_BACKEND ('memory' | 'csr-spill'; unset/empty =
-  /// memory), FOCUS_GRAPH_MEM_BUDGET (bytes, optional K/M/G suffix),
-  /// FOCUS_GRAPH_SPILL_DIR and FOCUS_GRAPH_WRITE_FAULT (nth-write crash
-  /// injection, a non-negative integer). Unknown backend names and
-  /// malformed numbers throw.
-  static GraphStoreConfig from_env();
-  /// Same, resolved against an already-captured snapshot (FocusConfig takes
-  /// one snapshot and derives every env default from it).
+  /// Resolves FOCUS_GRAPH_BACKEND from `env`: unset, empty or 'memory'
+  /// select kInMemory. The removed 'csr-spill' backend (alias 'csr_spill')
+  /// and any unknown name throw focus::Error naming the value.
   static GraphStoreConfig from_env(const EnvSnapshot& env);
-};
-
-/// Parses a byte size with an optional K/M/G suffix (power-of-two units):
-/// "65536", "64K", "48M", "2G". Malformed input throws.
-std::size_t parse_mem_size(const std::string& text);
-
-struct SpillStats {
-  std::uint64_t slices = 0;        ///< slices ever inserted
-  std::uint64_t bytes_total = 0;   ///< sum of all slice payload sizes
-  std::uint64_t writes = 0;        ///< slice files written (write-once)
-  std::uint64_t write_retries = 0; ///< injected write faults retried
-  std::uint64_t evictions = 0;     ///< resident payloads dropped
-  std::uint64_t loads = 0;         ///< reloads from disk (CRC-verified)
-  std::uint64_t resident_bytes = 0;
-  std::uint64_t peak_resident_bytes = 0;
-};
-
-/// Thread-safe LRU residency manager for immutable slices. Keys are caller
-/// chosen (the stored graph uses partition ids; HierarchySpill offsets level
-/// numbers). All methods are safe to call concurrently from mpr rank threads.
-class SpillManager {
- public:
-  using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;
-
-  explicit SpillManager(const GraphStoreConfig& config);
-  ~SpillManager();
-
-  SpillManager(const SpillManager&) = delete;
-  SpillManager& operator=(const SpillManager&) = delete;
-
-  /// Seals `payload` as slice `id` (must be fresh). The slice starts
-  /// resident; inserting may evict colder slices past the budget. A slice
-  /// larger than the whole budget is written out and dropped immediately.
-  void insert(std::uint32_t id, std::vector<std::uint8_t> payload);
-
-  /// Returns the payload of slice `id`, reloading and CRC-verifying its file
-  /// if it was evicted. The returned shared_ptr keeps the payload alive even
-  /// if the slice is evicted again while the caller holds it.
-  Blob fetch(std::uint32_t id) const;
-
-  /// Path of the slice file `id` would occupy on disk (exists only once the
-  /// slice has been evicted at least once). Exposed for the fault tests.
-  std::filesystem::path slice_path(std::uint32_t id) const;
-
-  /// Drops every resident payload (writing files first where needed),
-  /// regardless of budget. Exposed for the fault tests.
-  void evict_all() const;
-
-  /// Test hook: the n-th upcoming slice-file write (1-based) fails once,
-  /// leaving a partial temp file behind; the manager must clean up and
-  /// retry. 0 disables.
-  void set_write_fault(std::uint64_t nth_write);
-
-  SpillStats stats() const;
-  std::size_t budget_bytes() const { return budget_; }
-
- private:
-  struct Entry {
-    Blob payload;        // null when evicted
-    bool on_disk = false;
-    std::size_t bytes = 0;
-    std::list<std::uint32_t>::iterator lru;  // valid only while resident
-  };
-
-  void make_resident_room_locked(std::size_t incoming) const;
-  void evict_one_locked() const;
-  void write_slice_locked(std::uint32_t id, Entry& entry) const;
-  Blob load_slice_locked(std::uint32_t id, Entry& entry) const;
-
-  std::size_t budget_;
-  std::filesystem::path dir_;
-  bool owns_dir_ = false;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::uint32_t, Entry> entries_;
-  mutable std::list<std::uint32_t> lru_;  // front = most recently used
-  mutable SpillStats stats_;
-  mutable std::uint64_t write_fault_at_ = 0;  // 1-based write index; 0 = off
-};
-
-/// Append-only little-endian payload builder for slice blobs.
-class SliceWriter {
- public:
-  std::vector<std::uint8_t>& bytes() { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  std::size_t size() const { return bytes_.size(); }
-
-  void put_u8(std::uint8_t v) { bytes_.push_back(v); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked random-access reads over a slice payload.
-std::uint8_t slice_u8(const std::vector<std::uint8_t>& blob, std::size_t off);
-std::uint32_t slice_u32(const std::vector<std::uint8_t>& blob,
-                        std::size_t off);
-std::uint64_t slice_u64(const std::vector<std::uint8_t>& blob,
-                        std::size_t off);
-
-/// Level-granular spill for a coarsening hierarchy: levels of a
-/// graph::GraphHierarchy are serialized (node weights + undirected edges)
-/// into slices of a shared SpillManager, so a pipeline that has finished
-/// with a level — coarsening and partitioning touch levels strictly in
-/// sequence — can drop it from RAM and reload it on demand. `id_base`
-/// namespaces the level keys so several hierarchies (and the assembly-graph
-/// partitions) can share one manager.
-class HierarchySpill {
- public:
-  HierarchySpill(SpillManager& manager, std::uint32_t id_base)
-      : manager_(&manager), id_base_(id_base) {}
-
-  /// Serializes `g` as level `level` and seals it. The caller drops its
-  /// in-RAM copy afterwards.
-  void spill_level(std::size_t level, const Graph& g);
-
-  /// Reloads level `level`; byte-identical reconstruction of the spilled
-  /// graph (CSR adjacency is rebuilt through GraphBuilder, whose output is
-  /// deterministic).
-  Graph load_level(std::size_t level) const;
-
-  std::size_t levels() const { return levels_; }
-
- private:
-  SpillManager* manager_;
-  std::uint32_t id_base_;
-  std::size_t levels_ = 0;
 };
 
 }  // namespace focus::graph

@@ -1,8 +1,8 @@
 #include "mpr/fault.hpp"
 
+#include <array>
 #include <string>
 
-#include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "mpr/message.hpp"
@@ -27,10 +27,30 @@ double snapshot_rate(const char* name,
   return env::parse_rate(name, *value);
 }
 
+// Byte-at-a-time lookup table of the IEEE CRC-32 (reflected, polynomial
+// 0xEDB88320) that frames every message.
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr auto kCrcTable = make_crc_table();
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  return common::crc32(data, n);
+  std::uint32_t state = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    state = kCrcTable[(state ^ data[i]) & 0xffu] ^ (state >> 8);
+  }
+  return state ^ 0xffffffffu;
 }
 
 FaultDecision FaultPlan::decide(Rank rank, std::uint64_t op) const {

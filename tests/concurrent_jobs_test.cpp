@@ -1,7 +1,7 @@
 // Concurrent-assembler determinism suite: two in-process assemblies running
 // at the same time — raw std::threads or JobScheduler lanes — must each
 // produce the byte-identical result of a serial run, across wire protocols,
-// graph-store backends, and thread-pool widths. This is the proof obligation
+// seed strategies and thread-pool widths. This is the proof obligation
 // for the global-state sweep (EnvSnapshot, per-pool TLS slots, job-boundary
 // scratch reset): before it, scattered getenv reads and cross-pool
 // thread_local indices made two concurrent Assemblers unsound. Runs under
@@ -35,7 +35,6 @@ const sim::Dataset& dataset_two() {
 /// Env-independent pipeline config; distributed-index overlap so stage 2
 /// also exercises the mpr runtime concurrently.
 core::FocusConfig jobs_config(dist::DistProtocol protocol,
-                              graph::GraphStoreBackend backend,
                               unsigned width = 0) {
   core::FocusConfig cfg{EnvSnapshot{}};
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
@@ -47,7 +46,6 @@ core::FocusConfig jobs_config(dist::DistProtocol protocol,
   cfg.ranks = 2;
   cfg.min_contig_length = 150;
   cfg.dist.protocol = protocol;
-  cfg.graph_store.backend = backend;
   if (width != 0) {
     cfg.overlap.threads = width;
     cfg.coarsen.threads = width;
@@ -56,21 +54,19 @@ core::FocusConfig jobs_config(dist::DistProtocol protocol,
   return cfg;
 }
 
-/// Serial oracles. Outputs are protocol/backend/width-invariant, so one
+/// Serial oracles. Outputs are protocol/strategy/width-invariant, so one
 /// oracle per dataset serves every configuration under test.
 const core::AssemblyResult& oracle_one() {
   static const core::AssemblyResult r =
       core::assemble_reads(dataset_one().data.reads,
-                           jobs_config(dist::DistProtocol::kMaster,
-                                       graph::GraphStoreBackend::kInMemory));
+                           jobs_config(dist::DistProtocol::kMaster));
   return r;
 }
 
 const core::AssemblyResult& oracle_two() {
   static const core::AssemblyResult r =
       core::assemble_reads(dataset_two().data.reads,
-                           jobs_config(dist::DistProtocol::kMaster,
-                                       graph::GraphStoreBackend::kInMemory));
+                           jobs_config(dist::DistProtocol::kMaster));
   return r;
 }
 
@@ -104,21 +100,14 @@ void run_concurrent_pair(const core::FocusConfig& cfg1,
   expect_same_assembly(r2, oracle_two(), ctx + " / dataset 2");
 }
 
-TEST(ConcurrentAssemblers, ProtocolAndBackendMatrixMatchesSerial) {
+TEST(ConcurrentAssemblers, ProtocolMatrixMatchesSerial) {
   for (const auto protocol :
        {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
-    for (const auto backend : {graph::GraphStoreBackend::kInMemory,
-                               graph::GraphStoreBackend::kCsrSpill}) {
-      const std::string ctx =
-          std::string("protocol=") +
-          (protocol == dist::DistProtocol::kMaster ? "master" : "symmetric") +
-          " backend=" +
-          (backend == graph::GraphStoreBackend::kInMemory ? "memory"
-                                                          : "csr-spill");
-      SCOPED_TRACE(ctx);
-      run_concurrent_pair(jobs_config(protocol, backend),
-                          jobs_config(protocol, backend), ctx);
-    }
+    const std::string ctx =
+        std::string("protocol=") +
+        (protocol == dist::DistProtocol::kMaster ? "master" : "symmetric");
+    SCOPED_TRACE(ctx);
+    run_concurrent_pair(jobs_config(protocol), jobs_config(protocol), ctx);
   }
 }
 
@@ -126,23 +115,18 @@ TEST(ConcurrentAssemblers, HeavyWidthSweepMatchesSerial) {
   for (const unsigned width : {1u, 2u, 4u, 8u}) {
     const std::string ctx = "width=" + std::to_string(width);
     SCOPED_TRACE(ctx);
-    run_concurrent_pair(jobs_config(dist::DistProtocol::kSymmetric,
-                                    graph::GraphStoreBackend::kInMemory,
-                                    width),
-                        jobs_config(dist::DistProtocol::kSymmetric,
-                                    graph::GraphStoreBackend::kInMemory,
-                                    width),
+    run_concurrent_pair(jobs_config(dist::DistProtocol::kSymmetric, width),
+                        jobs_config(dist::DistProtocol::kSymmetric, width),
                         ctx);
   }
 }
 
 TEST(ConcurrentAssemblers, MixedConfigurationsShareTheProcess) {
-  // The two concurrent jobs deliberately disagree on protocol, backend and
-  // width: nothing one job configures may leak into the other.
-  run_concurrent_pair(jobs_config(dist::DistProtocol::kMaster,
-                                  graph::GraphStoreBackend::kCsrSpill, 2),
-                      jobs_config(dist::DistProtocol::kSymmetric,
-                                  graph::GraphStoreBackend::kInMemory, 8),
+  // The two concurrent jobs deliberately disagree on protocol, seed strategy
+  // and width: nothing one job configures may leak into the other.
+  core::FocusConfig all_pairs = jobs_config(dist::DistProtocol::kMaster, 2);
+  all_pairs.overlap.strategy = align::SeedStrategy::kAllPairs;
+  run_concurrent_pair(all_pairs, jobs_config(dist::DistProtocol::kSymmetric, 8),
                       "mixed configs");
 }
 
@@ -152,11 +136,9 @@ TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {
   svc::JobScheduler sched(sc);
 
   auto f1 = sched.submit("t1", dataset_one().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric,
-                                     graph::GraphStoreBackend::kInMemory));
+                         jobs_config(dist::DistProtocol::kSymmetric));
   auto f2 = sched.submit("t2", dataset_two().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric,
-                                     graph::GraphStoreBackend::kInMemory));
+                         jobs_config(dist::DistProtocol::kSymmetric));
   const svc::JobResult r1 = f1.get();
   const svc::JobResult r2 = f2.get();
   expect_same_assembly(r1.assembly, oracle_one(), "scheduler / dataset 1");
@@ -165,8 +147,7 @@ TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {
   // Repeat submissions ride the shared artifact cache and stay identical.
   const svc::JobResult again =
       sched.submit("t1", dataset_one().data.reads,
-                   jobs_config(dist::DistProtocol::kSymmetric,
-                               graph::GraphStoreBackend::kInMemory))
+                   jobs_config(dist::DistProtocol::kSymmetric))
           .get();
   EXPECT_TRUE(again.stats.cache_hits.preprocess);
   EXPECT_TRUE(again.stats.cache_hits.overlaps);

@@ -2,10 +2,10 @@
 // preprocess, distributed-index overlap, coarsen, hybrid, partition,
 // simplify, traverse — run under crash sweeps and mixed-fault storms
 // (crashes, drops, duplicates, corruption, delays), across both wire
-// protocols and both graph-store backends. Every run must recover the
-// byte-identical fault-free assembly, and same-seed runs must produce
-// bit-identical RunStats. The heavier sweep lives in bench/bench_fault_soak
-// (BENCH_fault_soak.json); this suite is the CI-sized core of it.
+// protocols. Every run must recover the byte-identical fault-free assembly,
+// and same-seed runs must produce bit-identical RunStats. The heavier sweep
+// lives in bench/bench_fault_soak (BENCH_fault_soak.json); this suite is the
+// CI-sized core of it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,8 +23,7 @@ const sim::Dataset& soak_dataset() {
   return d;
 }
 
-FocusConfig soak_config(dist::DistProtocol protocol,
-                        graph::GraphStoreBackend backend) {
+FocusConfig soak_config(dist::DistProtocol protocol) {
   FocusConfig cfg;
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
@@ -42,18 +41,14 @@ FocusConfig soak_config(dist::DistProtocol protocol,
   cfg.fault = mpr::FaultConfig{};
   cfg.fault.max_retries = 32;
   cfg.dist.protocol = protocol;
-  cfg.graph_store = graph::GraphStoreConfig{};
-  cfg.graph_store.backend = backend;
   return cfg;
 }
 
-/// The fault-free oracle. Protocols and backends are output-equivalent, so
-/// one oracle serves every configuration under test.
+/// The fault-free oracle. Protocols are output-equivalent, so one oracle
+/// serves every configuration under test.
 const AssemblyResult& oracle() {
   static const AssemblyResult result = assemble_reads(
-      soak_dataset().data.reads,
-      soak_config(dist::DistProtocol::kMaster,
-                  graph::GraphStoreBackend::kInMemory));
+      soak_dataset().data.reads, soak_config(dist::DistProtocol::kMaster));
   return result;
 }
 
@@ -78,24 +73,19 @@ mpr::FaultPlan storm_plan(std::uint64_t seed) {
   return plan;
 }
 
-// 50 seeds of mixed message faults through the full pipeline, spread over
-// protocol × backend so every combination sees storms.
+// 50 seeds of mixed message faults through the full pipeline, alternating
+// protocols so both see storms.
 TEST(FaultSoak, FiftySeedStormsRecoverByteIdenticalAssembly) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const auto protocol = (seed % 2 == 0) ? dist::DistProtocol::kMaster
                                           : dist::DistProtocol::kSymmetric;
-    const auto backend = (seed % 4 < 2) ? graph::GraphStoreBackend::kInMemory
-                                        : graph::GraphStoreBackend::kCsrSpill;
-    FocusConfig cfg = soak_config(protocol, backend);
+    FocusConfig cfg = soak_config(protocol);
     cfg.fault_plan = storm_plan(seed);
     const auto got = assemble_reads(soak_dataset().data.reads, cfg);
     expect_same_assembly(
         got, "seed " + std::to_string(seed) +
                  (protocol == dist::DistProtocol::kSymmetric ? " symmetric"
-                                                             : " master") +
-                 (backend == graph::GraphStoreBackend::kCsrSpill
-                      ? " csr-spill"
-                      : " memory"));
+                                                             : " master"));
   }
 }
 
@@ -109,8 +99,7 @@ TEST(FaultSoak, CrashSweepThroughPipelineRecovers) {
     const Rank first_victim = protocol == dist::DistProtocol::kMaster ? 1 : 0;
     for (Rank victim = first_victim; victim < 3; ++victim) {
       for (std::uint64_t op = 1; op <= 8; op += 1) {
-        FocusConfig cfg =
-            soak_config(protocol, graph::GraphStoreBackend::kInMemory);
+        FocusConfig cfg = soak_config(protocol);
         cfg.fault_plan.crashes.push_back({victim, op});
         const auto got = assemble_reads(soak_dataset().data.reads, cfg);
         expect_same_assembly(
@@ -127,8 +116,7 @@ TEST(FaultSoak, CrashSweepThroughPipelineRecovers) {
 // Same seed, same config => bit-identical virtual-time accounting, down to
 // the RunStats of every recovered stage.
 TEST(FaultSoak, SameSeedStormIsBitIdentical) {
-  FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric,
-                                graph::GraphStoreBackend::kInMemory);
+  FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric);
   cfg.fault_plan = storm_plan(7);
   const auto a = assemble_reads(soak_dataset().data.reads, cfg);
   const auto b = assemble_reads(soak_dataset().data.reads, cfg);
@@ -147,18 +135,6 @@ TEST(FaultSoak, SameSeedStormIsBitIdentical) {
     ASSERT_NE(it, b.timings.end()) << stage;
     EXPECT_EQ(timing.vtime, it->second.vtime) << stage;
   }
-}
-
-// The csr-spill backend's nth-write disk fault (a simulated mid-write crash,
-// retried from the intact payload) composes with a message-fault storm: both
-// recovery paths fire in one run and the assembly is still byte-identical.
-TEST(FaultSoak, DiskWriteFaultComposesWithMessageStorm) {
-  FocusConfig cfg = soak_config(dist::DistProtocol::kSymmetric,
-                                graph::GraphStoreBackend::kCsrSpill);
-  cfg.fault_plan = storm_plan(11);
-  cfg.graph_store.write_fault_nth = 2;
-  const auto got = assemble_reads(soak_dataset().data.reads, cfg);
-  expect_same_assembly(got, "disk fault + storm");
 }
 
 }  // namespace

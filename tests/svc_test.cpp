@@ -1,5 +1,6 @@
 // Multi-tenant job runtime suite (DESIGN.md §10): EnvSnapshot capture and
-// strict parsing, the AlignScratch job-boundary soft cap, ArtifactCache
+// strict parsing (including the removed FOCUS_GRAPH_BACKEND=csr-spill
+// value), the AlignScratch job-boundary soft cap, ArtifactCache
 // policy (hit/miss, LRU eviction, oversized decline), JobScheduler admission
 // control and virtual-time fair share, and the end-to-end stage-cache path
 // through the assembler (repeat submissions must hit and stay
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -66,26 +68,69 @@ TEST(EnvSnapshot, StrictParsersRejectMalformedValues) {
   EXPECT_THROW(env::parse_rate("X", "-0.1"), Error);
 }
 
+// FOCUS_GRAPH_BACKEND accepts only the in-memory graph; the removed
+// csr-spill backend is a typed error, never a silent fallback.
+graph::GraphStoreConfig graph_store_for(std::optional<std::string> backend) {
+  EnvSnapshot env;
+  env.graph_backend = std::move(backend);
+  return graph::GraphStoreConfig::from_env(env);
+}
+
+TEST(GraphStoreConfigEnv, UnsetDefaultsToInMemory) {
+  EXPECT_EQ(graph_store_for(std::nullopt).backend,
+            graph::GraphStoreBackend::kInMemory);
+  EXPECT_EQ(graph_store_for("").backend, graph::GraphStoreBackend::kInMemory);
+}
+
+TEST(GraphStoreConfigEnv, NamedBackendsParse) {
+  EXPECT_EQ(graph_store_for("memory").backend,
+            graph::GraphStoreBackend::kInMemory);
+}
+
+TEST(GraphStoreConfigEnv, TypoThrowsInsteadOfSilentFallback) {
+  EXPECT_THROW(graph_store_for("csrspill"), Error);
+  EXPECT_THROW(graph_store_for("disk"), Error);
+}
+
+TEST(GraphStoreConfigEnv, RemovedSpillBackendNamesTheRemoval) {
+  for (const char* removed : {"csr-spill", "csr_spill"}) {
+    SCOPED_TRACE(removed);
+    try {
+      (void)graph_store_for(removed);
+      ADD_FAILURE() << "expected focus::Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + removed + "' backend was removed"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("unset FOCUS_GRAPH_BACKEND or set it to 'memory'"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // FocusConfig resolves the knob when it is built, so a stale setting fails
+  // before any stage runs.
+  EnvSnapshot env;
+  env.graph_backend = "csr-spill";
+  EXPECT_THROW((void)core::FocusConfig{env}, Error);
+}
+
 TEST(FocusConfig, DefaultCtorFollowsEnvPinnedCtorDoesNot) {
   ASSERT_EQ(setenv("FOCUS_SEED_STRATEGY", "distributed", 1), 0);
   ASSERT_EQ(setenv("FOCUS_DIST_PROTOCOL", "master", 1), 0);
-  ASSERT_EQ(setenv("FOCUS_GRAPH_BACKEND", "csr-spill", 1), 0);
 
   const core::FocusConfig live;  // captures the live environment once
   EXPECT_EQ(live.overlap.strategy, align::SeedStrategy::kDistributedIndex);
   EXPECT_EQ(live.dist.protocol, dist::DistProtocol::kMaster);
-  EXPECT_EQ(live.graph_store.backend, graph::GraphStoreBackend::kCsrSpill);
 
   // An empty snapshot pins every env-defaulted knob to its documented
   // default, regardless of the live environment.
   const core::FocusConfig pinned{EnvSnapshot{}};
   EXPECT_EQ(pinned.overlap.strategy, align::SeedStrategy::kAllPairs);
   EXPECT_EQ(pinned.dist.protocol, dist::DistProtocol::kSymmetric);
-  EXPECT_EQ(pinned.graph_store.backend, graph::GraphStoreBackend::kInMemory);
 
   ASSERT_EQ(unsetenv("FOCUS_SEED_STRATEGY"), 0);
   ASSERT_EQ(unsetenv("FOCUS_DIST_PROTOCOL"), 0);
-  ASSERT_EQ(unsetenv("FOCUS_GRAPH_BACKEND"), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,27 +14,22 @@
 # masking, the FT overlap driver's block replay), the protocol-equivalence
 # suite (master vs symmetric owner-computes simplify/traverse across rank
 # counts, the pointer-jumping sub-path stitch, the shared-WAL rotating
-# coordinator), the graph-store equivalence suite (in-memory AsmGraph vs
-# CSR-spill StoredAsmGraph byte-identity across threads × ranks × protocols
-# under forced-spill budgets, the SpillManager's concurrent LRU fetch/evict
-# paths, plus graph_store_fault_test's crash-at-every-op spill-write sweep
-# and bench_graph_store's forked RSS smoke under label `perf-smoke`), the
-# fault-injection suite (label `fault`: crash-at-every-op recovery sweeps
-# over every FT driver — preprocess, distributed-index overlap, partition,
-# simplify, traverse, variants, GFA, including symmetric-coordinator
-# rotation — plus mixed-fault stress of the runtime's timeout/CRC detection
-# paths and the FaultEnv malformed-knob tests), and the whole-pipeline
-# chaos soak (label `soak`: 50-seed storms and crash sweeps through the
-# full assembler across protocols and graph-store backends, with the spill
-# manager's nth-write disk fault armed), the job-runtime suite (svc_test:
-# EnvSnapshot capture/strict parsing, ArtifactCache LRU policy under
+# coordinator), the fault-injection suite (label `fault`: crash-at-every-op
+# recovery sweeps over every FT driver — preprocess, distributed-index
+# overlap, partition, simplify, traverse, variants, GFA, including
+# symmetric-coordinator rotation — plus mixed-fault stress of the runtime's
+# timeout/CRC detection paths and the FaultEnv malformed-knob tests), and
+# the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
+# sweeps through the full assembler across both protocols), the job-runtime
+# suite (svc_test: EnvSnapshot capture/strict parsing, the removed
+# FOCUS_GRAPH_BACKEND value's typed error, ArtifactCache LRU policy under
 # concurrent lanes, JobScheduler admission + virtual-time fair share), the
 # concurrent-assembler determinism suite (concurrent_jobs_test: two
 # simultaneous in-process pipelines vs the serial oracle across protocols ×
-# backends × pool widths — the TSan proof obligation for the EnvSnapshot
-# sweep and the per-pool TLS slot fix), and bench_jobs's multi-tenant
-# scheduler smoke (label `perf-smoke`) are exercised under both memory/UB
-# and data-race checking.
+# seed strategies × pool widths — the TSan proof obligation for the
+# EnvSnapshot sweep and the per-pool TLS slot fix), and bench_jobs's
+# multi-tenant scheduler smoke (label `perf-smoke`) are exercised under both
+# memory/UB and data-race checking.
 #
 # Review note: src/common/env.cpp must stay the only std::getenv call site
 # (grep 'std::getenv' src/); scattered env reads were the original

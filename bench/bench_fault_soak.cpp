@@ -1,17 +1,17 @@
 // Whole-pipeline chaos soak — the full FocusAssembler (plus the variant
-// caller and GFA emitter on its output graph) driven through crash-at-every-
-// op sweeps and seeded mixed-fault storms (crash / drop / duplicate /
-// corrupt / delay), across rank counts and wire protocols.
+// caller on its output graph) driven through crash-at-every-op sweeps and
+// seeded mixed-fault storms (crash / drop / duplicate / corrupt / delay),
+// across rank counts and wire protocols.
 //
 //   $ ./bench_fault_soak [--smoke] [output.json]
 //
 // Every faulted run is checked byte-identical to the fault-free oracle of
-// its dataset: contigs, assembly stats, partition cut, variant list and GFA
-// bytes. Per-stage fault-recovery counters (retries, ranks_failed,
-// recovery_vtime) are recorded per run into the JSON report; the summary
-// counts unrecovered runs, which must be zero — exit status is nonzero
-// otherwise, so the smoke invocation doubles as a ctest (label:
-// perf-smoke). Default output: BENCH_fault_soak.json.
+// its dataset: contigs, assembly stats, partition cut, variant list and the
+// GFA bytes of the recovered graph. Per-stage fault-recovery counters
+// (retries, ranks_failed, recovery_vtime) are recorded per run into the JSON
+// report; the summary counts unrecovered runs, which must be zero — exit
+// status is nonzero otherwise, so the smoke invocation doubles as a ctest
+// (label: perf-smoke). Default output: BENCH_fault_soak.json.
 //
 // Scale: the soak favors many runs over big runs, so the default workload
 // is deliberately small (FOCUS_BENCH_SCALE defaults to 0.3 here, not the
@@ -54,7 +54,7 @@ core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol) {
   return cfg;
 }
 
-/// Node partition for the post-pipeline variant/GFA drivers: striped over
+/// Node partition for the post-pipeline variant driver: striped over
 /// the assembly graph, the same layout the driver fault tests use.
 std::vector<PartId> striped_partition(std::size_t nodes) {
   std::vector<PartId> part(nodes);
@@ -133,8 +133,9 @@ StageStats stage_stats(const mpr::RunStats& run) {
   return {run.retries, run.ranks_failed, run.recovery_vtime};
 }
 
-/// Runs the full pipeline plus the variant/GFA drivers under `cfg` and
-/// checks the result against `want`. Fills `rec.stages` / `rec.ok`.
+/// Runs the full pipeline plus the variant driver under `cfg` and checks the
+/// result, with the serial GFA bytes of the recovered graph, against `want`.
+/// Fills `rec.stages` / `rec.ok`.
 void soak_run(const io::ReadSet& raw, const core::FocusConfig& cfg,
               const Expected& want, RunRecord& rec) {
   const auto got = core::assemble_reads(raw, cfg);
@@ -149,16 +150,14 @@ void soak_run(const io::ReadSet& raw, const core::FocusConfig& cfg,
       got.assembly_graph, part, kGraphParts, {}, cfg.ranks, cfg.cost,
       cfg.fault_plan, cfg.fault, cfg.dist);
   rec.stages["8-variants"] = stage_stats(variants.run);
-  auto gfa = dist::write_gfa_parallel(got.assembly_graph, {}, cfg.ranks,
-                                      cfg.cost, cfg.fault_plan, cfg.fault,
-                                      cfg.dist);
-  rec.stages["9-gfa"] = stage_stats(gfa.run);
+  std::ostringstream gfa;
+  dist::write_gfa(gfa, got.assembly_graph);
 
   rec.ok = got.contigs == want.contigs && got.stats.n50 == want.n50 &&
            got.stats.total_bases == want.total_bases &&
            got.partitioning.finest_cut == want.finest_cut &&
            same_variants(variants.variants, want.variants) &&
-           gfa.gfa == want.gfa;
+           gfa.str() == want.gfa;
 }
 
 std::string protocol_name(dist::DistProtocol p) {

@@ -10,14 +10,14 @@
 //
 // Beyond the paper's table, the driver records a modeled_dist_scaling
 // section: virtual-time makespans of the legacy master/worker protocol vs
-// the symmetric owner-computes protocol (DESIGN.md §7b) at 1/2/4/8/16 mpr
-// ranks over a fixed 32-way partitioning. Wall clocks on this single-core
-// host are flat across rank counts by construction — the vtime task model is
-// what exposes the scaling. At every sweep point the symmetric run is
-// checked byte-identical to the master run (graph, stats, paths) before its
-// timing is reported; exit status is nonzero if any check fails, so the
-// smoke invocation doubles as a ctest (label: perf-smoke). Default output:
-// BENCH_dist_scaling.json.
+// the symmetric protocol (DESIGN.md §7b: owner-computes trim, traverse under
+// the rotating coordinator) at 1/2/4/8/16 mpr ranks over a fixed 32-way
+// partitioning. The vtime task model is what exposes the scaling: the mpr
+// ranks share one host, so their wall clock does not measure it. At every
+// sweep point the symmetric run is checked byte-identical to the master run
+// (graph, stats, paths) before its timing is reported; exit status is
+// nonzero if any check fails, so the smoke invocation doubles as a ctest
+// (label: perf-smoke). Default output: BENCH_dist_scaling.json.
 #include "bench_common.hpp"
 
 #include <cstring>

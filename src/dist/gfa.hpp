@@ -8,8 +8,6 @@
 #include <string>
 
 #include "dist/asm_graph.hpp"
-#include "dist/parallel.hpp"
-#include "mpr/runtime.hpp"
 
 namespace focus::dist {
 
@@ -28,25 +26,5 @@ void write_gfa(std::ostream& out, const AsmGraph& graph,
 /// Convenience: write to a file path; throws focus::Error on I/O failure.
 void write_gfa_file(const std::string& path, const AsmGraph& graph,
                     const GfaOptions& options = {});
-
-struct ParallelGfaResult {
-  std::string gfa;
-  mpr::RunStats run;
-};
-
-/// mpr-parallel GFA emission: fixed blocks of node ids (segment lines) and
-/// edge ids (link lines) are rendered across ranks and reassembled in
-/// ascending block order, so the result is byte-identical to write_gfa().
-/// The emitted-segment predicate (live and long enough) is a pure function
-/// of the graph, so link blocks render independently of segment blocks.
-/// With a non-empty fault plan the two phases run under the shared
-/// fault-tolerant protocol (mpr/ft_phase.hpp) — master/worker by default,
-/// the rotating-coordinator WAL when `dist.protocol` is symmetric.
-ParallelGfaResult write_gfa_parallel(const AsmGraph& graph,
-                                     const GfaOptions& options, int nranks,
-                                     mpr::CostModel cost = {},
-                                     const mpr::FaultPlan& fault_plan = {},
-                                     const mpr::FaultConfig& fault = {},
-                                     const DistConfig& dist = {});
 
 }  // namespace focus::dist

@@ -1,14 +1,9 @@
 #include "dist/parallel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdlib>
-#include <functional>
 #include <mutex>
-#include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "align/banded_nw.hpp"
 #include "common/env.hpp"
@@ -52,16 +47,17 @@ bool mine(std::size_t partition, const mpr::Comm& comm) {
 }
 
 // ---------------------------------------------------------------------------
-// Symmetric owner-computes protocol: partition ownership.
+// Symmetric owner-computes simplify: partition ownership.
 //
 // The master protocol assigns partition p to rank p % nranks, which balances
 // partition *counts* but not scan *work* — measured per-partition scan costs
 // vary by an order of magnitude, so the makespan is set by whichever rank
-// drew the heaviest partitions. The symmetric drivers instead LPT-schedule
-// partitions onto ranks by an estimated scan cost: sort partitions by
-// estimate descending and greedily give each to the least-loaded rank. The
-// assignment only moves *scans*; record routing and apply order are keyed by
-// node/edge ownership, so the outputs are placement-independent.
+// drew the heaviest partitions. The fault-free symmetric simplify instead
+// LPT-schedules partitions onto ranks by an estimated scan cost: sort
+// partitions by estimate descending and greedily give each to the
+// least-loaded rank. The assignment only moves *scans*; record routing and
+// apply order are keyed by node/edge ownership, so the outputs are
+// placement-independent.
 // ---------------------------------------------------------------------------
 
 /// Host-side estimate of each partition's simplify scan cost, mirroring the
@@ -95,17 +91,6 @@ std::vector<double> simplify_scan_estimates(
         }
       }
     }
-  }
-  return est;
-}
-
-/// Traverse scans charge ~1 unit per visited node, so node counts are the
-/// right LPT weight there.
-std::vector<double> traverse_scan_estimates(
-    const std::vector<std::vector<NodeId>>& nodes) {
-  std::vector<double> est(nodes.size(), 0.0);
-  for (std::size_t p = 0; p < nodes.size(); ++p) {
-    est[p] = 1.0 + static_cast<double>(nodes[p].size());
   }
   return est;
 }
@@ -193,7 +178,8 @@ std::vector<std::vector<NodeId>> partition_node_lists(
 // — command/record framing, dead-rank reassignment, round replay, the
 // symmetric rotating-coordinator WAL — lives in mpr/ft_phase.hpp, shared by
 // every covered pipeline stage; the graph drivers here supply only the
-// per-phase scan/unpack/apply bodies.
+// per-phase scan/unpack/apply bodies. Simplify runs these drivers only under
+// a non-empty plan; traverse runs them for every plan.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -889,391 +875,6 @@ void ft_traverse_worker(mpr::Comm& comm, const AsmGraph& g,
   });
 }
 
-// ---------------------------------------------------------------------------
-// Symmetric traverse: distributed sub-path stitching by pointer jumping.
-//
-// Sub-paths are the vertices of a functional graph: next(i) = the sub-path
-// that unambiguously continues i (join_subpaths' next[] scan, here computed
-// by each sub-path's owner and routed to the successor, so every sub-path
-// learns its unique *predecessor* instead). Components are chains — rooted
-// at the sub-path with no predecessor (the head) — or cycles. Each owner
-// then runs pointer jumping over the predecessor pointers: per round every
-// unsettled sub-path asks the owner of its current ancestor for that
-// ancestor's (pointer, exact distance, minimum sub-path id on the covered
-// walk, distance to that minimum's first occurrence), and splices the answer
-// onto its own state, doubling the covered distance — O(log S) rounds.
-//
-// A chain member settles when its walk reaches the head: its emission key is
-// (0, head id, distance). A cycle member settles when its covered distance
-// reaches the total sub-path count S (the walk provably wrapped): the
-// minimum id m on the wrapped walk is the cycle's canonical break point and
-// the distance to m's first occurrence along the *predecessor* walk equals
-// the member's forward offset from m, so its key is (1, m, that distance).
-// Sorting all keys reproduces join_subpaths' emission order exactly: chains
-// in ascending head id — heads are precisely the non-continuations its first
-// loop starts from — each in walk order, then cycles in ascending minimum id
-// broken at the minimum, because canonical sub-path ids are assigned in the
-// master protocol's gather order.
-// ---------------------------------------------------------------------------
-
-constexpr int kTagSymMeta = 220;
-constexpr int kTagSymPred = 221;
-constexpr int kTagSymJumpQuery = 222;
-constexpr int kTagSymJumpReply = 223;
-constexpr int kTagSymPieces = 224;
-
-struct PredLink {
-  std::uint32_t sub;   // the continuation sub-path (routed to its owner)
-  std::uint32_t pred;  // the sub-path it continues
-};
-
-struct JumpQuery {
-  std::uint32_t target;  // current ancestor (owned by the queried rank)
-  std::uint32_t asker;
-};
-
-struct JumpReply {  // all-u32 so the frame has no padding bytes under CRC
-  std::uint32_t asker;
-  std::uint32_t anc;
-  std::uint32_t dist;
-  std::uint32_t min_id;
-  std::uint32_t min_dist;
-  std::uint32_t flags;  // bit 0: target settled; bit 1: target is a cycle
-};
-
-void traverse_symmetric_rank(
-    mpr::Comm& comm, const AsmGraph& g,
-    const std::vector<std::vector<NodeId>>& nodes,
-    std::span<const PartId> part, const std::vector<int>& owner,
-    const std::vector<std::vector<std::uint32_t>>& owned, Subpaths* paths) {
-  const int size = comm.size();
-  const auto& own = owned[static_cast<std::size_t>(comm.rank())];
-  const std::size_t nparts = nodes.size();
-  // Every rank computes the LPT schedule redundantly from replicated
-  // partition metadata.
-  comm.charge(static_cast<double>(nparts));
-
-  // Local extraction over owned partitions. One shared visited vector is
-  // safe across partitions: extraction never marks outside the scanned
-  // partition, so each partition's sub-paths are independent of scan
-  // placement — the same lists a master-protocol worker would produce.
-  std::vector<bool> visited(g.node_count(), false);
-  std::vector<Subpaths> mine_subpaths;
-  mine_subpaths.reserve(own.size());
-  double work = 0.0;
-  for (const std::uint32_t p : own) {
-    mine_subpaths.push_back(
-        extract_subpaths(g, nodes[p], part, visited, &work));
-  }
-  comm.charge(work);
-
-  // Round 1: replicate per-partition left endpoints so every rank can build
-  // the canonical sub-path id space — ids in the master protocol's gather
-  // order, partitions sorted by (p % size, p), which keeps the two protocols
-  // byte-identical at every rank count — plus the global left-endpoint index
-  // and each sub-path's owner.
-  mpr::Message meta;
-  meta.pack(static_cast<std::uint32_t>(own.size()));
-  for (std::size_t k = 0; k < own.size(); ++k) {
-    meta.pack(own[k]);
-    std::vector<NodeId> lefts;
-    lefts.reserve(mine_subpaths[k].size());
-    for (const auto& path : mine_subpaths[k]) lefts.push_back(path.front());
-    meta.pack_vector(lefts);
-  }
-  std::vector<mpr::Message> outgoing(static_cast<std::size_t>(size), meta);
-  auto frames = mpr::alltoall_round(comm, std::move(outgoing), kTagSymMeta);
-
-  std::vector<std::vector<NodeId>> part_lefts(nparts);
-  std::vector<std::uint8_t> seen(nparts, 0);
-  for (auto& frame : frames) {
-    const auto nowned = frame.unpack<std::uint32_t>();
-    for (std::uint32_t k = 0; k < nowned; ++k) {
-      const auto p = frame.unpack<std::uint32_t>();
-      FOCUS_CHECK(p < nparts && !seen[p],
-                  "partition metadata duplicated or invalid");
-      seen[p] = 1;
-      part_lefts[p] = frame.unpack_vector<NodeId>();
-    }
-    FOCUS_CHECK(frame.fully_consumed(), "trailing bytes in metadata frame");
-  }
-  for (std::size_t p = 0; p < nparts; ++p) {
-    FOCUS_CHECK(seen[p], "partition missing from metadata round");
-  }
-
-  std::vector<std::uint32_t> base(nparts, 0);
-  std::uint32_t total = 0;
-  for (int r = 0; r < size; ++r) {
-    for (std::size_t p = static_cast<std::size_t>(r); p < nparts;
-         p += static_cast<std::size_t>(size)) {
-      base[p] = total;
-      total += static_cast<std::uint32_t>(part_lefts[p].size());
-    }
-  }
-  const std::uint32_t S = total;
-
-  std::vector<int> sub_owner(S, 0);
-  std::unordered_map<NodeId, std::uint32_t> left_of;
-  left_of.reserve(S);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    for (std::size_t k = 0; k < part_lefts[p].size(); ++k) {
-      const std::uint32_t id = base[p] + static_cast<std::uint32_t>(k);
-      sub_owner[id] = owner[p];
-      const auto [it, inserted] = left_of.emplace(part_lefts[p][k], id);
-      FOCUS_CHECK(inserted, "two sub-paths share a left endpoint");
-    }
-  }
-  comm.charge(static_cast<double>(S));  // replicated id-space build
-
-  std::vector<std::uint32_t> ids;  // global ids of owned sub-paths
-  std::vector<const std::vector<NodeId>*> path_of;
-  for (std::size_t k = 0; k < own.size(); ++k) {
-    for (std::size_t j = 0; j < mine_subpaths[k].size(); ++j) {
-      ids.push_back(base[own[k]] + static_cast<std::uint32_t>(j));
-      path_of.push_back(&mine_subpaths[k][j]);
-    }
-  }
-  const auto n = static_cast<std::uint32_t>(ids.size());
-  std::unordered_map<std::uint32_t, std::uint32_t> local_of;
-  local_of.reserve(ids.size());
-  for (std::uint32_t j = 0; j < n; ++j) local_of.emplace(ids[j], j);
-
-  // Round 2: each owner computes its sub-paths' unambiguous continuations
-  // and routes each link to the successor's owner, which records its unique
-  // predecessor (in-degree 1 at the junction guarantees uniqueness).
-  std::vector<std::vector<PredLink>> pbuckets(static_cast<std::size_t>(size));
-  double next_work = 0.0;
-  for (std::uint32_t j = 0; j < n; ++j) {
-    const NodeId right = path_of[j]->back();
-    const auto out = g.live_out(right);
-    next_work += 1.0 + static_cast<double>(out.size());
-    if (out.size() != 1) continue;
-    const NodeId target = g.edge(out[0]).to;
-    if (g.live_in_degree(target) != 1) continue;  // other in-edges: ambiguous
-    const auto it = left_of.find(target);
-    if (it == left_of.end() || it->second == ids[j]) continue;
-    pbuckets[static_cast<std::size_t>(sub_owner[it->second])].push_back(
-        {it->second, ids[j]});
-  }
-  comm.charge(next_work);
-  const auto links = mpr::exchange_deltas<PredLink>(comm, pbuckets,
-                                                    kTagSymPred);
-
-  // Jump state per owned sub-path: anc = current ancestor on the predecessor
-  // walk, dist = exact steps to anc, min_id/min_dist = minimum id on the
-  // covered walk and the steps to its first occurrence. Sub-paths without a
-  // predecessor are settled chain heads from the start.
-  std::vector<std::uint32_t> anc(n), dist(n, 0), min_id(n), min_dist(n, 0);
-  std::vector<std::uint8_t> done(n, 1), cyc(n, 0);
-  for (std::uint32_t j = 0; j < n; ++j) {
-    anc[j] = ids[j];
-    min_id[j] = ids[j];
-  }
-  for (const auto& link : links) {
-    const auto it = local_of.find(link.sub);
-    FOCUS_CHECK(it != local_of.end(), "predecessor link routed to wrong owner");
-    const std::uint32_t j = it->second;
-    anc[j] = link.pred;
-    dist[j] = 1;
-    done[j] = 0;
-    if (link.pred < min_id[j]) {
-      min_id[j] = link.pred;
-      min_dist[j] = 1;
-    }
-  }
-
-  for (std::uint32_t round = 0;; ++round) {
-    std::int64_t active = 0;
-    for (std::uint32_t j = 0; j < n; ++j) active += done[j] ? 0 : 1;
-    if (comm.allreduce_sum(active) == 0) break;
-    // Covered distance at least doubles per round, so 32-bit ids bound the
-    // round count long before this trips.
-    FOCUS_CHECK(round < 40, "pointer jumping failed to converge");
-
-    std::vector<std::vector<JumpQuery>> qbuckets(
-        static_cast<std::size_t>(size));
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (done[j]) continue;
-      qbuckets[static_cast<std::size_t>(sub_owner[anc[j]])].push_back(
-          {anc[j], ids[j]});
-    }
-    const auto queries =
-        mpr::exchange_deltas<JumpQuery>(comm, qbuckets, kTagSymJumpQuery);
-    comm.charge(static_cast<double>(queries.size()));
-    // Replies are served from this round's pre-update state on every rank:
-    // updates happen only after the reply exchange below, and ranks read
-    // each other's state through messages alone.
-    std::vector<std::vector<JumpReply>> rbuckets(
-        static_cast<std::size_t>(size));
-    for (const auto& q : queries) {
-      const auto it = local_of.find(q.target);
-      FOCUS_CHECK(it != local_of.end(), "jump query routed to wrong owner");
-      const std::uint32_t t = it->second;
-      const std::uint32_t flags =
-          (done[t] ? 1u : 0u) | (cyc[t] ? 2u : 0u);
-      rbuckets[static_cast<std::size_t>(sub_owner[q.asker])].push_back(
-          {q.asker, anc[t], dist[t], min_id[t], min_dist[t], flags});
-    }
-    const auto replies =
-        mpr::exchange_deltas<JumpReply>(comm, rbuckets, kTagSymJumpReply);
-    comm.charge(static_cast<double>(replies.size()));
-    for (const auto& rep : replies) {
-      const std::uint32_t j = local_of.at(rep.asker);
-      // Splice the ancestor's covered segment onto ours. A strictly smaller
-      // minimum cannot have occurred on our prefix, so its first occurrence
-      // is our prefix length plus the ancestor's first-occurrence distance;
-      // an equal minimum already occurred on our prefix, keep ours.
-      if (rep.min_id < min_id[j]) {
-        min_id[j] = rep.min_id;
-        min_dist[j] = dist[j] + rep.min_dist;
-      }
-      dist[j] += rep.dist;
-      anc[j] = rep.anc;
-      if ((rep.flags & 1u) != 0u) {
-        done[j] = 1;
-        cyc[j] = (rep.flags & 2u) != 0u ? 1 : 0;
-      } else if (dist[j] >= S) {
-        // A chain walk never exceeds S - 1 exact steps, so the walk wrapped:
-        // every cycle member is covered and min_id is the true minimum.
-        done[j] = 1;
-        cyc[j] = 1;
-      }
-    }
-  }
-
-  // Emission (fully symmetric — no rank ever sorts the global piece-key
-  // set): each settled piece is routed to the owner of its group anchor —
-  // the chain's head sub-path or the cycle's minimum-id sub-path — so a
-  // group's pieces land wholly on one rank. That owner sorts only its own
-  // pieces by (kind, group, pos) and concatenates each group's run into a
-  // joined path; rank 0 then k-way merges the per-owner lists, which arrive
-  // pre-sorted by (kind, group). The merged order — chains by ascending
-  // head id, then cycles by ascending minimum id — is exactly the order the
-  // old rank-0 global sort produced.
-  std::vector<mpr::Message> route(static_cast<std::size_t>(size));
-  {
-    std::vector<std::uint32_t> counts(static_cast<std::size_t>(size), 0);
-    for (std::uint32_t j = 0; j < n; ++j) {
-      FOCUS_CHECK(done[j], "unsettled sub-path after pointer jumping");
-      counts[static_cast<std::size_t>(
-          sub_owner[cyc[j] ? min_id[j] : anc[j]])] += 1;
-    }
-    for (int r = 0; r < size; ++r) {
-      route[static_cast<std::size_t>(r)].pack(
-          counts[static_cast<std::size_t>(r)]);
-    }
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const std::uint32_t group = cyc[j] ? min_id[j] : anc[j];
-      mpr::Message& m = route[static_cast<std::size_t>(sub_owner[group])];
-      m.pack(static_cast<std::uint32_t>(cyc[j]));
-      m.pack(group);
-      m.pack(cyc[j] ? min_dist[j] : dist[j]);
-      m.pack_vector(*path_of[j]);
-    }
-  }
-  auto piece_frames =
-      mpr::alltoall_round(comm, std::move(route), kTagSymPieces);
-
-  struct Piece {
-    std::uint32_t kind, group, pos;
-    std::vector<NodeId> nodes;
-  };
-  std::vector<Piece> pieces;
-  for (auto& m : piece_frames) {
-    const auto count = m.unpack<std::uint32_t>();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      Piece piece;
-      piece.kind = m.unpack<std::uint32_t>();
-      piece.group = m.unpack<std::uint32_t>();
-      piece.pos = m.unpack<std::uint32_t>();
-      piece.nodes = m.unpack_vector<NodeId>();
-      pieces.push_back(std::move(piece));
-    }
-    FOCUS_CHECK(m.fully_consumed(), "trailing bytes in sub-path frame");
-  }
-  std::int64_t piece_count = static_cast<std::int64_t>(pieces.size());
-  FOCUS_CHECK(comm.allreduce_sum(piece_count) == static_cast<std::int64_t>(S),
-              "sub-path lost in stitching");
-  std::sort(pieces.begin(), pieces.end(),
-            [](const Piece& a, const Piece& b) {
-              if (a.kind != b.kind) return a.kind < b.kind;
-              if (a.group != b.group) return a.group < b.group;
-              return a.pos < b.pos;
-            });
-  comm.charge(static_cast<double>(pieces.size()) *
-              std::log2(static_cast<double>(pieces.size()) + 2.0));
-
-  // Join each group's run. Positions are the exact distances pointer
-  // jumping produced, so within a group they must tile 0..len-1 — a gap
-  // means a piece was lost in routing.
-  Subpaths joined_local;
-  std::vector<std::uint64_t> joined_keys;  // kind << 32 | group
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i == 0 || pieces[i].kind != pieces[i - 1].kind ||
-        pieces[i].group != pieces[i - 1].group) {
-      FOCUS_CHECK(pieces[i].pos == 0, "sub-path group missing its anchor");
-      joined_local.emplace_back();
-      joined_keys.push_back(
-          (static_cast<std::uint64_t>(pieces[i].kind) << 32) |
-          pieces[i].group);
-    } else {
-      FOCUS_CHECK(pieces[i].pos == pieces[i - 1].pos + 1,
-                  "sub-path group has a gap");
-    }
-    auto& path = joined_local.back();
-    path.insert(path.end(), pieces[i].nodes.begin(), pieces[i].nodes.end());
-  }
-
-  // Final round: rank 0 merges the per-owner runs — O(J log size), not
-  // O(S log S) — and never touches piece keys again.
-  mpr::Message out_frame;
-  out_frame.pack(static_cast<std::uint32_t>(joined_local.size()));
-  for (std::size_t i = 0; i < joined_local.size(); ++i) {
-    out_frame.pack(joined_keys[i]);
-    out_frame.pack_vector(joined_local[i]);
-  }
-  auto gathered = comm.gather(std::move(out_frame), 0);
-  if (comm.rank() == 0) {
-    std::vector<std::vector<std::pair<std::uint64_t, std::vector<NodeId>>>>
-        runs(gathered.size());
-    std::size_t total_joined = 0;
-    for (std::size_t r = 0; r < gathered.size(); ++r) {
-      auto& m = gathered[r];
-      const auto count = m.unpack<std::uint32_t>();
-      runs[r].reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const auto key = m.unpack<std::uint64_t>();
-        auto run_path = m.unpack_vector<NodeId>();
-        FOCUS_CHECK(runs[r].empty() || runs[r].back().first < key,
-                    "per-owner emission not sorted");
-        runs[r].emplace_back(key, std::move(run_path));
-      }
-      FOCUS_CHECK(m.fully_consumed(), "trailing bytes in emission frame");
-      total_joined += runs[r].size();
-    }
-    Subpaths joined;
-    joined.reserve(total_joined);
-    std::vector<std::size_t> head(runs.size(), 0);
-    for (;;) {
-      std::size_t best = runs.size();
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        if (head[r] >= runs[r].size()) continue;
-        if (best == runs.size() ||
-            runs[r][head[r]].first < runs[best][head[best]].first) {
-          best = r;
-        }
-      }
-      if (best == runs.size()) break;
-      joined.push_back(std::move(runs[best][head[best]].second));
-      ++head[best];
-    }
-    comm.charge(static_cast<double>(total_joined) *
-                std::log2(static_cast<double>(size) + 2.0));
-    *paths = std::move(joined);
-  }
-  comm.barrier();
-}
-
 /// Coordinator body of the fault-tolerant symmetric traverse: one collected
 /// phase committed to the log, then joining from the durable record — which
 /// is identical whether this rank collected the sub-paths itself or
@@ -1365,73 +966,23 @@ ParallelTraverseResult traverse_parallel(const AsmGraph& g,
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
   const auto nodes = partition_node_lists(part, nparts, threads);
 
-  ParallelTraverseResult out;
-  if (!fault_plan.empty()) {
-    if (dist.protocol == DistProtocol::kSymmetric) {
-      return ft_sym_traverse(g, nodes, part, nparts, nranks, cost, fault_plan,
-                             fault);
-    }
-    out.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          if (comm.rank() == 0) {
-            ft_traverse_master(comm, g, nodes, part, nparts, fault,
-                               &out.paths);
-          } else {
-            ft_traverse_worker(comm, g, nodes, part);
-          }
-        },
-        cost, fault_plan);
-    return out;
-  }
-
+  // One driver per protocol: the recovering one, for every plan. An empty
+  // plan injects nothing, so it runs fault-free (DESIGN.md §7).
   if (dist.protocol == DistProtocol::kSymmetric) {
-    const auto est = traverse_scan_estimates(nodes);
-    const auto owner = lpt_assign(est, nranks);
-    const auto owned = owned_partitions(owner, nranks);
-    out.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          traverse_symmetric_rank(comm, g, nodes, part, owner, owned,
-                                  &out.paths);
-        },
-        cost);
-    return out;
+    return ft_sym_traverse(g, nodes, part, nparts, nranks, cost, fault_plan,
+                           fault);
   }
-
+  ParallelTraverseResult out;
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        std::vector<bool> visited(g.node_count(), false);
-        std::vector<std::vector<NodeId>> subpaths;
-        double work = 0.0;
-        for (std::size_t p = 0; p < nodes.size(); ++p) {
-          if (!mine(p, comm)) continue;
-          auto found = extract_subpaths(g, nodes[p], part, visited, &work);
-          for (auto& path : found) subpaths.push_back(std::move(path));
-        }
-        comm.charge(work);
-
-        mpr::Message msg;
-        msg.pack(static_cast<std::uint32_t>(subpaths.size()));
-        for (const auto& path : subpaths) msg.pack_vector(path);
-        auto gathered = comm.gather(std::move(msg), 0);
         if (comm.rank() == 0) {
-          std::vector<std::vector<NodeId>> all;
-          for (auto& m : gathered) {
-            const auto count = m.unpack<std::uint32_t>();
-            for (std::uint32_t i = 0; i < count; ++i) {
-              all.push_back(m.unpack_vector<NodeId>());
-            }
-            FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-          }
-          double join_work = 0.0;
-          out.paths = join_subpaths(g, std::move(all), &join_work);
-          comm.charge(join_work);
+          ft_traverse_master(comm, g, nodes, part, nparts, fault, &out.paths);
+        } else {
+          ft_traverse_worker(comm, g, nodes, part);
         }
-        comm.barrier();
       },
-      cost);
+      cost, fault_plan);
   return out;
 }
 

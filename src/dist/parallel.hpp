@@ -3,22 +3,28 @@
 // The hybrid graph is partitioned; two wire protocols drive the scans
 // (DistConfig::protocol). kMaster is the paper's protocol: partitions are
 // assigned round-robin, workers scan and ship recorded changes to the master
-// (rank 0), which applies them between phases. kSymmetric is the
-// owner-computes protocol (DESIGN.md §7b): partitions are LPT-assigned by
-// estimated scan cost, deltas travel peer-to-peer in batched alltoall
-// rounds and every rank applies them in a canonical order, so no rank's
-// clock serializes the apply. Both produce byte-identical output.
+// (rank 0), which applies them between phases. kSymmetric has no
+// irreplaceable rank (DESIGN.md §7b): its fault-free simplify is
+// owner-computes, and its recovering drivers rotate the coordinator role
+// over a replicated write-ahead log. Both produce byte-identical output.
 //
-// Fault tolerance (DESIGN.md §7): when a non-empty FaultPlan is supplied the
-// drivers switch to an explicitly commanded protocol. The master sends each
-// live worker a scan command naming its partitions, collects one record frame
-// per worker with a timed receive, and on a worker timeout reassigns the dead
-// worker's partitions to the survivors and replays the phase (bounded by
-// FaultConfig::max_retries). Records are absorbed in a canonical
-// partition order that is independent of which rank scanned them, so a
-// recovered run applies the exact change sequence of a fault-free run. With
-// an empty plan the original barrier-synchronized fast path runs, bit
-// identical to the pre-fault-tolerance driver.
+// Fault tolerance (DESIGN.md §7): the recovering drivers run an explicitly
+// commanded protocol. The master sends each live worker a scan command
+// naming its partitions, collects one record frame per worker with a timed
+// receive, and on a worker timeout reassigns the dead worker's partitions
+// to the survivors and replays the phase (bounded by
+// FaultConfig::max_retries). Records are absorbed in a canonical partition
+// order that is independent of which rank scanned them, so a recovered run
+// applies the exact change sequence of a fault-free run.
+//
+// An empty plan injects nothing. traverse_parallel runs its recovering
+// driver for every plan, as do partition and variants. Two stages keep a
+// fault-free path for an empty plan, because the recovering driver costs
+// too much there: preprocess (its symmetric write-ahead log replicates the
+// whole read set: +1.2% total vtime at 8 ranks) and simplify_parallel (its
+// owner-computes path is the Fig. 6 trim curve; the recovering driver's
+// 8-rank speedups, 1.72x master and 1.21x symmetric, miss the
+// DistParallelTiming floors of 2.0x and 1.5x).
 #pragma once
 
 #include <span>
@@ -40,12 +46,13 @@ namespace focus::dist {
 /// which applies them between phases — simple, but the master-side apply and
 /// sub-path join serialize on rank 0's clock.
 ///
-/// kSymmetric is the owner-computes protocol (DESIGN.md §7b): partitions are
-/// LPT-assigned to ranks by estimated scan cost, every rank applies the
-/// deltas for the nodes and edges it owns, cross-owner deltas travel in
-/// batched mpr::exchange_deltas rounds, and cross-partition sub-paths are
-/// stitched by distributed pointer jumping instead of a master merge. Both
-/// protocols produce byte-identical graphs, stats and paths
+/// kSymmetric has no irreplaceable rank (DESIGN.md §7b). Its fault-free
+/// simplify is owner-computes: partitions are LPT-assigned to ranks by
+/// estimated scan cost, every rank applies the deltas for the nodes and
+/// edges it owns, and cross-owner deltas travel in batched
+/// mpr::exchange_deltas rounds. Every other symmetric driver rotates the
+/// coordinator role over a replicated write-ahead log, so any rank may die.
+/// Both protocols produce byte-identical graphs, stats and paths
 /// (tests/dist_protocol_test.cpp).
 enum class DistProtocol {
   kMaster,
@@ -65,11 +72,11 @@ struct DistConfig {
 };
 
 /// Nodes of each partition, in ascending node-id order. This is the host-side
-/// gather both drivers below run before entering the mpr runtime. `threads`
-/// follows the PartitionerConfig::threads convention (0 = auto via
-/// FOCUS_THREADS; 1 = serial): with more than one thread, chunks of the part
-/// vector are scattered in parallel into per-chunk lists that are merged in
-/// chunk order, so the result is identical at every width.
+/// gather the simplify, traverse and variants drivers run before entering the
+/// mpr runtime. `threads` follows the PartitionerConfig::threads convention
+/// (0 = auto via FOCUS_THREADS; 1 = serial): with more than one thread,
+/// chunks of the part vector are scattered in parallel into per-chunk lists
+/// that are merged in chunk order, so the result is identical at every width.
 std::vector<std::vector<NodeId>> partition_node_lists(
     std::span<const PartId> part, PartId nparts, unsigned threads = 1);
 
@@ -84,8 +91,8 @@ struct ParallelSimplifyResult {
 /// parallelizes the host-side partition gather only (see
 /// partition_node_lists); the per-rank bodies stay single-threaded so the
 /// virtual-time measurement is not confounded by host parallelism.
-/// `fault_plan` selects the fault-tolerant protocol (see file comment);
-/// `fault` bounds its retries and sets the receive deadline.
+/// A non-empty `fault_plan` selects the recovering driver (see file
+/// comment); `fault` bounds its retries and sets the receive deadline.
 ParallelSimplifyResult simplify_parallel(AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts,
@@ -102,9 +109,10 @@ struct ParallelTraverseResult {
 };
 
 /// Distributed maximal-path traversal: workers grow partition-local
-/// sub-paths; the master joins them across partition boundaries (symmetric
-/// protocol: owners join their own groups and rank 0 only merges pre-sorted
-/// runs). `threads`, `fault_plan` and `fault` as in simplify_parallel.
+/// sub-paths; the coordinator joins them across partition boundaries (rank
+/// 0 under kMaster; under kSymmetric whichever rank holds the role, joining
+/// from the logged sub-paths). Runs the recovering driver for every plan.
+/// `threads` and `fault` as in simplify_parallel.
 ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts, int nranks,

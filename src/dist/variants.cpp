@@ -180,13 +180,13 @@ std::vector<Variant> find_variants_serial(const AsmGraph& g,
   return canonical_variants(find_variants(g, all, config, work));
 }
 
-namespace {
-
-ParallelVariantResult find_variants_parallel_ft(
-    const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
-    PartId nparts, const VariantConfig& config, int nranks,
-    mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, const DistConfig& dist) {
+ParallelVariantResult find_variants_parallel(
+    const AsmGraph& g, std::span<const PartId> part, PartId nparts,
+    const VariantConfig& config, int nranks, mpr::CostModel cost,
+    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault,
+    const DistConfig& dist) {
+  FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
+  const auto nodes = partition_node_lists(part, nparts);
   ParallelVariantResult out;
   using Rec = std::vector<Variant>;
   const auto scan_one = [&](std::uint32_t p, double* work) {
@@ -257,60 +257,6 @@ ParallelVariantResult find_variants_parallel_ft(
         }
       },
       cost, fault_plan);
-  return out;
-}
-
-}  // namespace
-
-ParallelVariantResult find_variants_parallel(
-    const AsmGraph& g, std::span<const PartId> part, PartId nparts,
-    const VariantConfig& config, int nranks, mpr::CostModel cost,
-    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault,
-    const DistConfig& dist) {
-  FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
-  std::vector<std::vector<NodeId>> nodes(static_cast<std::size_t>(nparts));
-  for (NodeId v = 0; v < part.size(); ++v) {
-    FOCUS_CHECK(part[v] >= 0 && part[v] < nparts, "invalid partition id");
-    nodes[static_cast<std::size_t>(part[v])].push_back(v);
-  }
-
-  if (!fault_plan.empty()) {
-    return find_variants_parallel_ft(g, nodes, nparts, config, nranks, cost,
-                                     fault_plan, fault, dist);
-  }
-
-  ParallelVariantResult out;
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        std::vector<Variant> mine;
-        double work = 0.0;
-        for (std::size_t p = 0; p < nodes.size(); ++p) {
-          if (static_cast<int>(p % static_cast<std::size_t>(comm.size())) !=
-              comm.rank()) {
-            continue;
-          }
-          auto found = find_variants(g, nodes[p], config, &work);
-          mine.insert(mine.end(), found.begin(), found.end());
-        }
-        comm.charge(work);
-        mpr::Message msg;
-        msg.pack_vector(mine);
-        auto gathered = comm.gather(std::move(msg), 0);
-        if (comm.rank() == 0) {
-          std::vector<Variant> all;
-          for (auto& m : gathered) {
-            auto v = m.unpack_vector<Variant>();
-            FOCUS_CHECK(m.fully_consumed(), "trailing bytes in phase frame");
-            for (const Variant& rec : v) validate_variant(g, rec);
-            all.insert(all.end(), v.begin(), v.end());
-          }
-          comm.charge(static_cast<double>(all.size()));
-          out.variants = canonical_variants(std::move(all));
-        }
-        comm.barrier();
-      },
-      cost);
   return out;
 }
 

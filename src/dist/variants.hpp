@@ -73,12 +73,12 @@ struct ParallelVariantResult {
   mpr::RunStats run;
 };
 
-/// Distributed driver: one partition per worker (round-robin over ranks),
-/// master merge + dedupe — the same §V master/worker protocol as the
-/// cleaning passes. With a non-empty fault plan the scan runs under the
-/// shared fault-tolerant phase protocol (mpr/ft_phase.hpp): master/worker by
-/// default, the rotating-coordinator WAL when `dist.protocol` is symmetric —
-/// either way recovering the byte-identical fault-free variant list.
+/// Distributed driver: partitions round-robin over ranks, coordinator merge
+/// + dedupe. The scan runs under the shared fault-tolerant phase protocol
+/// (mpr/ft_phase.hpp) for every fault plan (an empty plan injects nothing):
+/// master/worker under kMaster, the rotating-coordinator WAL under
+/// kSymmetric — either way a recovered run returns the byte-identical
+/// fault-free variant list.
 ParallelVariantResult find_variants_parallel(
     const AsmGraph& g, std::span<const PartId> part, PartId nparts,
     const VariantConfig& config, int nranks, mpr::CostModel cost = {},

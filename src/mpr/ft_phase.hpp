@@ -1,6 +1,6 @@
 // Shared fault-tolerant phase machinery (DESIGN.md §7 / §7b), extracted from
 // the dist drivers so every pipeline stage — preprocess, overlap, partition,
-// simplify, traverse, variants, GFA emission — runs the same two protocols:
+// simplify, traverse, variants — runs the same two protocols:
 //
 //  * master/worker (§7): rank 0 commands scans over replayable partitions,
 //    collects CRC-framed records, detects dead workers by quiescence timeout
@@ -23,8 +23,8 @@
 //    kRankMajor reproduces the fault-free gather order of the graph drivers
 //    (partitions sorted by (p % size, p)); kAscending returns plain
 //    partition order, which is what block-decomposed drivers (preprocess
-//    read blocks, GFA line blocks, bisection regions) need to match their
-//    serial output byte for byte.
+//    read blocks, bisection regions) need to match their serial output byte
+//    for byte.
 //  * an optional per-partition state blob packed into scan commands
 //    (pack_state / worker-side unpack hook), for drivers whose scan inputs
 //    evolve across phases (the mlpart region lists): workers stay stateless

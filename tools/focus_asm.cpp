@@ -7,17 +7,23 @@
 //   <prefix>.stats.txt       assembly statistics + stage timings
 //   <prefix>.partition.tsv   read id -> hybrid-graph partition
 //   <prefix>.graph.gfa       the simplified assembly graph (GFA 1.0)
+// Each file is written as <file>.tmp and the four are renamed into place
+// only after all of them were written, so a failed run leaves none of them.
 //
-// Exit status: 0 on success, 1 on an input or assembly error, 2 on a usage
-// error (unknown flag, missing value, or a numeric value that is malformed
-// or out of range).
+// Exit status: 0 on success, 1 on an input, assembly or output error, 2 on a
+// usage error (unknown flag, missing value, or a numeric value that is
+// malformed or out of range).
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -68,6 +74,45 @@ double flag_double(const std::string& flag, const char* value, double lo,
   return parsed;
 }
 
+/// One output file: its final path and the function that writes its bytes.
+struct OutputFile {
+  std::string path;
+  std::function<void(std::ostream&)> write;
+};
+
+/// Writes every file as <path>.tmp, then renames them all into place. On any
+/// failure it removes the temp files and the outputs it already renamed, and
+/// throws an Error naming the file.
+void write_outputs(const std::vector<OutputFile>& files) {
+  std::vector<std::string> placed;
+  try {
+    for (const auto& f : files) {
+      const std::string tmp = f.path + ".tmp";
+      std::ofstream out(tmp);
+      if (!out) throw Error("cannot open output file " + tmp);
+      f.write(out);
+      out.close();
+      if (!out) throw Error("cannot write output file " + tmp);
+    }
+    for (const auto& f : files) {
+      std::error_code ec;
+      std::filesystem::rename(f.path + ".tmp", f.path, ec);
+      if (ec) {
+        throw Error("cannot move output into place: " + f.path + ": " +
+                    ec.message());
+      }
+      placed.push_back(f.path);
+    }
+  } catch (...) {
+    std::error_code ignored;
+    for (const auto& f : files) {
+      std::filesystem::remove(f.path + ".tmp", ignored);
+    }
+    for (const auto& path : placed) std::filesystem::remove(path, ignored);
+    throw;
+  }
+}
+
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s -i <reads.fast[aq]> -o <prefix> [options]\n"
@@ -84,7 +129,8 @@ void usage(const char* argv0) {
                "  --multilevel            use the naive multilevel partitioning\n"
                "                          instead of the hybrid graph set\n"
                "\n"
-               "exit status: 0 ok, 1 input or assembly error, 2 usage error\n",
+               "exit status: 0 ok, 1 input, assembly or output error, 2 usage "
+               "error\n",
                argv0);
 }
 
@@ -162,50 +208,51 @@ int main(int argc, char** argv) {
                  config.use_hybrid_partitioning ? "hybrid" : "multilevel");
     const auto result = core::assemble_reads(raw, config);
 
-    // Contigs.
-    {
-      io::ReadSet contigs;
-      for (std::size_t c = 0; c < result.contigs.size(); ++c) {
-        io::Read r;
-        r.name = "contig_" + std::to_string(c) + " length=" +
-                 std::to_string(result.contigs[c].size());
-        r.seq = result.contigs[c];
-        contigs.add(std::move(r));
-      }
-      std::ofstream out(prefix + ".contigs.fasta");
-      io::write_fasta(out, contigs);
+    io::ReadSet contigs;
+    for (std::size_t c = 0; c < result.contigs.size(); ++c) {
+      io::Read r;
+      r.name = "contig_" + std::to_string(c) + " length=" +
+               std::to_string(result.contigs[c].size());
+      r.seq = result.contigs[c];
+      contigs.add(std::move(r));
     }
-    // Stats.
-    {
-      std::ofstream out(prefix + ".stats.txt");
-      out << "input_reads\t" << raw.size() << "\n"
-          << "preprocessed_reads\t" << result.reads.size() << "\n"
-          << "overlaps\t" << result.overlaps.size() << "\n"
-          << "overlap_graph_nodes\t" << result.overlap_graph.node_count() << "\n"
-          << "overlap_graph_edges\t" << result.overlap_graph.edge_count() << "\n"
-          << "hybrid_graph_nodes\t"
-          << result.hybrid.hybrid_graph().node_count() << "\n"
-          << "graph_levels\t" << result.multilevel.depth() << "\n"
-          << "contigs\t" << result.stats.contig_count << "\n"
-          << "total_bases\t" << result.stats.total_bases << "\n"
-          << "n50\t" << result.stats.n50 << "\n"
-          << "max_contig\t" << result.stats.max_contig << "\n";
-      for (const auto& [stage, t] : result.timings) {
-        out << "vtime_" << stage << "\t" << t.vtime << "\n";
-        out << "wall_" << stage << "\t" << t.wall << "\n";
-      }
-    }
-    // Assembly graph (GFA 1.0).
-    dist::write_gfa_file(prefix + ".graph.gfa", result.assembly_graph);
-    // Read partition.
-    {
-      std::ofstream out(prefix + ".partition.tsv");
-      out << "read\tname\tpartition\n";
-      for (ReadId i = 0; i < result.reads.size(); ++i) {
-        out << i << '\t' << result.reads[i].name << '\t'
-            << result.read_partition[i] << "\n";
-      }
-    }
+    write_outputs({
+        {prefix + ".contigs.fasta",
+         [&](std::ostream& out) { io::write_fasta(out, contigs); }},
+        {prefix + ".stats.txt",
+         [&](std::ostream& out) {
+           out << "input_reads\t" << raw.size() << "\n"
+               << "preprocessed_reads\t" << result.reads.size() << "\n"
+               << "overlaps\t" << result.overlaps.size() << "\n"
+               << "overlap_graph_nodes\t"
+               << result.overlap_graph.node_count() << "\n"
+               << "overlap_graph_edges\t"
+               << result.overlap_graph.edge_count() << "\n"
+               << "hybrid_graph_nodes\t"
+               << result.hybrid.hybrid_graph().node_count() << "\n"
+               << "graph_levels\t" << result.multilevel.depth() << "\n"
+               << "contigs\t" << result.stats.contig_count << "\n"
+               << "total_bases\t" << result.stats.total_bases << "\n"
+               << "n50\t" << result.stats.n50 << "\n"
+               << "max_contig\t" << result.stats.max_contig << "\n";
+           for (const auto& [stage, t] : result.timings) {
+             out << "vtime_" << stage << "\t" << t.vtime << "\n";
+             out << "wall_" << stage << "\t" << t.wall << "\n";
+           }
+         }},
+        {prefix + ".graph.gfa",
+         [&](std::ostream& out) {
+           dist::write_gfa(out, result.assembly_graph);
+         }},
+        {prefix + ".partition.tsv",
+         [&](std::ostream& out) {
+           out << "read\tname\tpartition\n";
+           for (ReadId i = 0; i < result.reads.size(); ++i) {
+             out << i << '\t' << result.reads[i].name << '\t'
+                 << result.read_partition[i] << "\n";
+           }
+         }},
+    });
     std::fprintf(stderr,
                  "[focus_asm] wrote %zu contigs (N50 %llu, max %llu) to "
                  "%s.contigs.fasta\n",

@@ -12,13 +12,15 @@
 # distributed-index overlap suite
 # (sharded k-mer index alltoall rounds across rank counts, per-subset repeat
 # masking, the FT overlap driver's block replay), the protocol-equivalence
-# suite (master vs symmetric owner-computes simplify/traverse across rank
-# counts, the pointer-jumping sub-path stitch, the shared-WAL rotating
-# coordinator), the fault-injection suite (label `fault`: crash-at-every-op
-# recovery sweeps over every FT driver — preprocess, distributed-index
-# overlap, partition, simplify, traverse, variants, GFA, including
-# symmetric-coordinator rotation — plus mixed-fault stress of the runtime's
-# timeout/CRC detection paths and the FaultEnv malformed-knob tests), and
+# suite (master vs symmetric simplify/traverse across rank counts: the
+# owner-computes simplify and the shared-WAL rotating coordinator), the
+# fault-injection suite (label `fault`: crash-at-every-op recovery sweeps
+# over every FT driver — preprocess, distributed-index overlap, partition,
+# simplify, traverse, variants, including symmetric-coordinator rotation —
+# plus mixed-fault stress of the runtime's timeout/CRC detection paths, the
+# FaultEnv malformed-knob tests, and the empty-plan check that partition,
+# traverse and variants run their recovering driver, which is therefore
+# also the driver every default fault-free run takes through them), and
 # the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
 # sweeps through the full assembler across both protocols), the job-runtime
 # suite (svc_test: EnvSnapshot capture/strict parsing, the removed

@@ -12,10 +12,11 @@
 //     speedup — the suffix-array path is the pre-overhaul kernel;
 //   * the hashed backend on the work-stealing pool at 1/2/4/8 threads;
 //   * modeled overlap-stage scaling at 1/2/4/8 mpr ranks: virtual-time
-//     makespans of the all-pairs pair-striping driver vs the sharded
-//     distributed-index protocol (DESIGN.md §6c). These come from the vtime
-//     task model, not the host's cores, and both strategies' outputs are
-//     identity-checked against the reference first.
+//     makespans of the all-pairs pair-striping driver vs the recovering
+//     driver (dist::overlap_parallel) on the same subset pairs under a plan
+//     whose only crash point never fires, in both wire protocols. These come
+//     from the vtime task model, not the host's cores, and every driver's
+//     output is identity-checked against the reference first.
 // Every timed run is checked byte-identical against the suffix-array serial
 // reference before its timing is reported. The json's "provenance" object
 // labels each field as measured (host wall clock or counter) or modeled
@@ -37,6 +38,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "dist/parallel.hpp"
 #include "io/preprocess.hpp"
 #include "sim/datasets.hpp"
 #include "sim/genome.hpp"
@@ -255,35 +257,41 @@ int main(int argc, char** argv) {
     pool_runs.push_back(timed_run(reads, cfg, repeats, reference.size()));
   }
 
-  // 4 — modeled overlap-stage scaling over mpr ranks. Both strategies'
-  // makespans come from the same virtual-time cost model, so the comparison
-  // is strategy-vs-strategy, not confounded by host parallelism; speedups
-  // are each strategy's own 1-rank makespan over its n-rank makespan.
+  // 4 — modeled overlap-stage scaling over mpr ranks. Every makespan comes
+  // from the same virtual-time cost model, so the comparison is
+  // driver-vs-driver, not confounded by host parallelism. The recovering
+  // driver runs under a plan whose only crash point never fires: nothing is
+  // injected, so it pays only its protocol's messages (and, symmetric, the
+  // write-ahead-log replication of the merged set).
   struct ModeledRun {
     int ranks = 0;
     double all_pairs_makespan = 0.0;
-    double distributed_makespan = 0.0;
+    double recovering_master_makespan = 0.0;
+    double recovering_symmetric_makespan = 0.0;
   };
   std::vector<ModeledRun> modeled_runs;
+  mpr::FaultPlan never_firing;
+  never_firing.crashes.push_back({1, std::uint64_t{1} << 62});
   cfg.threads = 1;
   for (const unsigned width : kWidths) {
     ModeledRun m;
     m.ranks = static_cast<int>(width);
-    cfg.strategy = align::SeedStrategy::kAllPairs;
     {
       const auto r = align::find_overlaps_parallel(reads, cfg, m.ranks);
       all_identical &= same_overlaps(r.overlaps, reference);
       m.all_pairs_makespan = r.stats.makespan;
     }
-    cfg.strategy = align::SeedStrategy::kDistributedIndex;
-    {
-      const auto r = align::find_overlaps_parallel(reads, cfg, m.ranks);
+    for (const auto protocol :
+         {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+      const auto r = dist::overlap_parallel(reads, cfg, m.ranks, {},
+                                            never_firing, {}, {protocol});
       all_identical &= same_overlaps(r.overlaps, reference);
-      m.distributed_makespan = r.stats.makespan;
+      (protocol == dist::DistProtocol::kMaster
+           ? m.recovering_master_makespan
+           : m.recovering_symmetric_makespan) = r.run.makespan;
     }
     modeled_runs.push_back(m);
   }
-  cfg.strategy = align::SeedStrategy::kAllPairs;
 
   const bool zero_alloc =
       probe.full_pass_allocs == 0 && probe.score_pass_allocs == 0;
@@ -326,16 +334,16 @@ int main(int argc, char** argv) {
                 pool_runs[w].seconds, pool_runs[w].reads_per_s);
   }
   std::printf("  modeled overlap-stage scaling (vtime makespan):\n");
-  std::printf("    %6s %14s %10s %14s %10s\n", "ranks", "all-pairs", "spdup",
-              "distributed", "spdup");
+  std::printf("    %6s %14s %10s %16s %19s\n", "ranks", "all-pairs", "spdup",
+              "recovering/master", "recovering/symmetric");
   for (const auto& m : modeled_runs) {
-    std::printf("    %6d %14.6f %9.2fx %14.6f %9.2fx\n", m.ranks,
+    std::printf("    %6d %14.6f %9.2fx %16.6f %19.6f\n", m.ranks,
                 m.all_pairs_makespan,
                 modeled_runs[0].all_pairs_makespan / m.all_pairs_makespan,
-                m.distributed_makespan,
-                modeled_runs[0].distributed_makespan / m.distributed_makespan);
+                m.recovering_master_makespan,
+                m.recovering_symmetric_makespan);
   }
-  std::printf("  output identical across backends/widths/strategies: %s\n",
+  std::printf("  output identical across backends/widths/drivers: %s\n",
               all_identical ? "yes" : "NO (BUG)");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -397,12 +405,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"ranks\": %d, \"all_pairs_makespan\": %.9f, "
-        "\"all_pairs_speedup\": %.3f, \"distributed_makespan\": %.9f, "
-        "\"distributed_speedup\": %.3f}%s\n",
+        "\"all_pairs_speedup\": %.3f, "
+        "\"recovering_master_makespan\": %.9f, "
+        "\"recovering_symmetric_makespan\": %.9f}%s\n",
         m.ranks, m.all_pairs_makespan,
         modeled_runs[0].all_pairs_makespan / m.all_pairs_makespan,
-        m.distributed_makespan,
-        modeled_runs[0].distributed_makespan / m.distributed_makespan,
+        m.recovering_master_makespan, m.recovering_symmetric_makespan,
         w + 1 < modeled_runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

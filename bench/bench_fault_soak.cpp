@@ -37,6 +37,7 @@ double soak_coverage() { return bench::bench_coverage(6.0); }
 
 core::FocusConfig soak_config(int ranks, dist::DistProtocol protocol) {
   core::FocusConfig cfg;
+  // Stage 2 under the fault plan: the recovering subset-pair driver.
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
   cfg.overlap.min_kmer_hits = 3;

@@ -9,6 +9,8 @@
 
 namespace focus::align {
 
+namespace {
+
 // splitmix64 finalizer: a cheap, well-mixed hash for packed k-mer keys.
 std::uint64_t kmer_hash(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -17,7 +19,12 @@ std::uint64_t kmer_hash(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-namespace {
+// One keyed occurrence, before the postings are sorted and flattened.
+struct Entry {
+  std::uint64_t key;
+  std::uint32_t member;
+  std::uint32_t pos;
+};
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -52,16 +59,6 @@ KmerIndex::KmerIndex(const io::ReadSet& reads,
     }
   }
 
-  build(std::move(entries));
-  build_work_ += static_cast<double>(total_bases);  // packing + extraction
-}
-
-KmerIndex::KmerIndex(std::vector<Entry> entries, unsigned k) : k_(k) {
-  FOCUS_CHECK(k >= 1 && k <= 32, "KmerIndex requires 1 <= k <= 32");
-  build(std::move(entries));
-}
-
-void KmerIndex::build(std::vector<Entry> entries) {
   // (key, member, pos) order: deterministic bucket iteration, postings within
   // a bucket in member order then position order.
   std::sort(entries.begin(), entries.end(),
@@ -96,9 +93,10 @@ void KmerIndex::build(std::vector<Entry> entries) {
   }
 
   // Build cost: O(n log n) posting sort + O(d) table fill — the terms a real
-  // implementation pays. The read-set constructor adds its extraction scan.
+  // implementation pays — plus the packing and extraction scan.
   const double n = static_cast<double>(entries.size());
   build_work_ = n * std::log2(n + 2.0) + static_cast<double>(distinct_);
+  build_work_ += static_cast<double>(total_bases);
 }
 
 std::pair<const KmerIndex::Posting*, const KmerIndex::Posting*> KmerIndex::find(

@@ -27,12 +27,6 @@
 
 namespace focus::align {
 
-/// splitmix64 finalizer over a packed k-mer key — the one hash used both for
-/// the posting table probe sequence and for assigning a key to its owning
-/// mpr shard (shard_index.hpp). A single well-mixed function keeps shard
-/// ownership a pure function of the key alone.
-std::uint64_t kmer_hash(std::uint64_t key);
-
 class KmerIndex {
  public:
   /// One k-mer occurrence: member index (position of the read in the
@@ -42,23 +36,10 @@ class KmerIndex {
     std::uint32_t pos;
   };
 
-  /// One keyed occurrence, the unit a distributed shard is built from.
-  struct Entry {
-    std::uint64_t key;
-    std::uint32_t member;
-    std::uint32_t pos;
-  };
-
   /// Indexes every clean k-mer of `reads[members[i]]` for all i.
   /// Requires 1 <= k <= 32.
   KmerIndex(const io::ReadSet& reads, const std::vector<ReadId>& members,
             unsigned k);
-
-  /// Builds directly from keyed occurrences (any order; duplicates kept).
-  /// This is the per-shard store of the distributed-index overlapper: the
-  /// entries are whatever postings were routed to this shard, with `member`
-  /// carrying the global ReadId instead of a subset-local index.
-  KmerIndex(std::vector<Entry> entries, unsigned k);
 
   unsigned k() const { return k_; }
 
@@ -85,9 +66,6 @@ class KmerIndex {
     std::uint32_t begin = 0;
     std::uint32_t count = 0;  // 0 = empty slot
   };
-
-  /// Shared tail of both constructors: sort, flatten, fill the table.
-  void build(std::vector<Entry> entries);
 
   unsigned k_;
   std::vector<Posting> postings_;  // sorted by (key, member, pos)

@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "io/preprocess.hpp"
-#include "mpr/rounds.hpp"
 
 namespace focus::align {
 
@@ -331,17 +330,6 @@ std::vector<Overlap> dedupe_overlaps(std::vector<Overlap> overlaps) {
 
 namespace {
 
-// Enumerates subset pairs (i, j), i <= j, in deterministic order.
-std::vector<std::pair<std::size_t, std::size_t>> subset_pairs(
-    std::size_t subsets) {
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(subsets * (subsets + 1) / 2);
-  for (std::size_t i = 0; i < subsets; ++i) {
-    for (std::size_t j = i; j < subsets; ++j) pairs.emplace_back(i, j);
-  }
-  return pairs;
-}
-
 // Processes one subset pair against a prebuilt index of subset j.
 void process_pair(const io::ReadSet& reads,
                   const std::vector<std::vector<ReadId>>& subsets,
@@ -356,11 +344,15 @@ void process_pair(const io::ReadSet& reads,
 
 }  // namespace
 
+void check_overlapper_config(const OverlapperConfig& config) {
+  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
+  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
+}
+
 std::vector<Overlap> find_overlaps_serial(const io::ReadSet& reads,
                                           const OverlapperConfig& config,
                                           double* work) {
-  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
-  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
+  check_overlapper_config(config);
   const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
 
   std::vector<Overlap> all;
@@ -390,8 +382,7 @@ std::vector<Overlap> find_overlaps(const io::ReadSet& reads,
   const unsigned threads = resolve_thread_count(config.threads);
   if (threads <= 1) return find_overlaps_serial(reads, config, work);
 
-  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
-  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
+  check_overlapper_config(config);
   const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
 
   ThreadPool pool(threads);
@@ -457,40 +448,59 @@ std::vector<Overlap> find_overlaps(const io::ReadSet& reads,
   return dedupe_overlaps(std::move(all));
 }
 
+std::vector<SubsetPair> subset_pairs(std::size_t subsets) {
+  std::vector<SubsetPair> pairs;
+  pairs.reserve(subsets * (subsets + 1) / 2);
+  for (std::size_t j = 0; j < subsets; ++j) {
+    for (std::size_t i = 0; i <= j; ++i) pairs.push_back({i, j});
+  }
+  return pairs;
+}
+
+PairScanner::PairScanner(const io::ReadSet& reads,
+                         const std::vector<std::vector<ReadId>>& subsets,
+                         const std::vector<SubsetPair>& pairs,
+                         const OverlapperConfig& config, std::size_t stride)
+    : reads_(reads),
+      subsets_(subsets),
+      pairs_(pairs),
+      config_(config),
+      stride_(stride) {}
+
+void PairScanner::scan(std::size_t p, std::vector<Overlap>& out,
+                       double* work) {
+  const auto [i, j] = pairs_[p];
+  if (subsets_[j].empty()) return;
+  if (!index_ || index_j_ != j) {
+    index_.reset();
+    index_.emplace(reads_, subsets_[j], config_);
+    index_j_ = j;
+    *work += index_->build_work();
+  }
+  process_pair(reads_, subsets_, i, *index_, config_, work, out);
+  const std::size_t next = p + stride_;
+  if (next >= pairs_.size() || pairs_[next].j != j) index_.reset();
+}
+
 ParallelOverlapResult find_overlaps_parallel(const io::ReadSet& reads,
                                              const OverlapperConfig& config,
                                              int nranks, mpr::CostModel cost) {
   FOCUS_CHECK(nranks >= 1, "need at least one rank");
-  if (config.strategy == SeedStrategy::kDistributedIndex) {
-    return find_overlaps_sharded(reads, config, nranks, cost);
-  }
+  check_overlapper_config(config);
   const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
-  const auto pairs = subset_pairs(config.subsets);
+  const auto pairs = subset_pairs(subsets.size());
 
   ParallelOverlapResult result;
   result.stats = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        // Pairs are grouped by reference subset j so a rank builds each
-        // needed index exactly once.
+        const auto stride = static_cast<std::size_t>(comm.size());
+        PairScanner scanner(reads, subsets, pairs, config, stride);
         std::vector<Overlap> mine;
         double work = 0.0;
-        std::size_t pair_idx = 0;
-        for (std::size_t j = 0; j < subsets.size(); ++j) {
-          // Determine whether this rank owns any pair with this reference.
-          std::vector<std::size_t> my_queries;
-          for (std::size_t i = 0; i <= j; ++i, ++pair_idx) {
-            if (static_cast<int>(pair_idx % static_cast<std::size_t>(
-                                     comm.size())) == comm.rank()) {
-              my_queries.push_back(i);
-            }
-          }
-          if (my_queries.empty() || subsets[j].empty()) continue;
-          RefIndex index(reads, subsets[j], config);
-          work += index.build_work();
-          for (const std::size_t i : my_queries) {
-            process_pair(reads, subsets, i, index, config, &work, mine);
-          }
+        for (auto p = static_cast<std::size_t>(comm.rank()); p < pairs.size();
+             p += stride) {
+          scanner.scan(p, mine, &work);
         }
         comm.charge(work);
 
@@ -503,230 +513,6 @@ ParallelOverlapResult find_overlaps_parallel(const io::ReadSet& reads,
           for (auto& msg : gathered) {
             auto part = msg.unpack_vector<Overlap>();
             FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in gathered frame");
-            all.insert(all.end(), part.begin(), part.end());
-          }
-          comm.charge(static_cast<double>(all.size()) *
-                      std::log2(static_cast<double>(all.size()) + 2.0));
-          result.overlaps = dedupe_overlaps(std::move(all));
-        }
-      },
-      cost);
-  return result;
-}
-
-void verify_seed_hits(const io::ReadSet& reads, std::vector<SeedHit> hits,
-                      const OverlapperConfig& config, std::vector<Overlap>& out,
-                      double* work) {
-  // Canonical order: all hits of one (query, ref) pair become one contiguous
-  // group regardless of which shard produced them or in what round order they
-  // arrived. The diag tiebreak makes the grouped lists — and therefore the
-  // work-unit summation order — deterministic too.
-  std::sort(hits.begin(), hits.end(), [](const SeedHit& a, const SeedHit& b) {
-    if (a.query != b.query) return a.query < b.query;
-    if (a.ref != b.ref) return a.ref < b.ref;
-    return a.diag < b.diag;
-  });
-  if (work != nullptr) {
-    const double n = static_cast<double>(hits.size());
-    *work += n * std::log2(n + 2.0);
-  }
-
-  std::vector<std::int64_t> diags;
-  for (std::size_t i = 0; i < hits.size();) {
-    std::size_t j = i;
-    diags.clear();
-    while (j < hits.size() && hits[j].query == hits[i].query &&
-           hits[j].ref == hits[i].ref) {
-      diags.push_back(hits[j].diag);
-      ++j;
-    }
-    // Same per-pair decision as the all-pairs query loop: the complete diag
-    // multiset feeds one consensus + one banded-NW verification, so duplicate
-    // candidates from multi-seed hits collapse to exactly one verify call.
-    const auto diagonal = consensus_diagonal(diags, config.min_kmer_hits,
-                                             config.diagonal_tolerance);
-    if (diagonal) {
-      if (auto o = verify_overlap(reads, hits[i].query, hits[i].ref, *diagonal,
-                                  config, work)) {
-        out.push_back(*o);
-      }
-    }
-    i = j;
-  }
-}
-
-void distributed_block_overlaps(const io::ReadSet& reads,
-                                const KmerShard& shard,
-                                const SubsetRanges& subsets, ReadId q_begin,
-                                ReadId q_end, const OverlapperConfig& config,
-                                std::vector<Overlap>& out, double* work) {
-  auto probes =
-      extract_query_probes(reads, q_begin, q_end, config.k, 1, work);
-  std::vector<SeedHit> hits;
-  for (const QueryProbe& probe : probes[0]) {
-    shard.collect_hits(probe, subsets, config.max_kmer_occurrences, hits,
-                       work);
-  }
-  verify_seed_hits(reads, std::move(hits), config, out, work);
-}
-
-std::vector<Overlap> find_overlaps_distributed_serial(
-    const io::ReadSet& reads, const OverlapperConfig& config, double* work) {
-  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
-  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
-  const SubsetRanges subsets(
-      io::split_into_subsets(reads.size(), config.subsets));
-  const auto n = static_cast<ReadId>(reads.size());
-
-  auto postings = extract_shard_postings(reads, 0, n, config.k, 1, work);
-  KmerShard shard(std::move(postings[0]), config.k);
-  if (work != nullptr) *work += shard.build_work();
-
-  std::vector<Overlap> all;
-  distributed_block_overlaps(reads, shard, subsets, 0, n, config, all, work);
-  return dedupe_overlaps(std::move(all));
-}
-
-namespace {
-
-// Message tags of the sharded protocol's rounds (DESIGN.md §6c).
-constexpr int kTagPostings = 210;
-constexpr int kTagProbes = 211;
-constexpr int kTagHits = 212;
-
-// Contiguous read stripe of one rank: the first n % nranks ranks take one
-// extra read. Owner lookup inverts the same arithmetic in O(1).
-ReadId stripe_begin(std::size_t n, int nranks, int rank) {
-  const std::size_t base = n / static_cast<std::size_t>(nranks);
-  const std::size_t extra = n % static_cast<std::size_t>(nranks);
-  const auto r = static_cast<std::size_t>(rank);
-  return static_cast<ReadId>(base * r + std::min(r, extra));
-}
-
-int read_owner(ReadId id, std::size_t n, int nranks) {
-  const std::size_t base = n / static_cast<std::size_t>(nranks);
-  const std::size_t extra = n % static_cast<std::size_t>(nranks);
-  const std::size_t wide = extra * (base + 1);  // reads held by +1-sized ranks
-  if (id < wide) return static_cast<int>(id / (base + 1));
-  FOCUS_ASSERT(base > 0, "read id beyond the striped range");
-  return static_cast<int>(extra + (id - wide) / base);
-}
-
-template <typename Rec>
-std::vector<mpr::Message> pack_buckets(std::vector<std::vector<Rec>> buckets) {
-  std::vector<mpr::Message> out(buckets.size());
-  for (std::size_t d = 0; d < buckets.size(); ++d) {
-    out[d].pack_vector(buckets[d]);
-  }
-  return out;
-}
-
-template <typename Rec>
-std::vector<Rec> unpack_merge(std::vector<mpr::Message>& incoming) {
-  std::vector<Rec> merged;
-  for (auto& msg : incoming) {
-    auto part = msg.unpack_vector<Rec>();
-    FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in round frame");
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  return merged;
-}
-
-}  // namespace
-
-ParallelOverlapResult find_overlaps_sharded(const io::ReadSet& reads,
-                                            const OverlapperConfig& config,
-                                            int nranks, mpr::CostModel cost) {
-  FOCUS_CHECK(nranks >= 1, "need at least one rank");
-  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
-  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
-  const std::size_t n = reads.size();
-
-  ParallelOverlapResult result;
-  result.stats = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        const SubsetRanges subsets(
-            io::split_into_subsets(n, config.subsets));
-        const ReadId my_begin = stripe_begin(n, nranks, comm.rank());
-        const ReadId my_end = stripe_begin(n, nranks, comm.rank() + 1);
-        double work = 0.0;
-
-        // Round 1 — shard build: every rank scans its read stripe once and
-        // routes each posting to the key's owner (shard_owner is a pure
-        // function of the key, so all postings of a key meet on one rank).
-        auto posting_frames = mpr::alltoall_round(
-            comm,
-            [&] {
-              auto buckets = extract_shard_postings(reads, my_begin, my_end,
-                                                    config.k, nranks, &work);
-              comm.charge(work);
-              work = 0.0;
-              return pack_buckets(std::move(buckets));
-            }(),
-            kTagPostings);
-        const KmerShard shard(unpack_merge<ShardPosting>(posting_frames),
-                              config.k);
-        comm.charge(shard.build_work());
-
-        // Round 2 — seed lookup: query k-mers go to their key's shard.
-        auto probe_frames = mpr::alltoall_round(
-            comm,
-            [&] {
-              auto buckets = extract_query_probes(reads, my_begin, my_end,
-                                                  config.k, nranks, &work);
-              comm.charge(work);
-              work = 0.0;
-              return pack_buckets(std::move(buckets));
-            }(),
-            kTagProbes);
-
-        // Answer probes in ascending source order; every unmasked hit is
-        // routed to the rank that owns the REFERENCE read, so all hits of a
-        // (query, ref) pair — from every shard — meet there.
-        std::vector<std::vector<SeedHit>> hit_buckets(
-            static_cast<std::size_t>(nranks));
-        {
-          std::vector<SeedHit> hits;
-          for (auto& msg : probe_frames) {
-            auto probes = msg.unpack_vector<QueryProbe>();
-            FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in probe frame");
-            for (const QueryProbe& probe : probes) {
-              hits.clear();
-              shard.collect_hits(probe, subsets, config.max_kmer_occurrences,
-                                 hits, &work);
-              for (const SeedHit& h : hits) {
-                hit_buckets[static_cast<std::size_t>(
-                                read_owner(h.ref, n, nranks))]
-                    .push_back(h);
-              }
-            }
-          }
-          comm.charge(work);
-          work = 0.0;
-        }
-
-        // Round 3 — verification at the reference owner. verify_seed_hits
-        // sorts into the canonical (query, ref, diag) order first, so the
-        // arrival order of the frames cannot leak into the output.
-        auto hit_frames = mpr::alltoall_round(
-            comm, pack_buckets(std::move(hit_buckets)), kTagHits);
-        std::vector<Overlap> mine;
-        verify_seed_hits(reads, unpack_merge<SeedHit>(hit_frames), config,
-                         mine, &work);
-        comm.charge(work);
-
-        // Gather at rank 0 and dedupe through the same total order as every
-        // other driver.
-        mpr::Message local;
-        local.pack_vector(mine);
-        auto gathered = comm.gather(std::move(local), 0);
-        if (comm.rank() == 0) {
-          std::vector<Overlap> all;
-          for (auto& msg : gathered) {
-            auto part = msg.unpack_vector<Overlap>();
-            FOCUS_CHECK(msg.fully_consumed(),
-                        "trailing bytes in gathered frame");
             all.insert(all.end(), part.begin(), part.end());
           }
           comm.charge(static_cast<double>(all.size()) *

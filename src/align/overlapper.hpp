@@ -19,19 +19,14 @@
 //     lookup; kept as the reference oracle (tests/seed_equiv_test.cpp).
 //
 // Subset pairs are independent, which is the parallelism the paper exploits:
-// find_overlaps_parallel() distributes pairs over mpr ranks and gathers the
-// results at rank 0.
+// find_overlaps_parallel() stripes the pairs over mpr ranks (pair p, in
+// j-major order, goes to rank p % nranks) and gathers the results at rank 0.
+// dist::overlap_parallel() runs the same pairs as the replay unit of the
+// fault-tolerant drivers (dist/parallel.hpp).
 //
-// Pair generation itself is a pluggable strategy (OverlapperConfig::strategy):
-//   * SeedStrategy::kAllPairs — the paper's O(s²) subset-pair enumeration
-//     described above.
-//   * SeedStrategy::kDistributedIndex — one k-mer index sharded by key hash
-//     across mpr ranks (shard_index.hpp, DESIGN.md §6c): postings and query
-//     probes are routed to the key's owner in batched all-to-all rounds,
-//     candidate pairs to the rank owning the reference read for banded-NW
-//     verification, and rank 0 merges through the same dedupe_overlaps()
-//     total order — so the output is byte-identical to the all-pairs path
-//     while each read is indexed and each query is seeded exactly once.
+// OverlapperConfig::strategy does not change how pairs are seeded: both
+// values index the same subset pairs and return the same bytes. It only
+// chooses which driver the assembler's stage 2 calls (SeedStrategy below).
 #pragma once
 
 #include <optional>
@@ -40,7 +35,6 @@
 #include "align/align_scratch.hpp"
 #include "align/kmer_index.hpp"
 #include "align/overlap.hpp"
-#include "align/shard_index.hpp"
 #include "align/suffix_array.hpp"
 #include "io/read.hpp"
 #include "mpr/runtime.hpp"
@@ -57,10 +51,12 @@ enum class SeedBackend {
   kSuffixArray,  ///< the paper's suffix array (reference oracle)
 };
 
-/// How candidate (query, reference) pairs are generated.
+/// Which stage-2 driver the assembler runs. Both seed the same subset pairs
+/// and produce byte-identical overlaps; the value names are kept for the
+/// FOCUS_SEED_STRATEGY spellings.
 enum class SeedStrategy {
-  kAllPairs,          ///< per-subset-pair indexing, O(s²) subset pairs
-  kDistributedIndex,  ///< mpr-sharded k-mer index, batched lookup rounds
+  kAllPairs,          ///< find_overlaps_parallel, outside the fault envelope
+  kDistributedIndex,  ///< dist::overlap_parallel, under FocusConfig::fault_plan
 };
 
 /// FOCUS_SEED_STRATEGY env override: "all-pairs"/"allpairs" or
@@ -97,10 +93,9 @@ struct OverlapperConfig {
   /// the hash backend replaces each O(k log n) suffix-array lookup with an
   /// O(1) expected hash probe.
   SeedBackend seed_backend = SeedBackend::kKmerHash;
-  /// Candidate-pair generation strategy (distributed drivers only; the
-  /// serial and pooled all-pairs entry points ignore it). Both strategies
-  /// produce byte-identical overlap sets. Defaults to the FOCUS_SEED_STRATEGY
-  /// env override, else all-pairs.
+  /// Stage-2 driver of the assembler (see SeedStrategy); every function in
+  /// this header ignores it. Defaults to the FOCUS_SEED_STRATEGY env
+  /// override, else all-pairs.
   SeedStrategy strategy = seed_strategy_from_env();
 };
 
@@ -164,6 +159,10 @@ void query_overlaps_into(const io::ReadSet& reads, const RefIndex& index,
                          AlignScratch& scratch, std::vector<Overlap>& out,
                          double* work = nullptr);
 
+/// The input contract every stage-2 entry point checks before any work: at
+/// least one subset and a seed length k in [8, 32]. Throws focus::Error.
+void check_overlapper_config(const OverlapperConfig& config);
+
 /// All-pairs overlap detection, single-threaded reference implementation.
 std::vector<Overlap> find_overlaps_serial(const io::ReadSet& reads,
                                           const OverlapperConfig& config,
@@ -180,59 +179,58 @@ std::vector<Overlap> find_overlaps(const io::ReadSet& reads,
                                    const OverlapperConfig& config,
                                    double* work = nullptr);
 
+/// One (query subset i, reference subset j) pair, i <= j.
+struct SubsetPair {
+  std::size_t i;
+  std::size_t j;
+};
+
+/// The subset pairs in j-major order: j outer, i = 0..j inner. Pair p is the
+/// unit both mpr drivers distribute: find_overlaps_parallel scans it on rank
+/// p % nranks, and dist::overlap_parallel replays it as partition p.
+std::vector<SubsetPair> subset_pairs(std::size_t subsets);
+
+/// Scans subset pairs for one rank of a driver that stripes them with
+/// `stride` (the rank count). It holds at most one reference index: a pair
+/// with another reference subset replaces it, and it is freed after pair p
+/// when pair p + stride — the rank's next pair — does not use it. Pairs are
+/// j-major, so a rank scanning its stripe in order builds each index it needs
+/// once; a pair scanned out of stripe (a replay) rebuilds what it needs, and
+/// its records are the same. The scanner keeps references to its arguments,
+/// which must outlive it.
+class PairScanner {
+ public:
+  PairScanner(const io::ReadSet& reads,
+              const std::vector<std::vector<ReadId>>& subsets,
+              const std::vector<SubsetPair>& pairs,
+              const OverlapperConfig& config, std::size_t stride);
+
+  /// Appends pair p's accepted overlaps to `out`; `work` accumulates the
+  /// index build (when one is built) and the query work units.
+  void scan(std::size_t p, std::vector<Overlap>& out, double* work);
+
+ private:
+  const io::ReadSet& reads_;
+  const std::vector<std::vector<ReadId>>& subsets_;
+  const std::vector<SubsetPair>& pairs_;
+  const OverlapperConfig& config_;
+  std::size_t stride_;
+  std::optional<RefIndex> index_;
+  std::size_t index_j_ = 0;
+};
+
 struct ParallelOverlapResult {
   std::vector<Overlap> overlaps;
   mpr::RunStats stats;
 };
 
-/// Distributes work across `nranks` mpr ranks; rank 0 gathers and
-/// deduplicates. Produces the same overlap set as find_overlaps_serial.
-/// Dispatches on config.strategy: all-pairs stripes subset pairs over ranks;
-/// distributed-index runs the sharded protocol (find_overlaps_sharded).
+/// Distributes the subset pairs across `nranks` mpr ranks (pair p on rank
+/// p % nranks, scanned by a PairScanner); rank 0 gathers and deduplicates.
+/// Produces the same overlap set as find_overlaps_serial.
 ParallelOverlapResult find_overlaps_parallel(const io::ReadSet& reads,
                                              const OverlapperConfig& config,
                                              int nranks,
                                              mpr::CostModel cost = {});
-
-/// Distributed-index overlap discovery on the mpr runtime: each rank owns the
-/// k-mer shard hash(key) % nranks and a contiguous stripe of reads. Three
-/// batched all-to-all rounds (postings -> shard build, query probes -> seed
-/// hits, hits -> verification at the reference owner's rank) followed by a
-/// gather at rank 0 and dedupe_overlaps(). Byte-identical to
-/// find_overlaps_serial for every nranks (tests/overlap_dist_test.cpp).
-ParallelOverlapResult find_overlaps_sharded(const io::ReadSet& reads,
-                                            const OverlapperConfig& config,
-                                            int nranks,
-                                            mpr::CostModel cost = {});
-
-/// Single-threaded reference of the distributed-index pipeline: one shard
-/// over all reads, every read queried once, same verification order as the
-/// sharded protocol. Exists so the equivalence tests can pin the strategy's
-/// semantics without spinning up the runtime.
-std::vector<Overlap> find_overlaps_distributed_serial(
-    const io::ReadSet& reads, const OverlapperConfig& config,
-    double* work = nullptr);
-
-/// Verifies a batch of raw seed hits: sorts by (query, ref, diag), groups by
-/// (query, ref) pair, runs consensus-diagonal + banded-NW acceptance per
-/// group — the same per-pair decision the all-pairs query loop makes — and
-/// appends accepted overlaps to `out`. Duplicate candidate pairs from
-/// multi-seed hits collapse into one group, hence exactly one verification.
-void verify_seed_hits(const io::ReadSet& reads, std::vector<SeedHit> hits,
-                      const OverlapperConfig& config, std::vector<Overlap>& out,
-                      double* work = nullptr);
-
-/// Runs the distributed-index seeding + verification for query reads
-/// [q_begin, q_end) against a shard holding ALL postings (single-shard
-/// layout). The unit of replay for the fault-tolerant overlap driver
-/// (dist/parallel.cpp): pure in its inputs, so a re-executed block
-/// reproduces its records exactly.
-void distributed_block_overlaps(const io::ReadSet& reads,
-                                const KmerShard& shard,
-                                const SubsetRanges& subsets, ReadId q_begin,
-                                ReadId q_end, const OverlapperConfig& config,
-                                std::vector<Overlap>& out,
-                                double* work = nullptr);
 
 /// Removes duplicate records of the same read pair, keeping the longest
 /// (then highest-identity) overlap, all in canonical orientation.

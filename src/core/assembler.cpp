@@ -100,9 +100,9 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
       result.cache_hits.overlaps = true;
     } else if (config_.overlap.strategy ==
                align::SeedStrategy::kDistributedIndex) {
-      // The distributed-index driver sits behind the fault envelope: an
-      // active fault plan covers the overlap phase with the same replay
-      // recovery as the graph stages.
+      // Stage 2 inside the fault envelope: an active fault plan covers the
+      // subset pairs with the same replay recovery as the graph stages; an
+      // empty plan runs find_overlaps_parallel.
       auto aligned = dist::overlap_parallel(
           result.reads, config_.overlap, config_.ranks, config_.cost,
           config_.fault_plan, config_.fault, config_.dist);
@@ -113,6 +113,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
       auto aligned = align::find_overlaps_parallel(
           result.reads, config_.overlap, config_.ranks, config_.cost);
       result.overlaps = std::move(aligned.overlaps);
+      result.align_run = aligned.stats;
       align_vtime = aligned.stats.makespan;
     }
     if (cache != nullptr && hit == nullptr) {

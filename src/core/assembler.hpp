@@ -54,14 +54,14 @@ struct FocusConfig {
   bool use_hybrid_partitioning = true;
   /// Collapse reverse-complement contig twins and drop short contigs.
   std::size_t min_contig_length = 100;
-  /// Fault schedule for the parallel stages (preprocess, distributed
-  /// overlap, partition, simplify, traverse). Defaults to the
+  /// Fault schedule for the parallel stages (preprocess, overlap under the
+  /// distributed strategy, partition, simplify, traverse). Defaults to the
   /// FOCUS_FAULT_SEED environment plan. An empty plan injects nothing.
   /// Partition and traverse run their recovering driver for every plan;
-  /// preprocess and simplify switch to a fault-free path for an empty plan,
-  /// because their recovering drivers cost too much without faults
-  /// (preprocess: the symmetric write-ahead log replicates the read set,
-  /// +1.2% total vtime at 8 ranks; simplify: the owner-computes path is the
+  /// preprocess, overlap and simplify switch to a fault-free path for an
+  /// empty plan (preprocess: the symmetric write-ahead log replicates the
+  /// read set, +1.2% total vtime at 8 ranks; overlap: the all-pairs driver
+  /// the default strategy runs; simplify: the owner-computes path is the
   /// Fig. 6 trim curve).
   mpr::FaultPlan fault_plan;
   /// Retry bound and receive deadline for fault recovery. Defaults honor
@@ -105,8 +105,9 @@ struct AssemblyResult {
   dist::AsmGraph assembly_graph;
   dist::SimplifyStats simplify_stats;
   /// Full runtime stats of the distributed stages, including fault-recovery
-  /// counters (retries, ranks_failed, recovery_vtime). `align_run` is
-  /// populated by the distributed-index strategy only.
+  /// counters (retries, ranks_failed, recovery_vtime). `align_run` comes
+  /// from whichever stage-2 driver ran (or the cached artifact); its
+  /// makespan is timings["2-align"].vtime.
   mpr::RunStats preprocess_run;
   mpr::RunStats align_run;
   mpr::RunStats partition_run;

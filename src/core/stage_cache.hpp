@@ -23,8 +23,8 @@
 // hit rate; determinism outranks reuse.
 //
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
-// postings, or the mpr-sharded index) are transients of the stage — rebuilt
-// per subset pair or per rank, never materialized whole. What the cache
+// postings) are transients of the stage — rebuilt per reference subset on
+// each rank that needs one, never materialized whole. What the cache
 // stores is the stage's deterministic product, the deduped overlap set,
 // which is what every repeat submission actually needs.
 #pragma once
@@ -52,10 +52,9 @@ struct PreprocessArtifact {
   mpr::RunStats run;
 };
 
-/// Stage-2 product: the deduped overlap set. `run` is the distributed-index
-/// strategy's RunStats (default for the all-pairs strategy, which reports no
-/// align_run); `vtime` is the stage's virtual-time charge under either
-/// strategy.
+/// Stage-2 product: the deduped overlap set, the RunStats of the driver that
+/// produced it (AssemblyResult::align_run) and the stage's virtual-time
+/// charge.
 struct OverlapArtifact {
   std::vector<align::Overlap> overlaps;
   mpr::RunStats run;

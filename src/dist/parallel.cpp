@@ -988,101 +988,93 @@ ParallelTraverseResult traverse_parallel(const AsmGraph& g,
 
 namespace {
 
-/// Query reads per fault-tolerant overlap partition. Fixed so the block
-/// decomposition — and therefore the canonical record order — is a pure
-/// function of the read count, independent of rank count and faults.
-constexpr std::size_t kFtQueryBlock = 64;
+// ---------------------------------------------------------------------------
+// Recovering stage-2 driver. Its replay partition is find_overlaps_parallel's
+// own unit: partition p is subset pair p (align::subset_pairs), so
+// ft_assign's fault-free owner p % size is the rank find_overlaps_parallel
+// scans the pair on, and each rank's align::PairScanner charges the same
+// work in the same order.
+// ---------------------------------------------------------------------------
 
-std::vector<align::Overlap> ft_overlap_scan_block(
-    const io::ReadSet& reads, const align::KmerShard& shard,
-    const align::SubsetRanges& subsets, const align::OverlapperConfig& config,
-    std::uint32_t p, double* work) {
+std::vector<align::Overlap> scan_pair(align::PairScanner& scanner,
+                                      std::uint32_t p, double* work) {
   std::vector<align::Overlap> out;
-  const std::size_t n = reads.size();
-  const std::size_t begin = p * kFtQueryBlock;
-  const std::size_t end = std::min(n, begin + kFtQueryBlock);
-  align::distributed_block_overlaps(reads, shard, subsets,
-                                    static_cast<ReadId>(begin),
-                                    static_cast<ReadId>(end), config, out,
-                                    work);
+  scanner.scan(p, out, work);
   return out;
 }
 
+/// Concatenates the per-pair records, freeing each as it is consumed, and
+/// dedupes with find_overlaps_parallel's rank-0 charge.
 std::vector<align::Overlap> ft_overlap_merge(
     mpr::Comm& comm, std::vector<std::vector<align::Overlap>> recs) {
+  std::size_t total = 0;
+  for (const auto& r : recs) total += r.size();
   std::vector<align::Overlap> all;
-  for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
+  all.reserve(total);
+  for (auto& r : recs) {
+    all.insert(all.end(), r.begin(), r.end());
+    std::vector<align::Overlap>().swap(r);
+  }
   comm.charge(static_cast<double>(all.size()) *
               std::log2(static_cast<double>(all.size()) + 2.0));
   return align::dedupe_overlaps(std::move(all));
 }
 
-void ft_overlap_master(mpr::Comm& comm, const io::ReadSet& reads,
-                       const align::KmerShard& shard,
-                       const align::SubsetRanges& subsets,
-                       const align::OverlapperConfig& config, PartId nparts,
-                       const mpr::FaultConfig& fault,
+std::vector<align::Overlap> unpack_overlaps(mpr::Message& m) {
+  return m.unpack_vector<align::Overlap>();
+}
+
+void ft_overlap_master(mpr::Comm& comm, align::PairScanner& scanner,
+                       PartId nparts, const mpr::FaultConfig& fault,
                        std::vector<align::Overlap>* overlaps) {
   FtMasterState st;
   st.live.assign(static_cast<std::size_t>(comm.size()), 1);
   auto recs = ft_collect_phase<std::vector<align::Overlap>>(
       comm, st, nparts, 0, fault,
       [&](std::uint32_t p, double* work) {
-        return ft_overlap_scan_block(reads, shard, subsets, config, p, work);
+        return scan_pair(scanner, p, work);
       },
-      [](mpr::Message& m) { return m.unpack_vector<align::Overlap>(); });
+      unpack_overlaps);
   *overlaps = ft_overlap_merge(comm, std::move(recs));
   ft_shutdown_workers(comm, st);
 }
 
-void ft_overlap_worker(mpr::Comm& comm, const io::ReadSet& reads,
-                       const align::KmerShard& shard,
-                       const align::SubsetRanges& subsets,
-                       const align::OverlapperConfig& config) {
+void ft_overlap_worker(mpr::Comm& comm, align::PairScanner& scanner) {
   ft_worker_loop(comm, [&](std::uint32_t phase, std::uint32_t p,
                            mpr::Message& frame, double* work) {
     FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-    frame.pack_vector(
-        ft_overlap_scan_block(reads, shard, subsets, config, p, work));
+    frame.pack_vector(scan_pair(scanner, p, work));
   });
 }
 
-void ft_overlap_symmetric(mpr::Comm& comm, const io::ReadSet& reads,
-                          const align::KmerShard& shard,
-                          const align::SubsetRanges& subsets,
-                          const align::OverlapperConfig& config, PartId nparts,
-                          const mpr::FaultConfig& fault, SymWal& wal,
-                          std::vector<align::Overlap>* overlaps) {
+void ft_overlap_symmetric(mpr::Comm& comm, align::PairScanner& scanner,
+                          PartId nparts, const mpr::FaultConfig& fault,
+                          SymWal& wal, std::vector<align::Overlap>* overlaps) {
   ft_sym_drive(
       comm, wal, fault,
       [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
           double* work) {
         FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-        frame.pack_vector(
-            ft_overlap_scan_block(reads, shard, subsets, config, p, work));
+        frame.pack_vector(scan_pair(scanner, p, work));
       },
       [&](std::uint32_t phase_start) {
         if (phase_start == 0) {
           auto recs = sym_collect_phase<std::vector<align::Overlap>>(
               comm, wal, nparts, 0, fault,
               [&](std::uint32_t p, double* work) {
-                return ft_overlap_scan_block(reads, shard, subsets, config, p,
-                                             work);
+                return scan_pair(scanner, p, work);
               },
-              [](mpr::Message& m) {
-                return m.unpack_vector<align::Overlap>();
-              });
+              unpack_overlaps);
           SymWal::Entry entry;
           entry.payload.pack_vector(ft_overlap_merge(comm, std::move(recs)));
           sym_wal_commit(comm, wal, std::move(entry));
         }
-        // Publish from the durable record — identical whether this rank
-        // merged the blocks itself or inherited the committed entry.
-        mpr::Message payload;
-        {
-          std::lock_guard<std::mutex> lock(wal.mu);
-          payload = wal.entries.front().payload;
-        }
+        // Publish from the durable record, in place — identical whether this
+        // rank merged the pairs itself or inherited the committed entry (a
+        // successor may re-read an entry its predecessor already published).
+        std::lock_guard<std::mutex> lock(wal.mu);
+        mpr::Message& payload = wal.entries.front().payload;
+        payload.rewind();
         *overlaps = payload.unpack_vector<align::Overlap>();
         FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in overlap log");
       });
@@ -1097,16 +1089,15 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        const mpr::FaultConfig& fault,
                                        const DistConfig& dist) {
   if (fault_plan.empty()) {
-    auto r = align::find_overlaps_sharded(reads, config, nranks, cost);
+    auto r = align::find_overlaps_parallel(reads, config, nranks, cost);
     return {std::move(r.overlaps), r.stats};
   }
 
   FOCUS_CHECK(nranks >= 1, "need at least one rank");
-  FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
-  FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
-  const std::size_t n = reads.size();
-  const auto nparts =
-      static_cast<PartId>((n + kFtQueryBlock - 1) / kFtQueryBlock);
+  align::check_overlapper_config(config);
+  const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
+  const auto pairs = align::subset_pairs(subsets.size());
+  const auto nparts = static_cast<PartId>(pairs.size());
   const bool symmetric = dist.protocol == DistProtocol::kSymmetric;
 
   SymWal wal;
@@ -1115,27 +1106,15 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
   out.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        // Replicated single-shard layout: under faults any surviving rank
-        // may be asked to replay any query block, so every rank holds the
-        // full index — trading memory for the ability to reassign blocks
-        // without a shard-recovery round.
-        double build_work = 0.0;
-        auto postings = align::extract_shard_postings(
-            reads, 0, static_cast<ReadId>(n), config.k, 1, &build_work);
-        const align::KmerShard shard(std::move(postings[0]), config.k);
-        build_work += shard.build_work();
-        comm.charge(build_work);
-        const align::SubsetRanges subsets(
-            io::split_into_subsets(n, config.subsets));
-
+        align::PairScanner scanner(reads, subsets, pairs, config,
+                                   static_cast<std::size_t>(nranks));
         if (symmetric) {
-          ft_overlap_symmetric(comm, reads, shard, subsets, config, nparts,
-                               fault, wal, &out.overlaps);
+          ft_overlap_symmetric(comm, scanner, nparts, fault, wal,
+                               &out.overlaps);
         } else if (comm.rank() == 0) {
-          ft_overlap_master(comm, reads, shard, subsets, config, nparts,
-                            fault, &out.overlaps);
+          ft_overlap_master(comm, scanner, nparts, fault, &out.overlaps);
         } else {
-          ft_overlap_worker(comm, reads, shard, subsets, config);
+          ft_overlap_worker(comm, scanner);
         }
       },
       cost, fault_plan);

@@ -18,13 +18,14 @@
 // applies the exact change sequence of a fault-free run.
 //
 // An empty plan injects nothing. traverse_parallel runs its recovering
-// driver for every plan, as do partition and variants. Two stages keep a
-// fault-free path for an empty plan, because the recovering driver costs
-// too much there: preprocess (its symmetric write-ahead log replicates the
-// whole read set: +1.2% total vtime at 8 ranks) and simplify_parallel (its
-// owner-computes path is the Fig. 6 trim curve; the recovering driver's
-// 8-rank speedups, 1.72x master and 1.21x symmetric, miss the
-// DistParallelTiming floors of 2.0x and 1.5x).
+// driver for every plan, as do partition and variants. Three stages keep a
+// fault-free path for an empty plan: preprocess (its symmetric write-ahead
+// log replicates the whole read set: +1.2% total vtime at 8 ranks),
+// simplify_parallel (its owner-computes path is the Fig. 6 trim curve; the
+// recovering driver's 8-rank speedups, 1.72x master and 1.21x symmetric,
+// miss the DistParallelTiming floors of 2.0x and 1.5x) and overlap_parallel
+// (its empty plan is align::find_overlaps_parallel, the driver the
+// assembler's default all-pairs strategy calls without a plan).
 #pragma once
 
 #include <span>
@@ -127,16 +128,18 @@ struct ParallelOverlapResult {
   mpr::RunStats run;
 };
 
-/// Distributed-index overlap discovery with the drivers' fault envelope.
-/// With an empty plan this is align::find_overlaps_sharded verbatim (the
-/// symmetric three-round protocol). With a plan, a recovery protocol runs
-/// instead: every rank holds the full replicated k-mer index, query blocks
-/// of kFtQueryBlock reads are the replayable partitions, and a block is
-/// re-executed on whichever rank survives — blocks are pure functions of
-/// (reads, config), so a recovered run reproduces the exact fault-free
-/// overlap set (tests/mpr_fault_test.cpp). `dist` picks the recovery wire
-/// protocol: master/worker (rank 0 immortal) or symmetric (WAL-replicated
-/// coordination that survives any rank's death, including rank 0).
+/// Stage-2 overlap discovery inside the drivers' fault envelope. An empty
+/// plan runs align::find_overlaps_parallel, so its overlaps and RunStats are
+/// exactly that driver's. A non-empty plan runs the recovering driver on the
+/// same unit: partition p is subset pair p in find_overlaps_parallel's
+/// j-major order, owned by rank p % nranks while that rank lives. Each rank
+/// holds one reference index at a time and frees it after its last pair
+/// that uses it; a pair replayed on a survivor rebuilds its index, and the
+/// scan is pure in (reads, config, p), so a recovered run returns
+/// find_overlaps_serial's bytes (tests/overlap_dist_test.cpp,
+/// tests/mpr_fault_test.cpp). `dist` picks the recovery wire protocol:
+/// master/worker (rank 0 immortal) or symmetric (WAL-replicated coordination
+/// that survives any rank's death, including rank 0).
 ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        const align::OverlapperConfig& config,
                                        int nranks, mpr::CostModel cost = {},

@@ -25,6 +25,10 @@ class Message {
   std::size_t size_bytes() const { return bytes_.size(); }
   bool fully_consumed() const { return cursor_ == bytes_.size(); }
 
+  /// Restarts unpacking at the first byte, so a retained message (a
+  /// write-ahead log entry) can be read again without a copy.
+  void rewind() { cursor_ = 0; }
+
   /// CRC32 over the payload — the frame checksum the runtime verifies on
   /// receive (defined in fault.cpp).
   std::uint32_t checksum() const;

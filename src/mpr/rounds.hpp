@@ -1,11 +1,12 @@
 // Batched communication rounds for symmetric (non-master/worker) protocols.
 //
-// The distributed-index overlapper (DESIGN.md §6c) exchanges large batches of
-// small records — k-mer postings, seed probes, candidate hits — between every
-// pair of ranks. alltoall_round() is the single collective shape all of its
-// phases use: every rank contributes one message per destination and receives
-// one message per source, with a deterministic delivery order (ascending
-// source rank) so downstream processing is a pure function of the inputs.
+// The symmetric owner-computes simplify (DESIGN.md §7b) routes each phase's
+// cross-owner deltas — contained, tip and bubble node kills — to the rank
+// that owns them. exchange_deltas() is that round, and alltoall_round() is
+// the collective it runs on: every rank contributes one message per
+// destination and receives one message per source, with a deterministic
+// delivery order (ascending source rank) so downstream processing is a pure
+// function of the inputs. exchange_deltas is alltoall_round's only caller.
 //
 // Framing: callers pack homogeneous trivially-copyable record vectors with
 // Message::pack_vector. The round itself adds no framing bytes — each

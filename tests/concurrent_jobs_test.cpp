@@ -32,8 +32,8 @@ const sim::Dataset& dataset_two() {
   return d;
 }
 
-/// Env-independent pipeline config; distributed-index overlap so stage 2
-/// also exercises the mpr runtime concurrently.
+/// Env-independent pipeline config; the distributed strategy puts stage 2
+/// inside the fault envelope, so a plan reaches it.
 core::FocusConfig jobs_config(dist::DistProtocol protocol,
                               unsigned width = 0) {
   core::FocusConfig cfg{EnvSnapshot{}};
@@ -122,12 +122,18 @@ TEST(ConcurrentAssemblers, HeavyWidthSweepMatchesSerial) {
 }
 
 TEST(ConcurrentAssemblers, MixedConfigurationsShareTheProcess) {
-  // The two concurrent jobs deliberately disagree on protocol, seed strategy
-  // and width: nothing one job configures may leak into the other.
+  // The two concurrent jobs deliberately disagree on protocol, seed strategy,
+  // fault plan and width: nothing one job configures may leak into the
+  // other. Both strategies run find_overlaps_parallel under an empty plan,
+  // so the second job carries a plan whose only crash point never fires:
+  // its stage 2 (and preprocess and simplify) take the recovering drivers
+  // while the first job's take the fault-free ones.
   core::FocusConfig all_pairs = jobs_config(dist::DistProtocol::kMaster, 2);
   all_pairs.overlap.strategy = align::SeedStrategy::kAllPairs;
-  run_concurrent_pair(all_pairs, jobs_config(dist::DistProtocol::kSymmetric, 8),
-                      "mixed configs");
+  core::FocusConfig recovering =
+      jobs_config(dist::DistProtocol::kSymmetric, 8);
+  recovering.fault_plan.crashes.push_back({1, std::uint64_t{1} << 62});
+  run_concurrent_pair(all_pairs, recovering, "mixed configs");
 }
 
 TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {

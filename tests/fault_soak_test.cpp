@@ -1,6 +1,7 @@
 // Whole-pipeline chaos soak (ctest label: soak): the full FocusAssembler —
-// preprocess, distributed-index overlap, coarsen, hybrid, partition,
-// simplify, traverse — run under crash sweeps and mixed-fault storms
+// preprocess, overlap (the distributed strategy, which puts the subset-pair
+// scans inside the fault envelope), coarsen, hybrid, partition, simplify,
+// traverse — run under crash sweeps and mixed-fault storms
 // (crashes, drops, duplicates, corruption, delays), across both wire
 // protocols. Every run must recover the byte-identical fault-free assembly,
 // and same-seed runs must produce bit-identical RunStats. The heavier sweep
@@ -25,6 +26,7 @@ const sim::Dataset& soak_dataset() {
 
 FocusConfig soak_config(dist::DistProtocol protocol) {
   FocusConfig cfg;
+  // Stage 2 under the fault plan: the recovering subset-pair driver.
   cfg.overlap.strategy = align::SeedStrategy::kDistributedIndex;
   cfg.overlap.k = 14;
   cfg.overlap.min_kmer_hits = 3;

@@ -532,10 +532,11 @@ TEST(DistFaultSymmetric, RetriesExhaustedThrows) {
   EXPECT_THROW(run_drivers(3, plan, fault, kSymCfg), Error);
 }
 
-// --- Fault-tolerant distributed-index overlap driver ------------------------
+// --- Fault-tolerant overlap driver (stage 2) --------------------------------
 
-/// Small simulated read set (~100 preprocessed reads): two query blocks of
-/// the FT overlap driver, enough for reassignments to move real work.
+/// Small simulated read set (~100 preprocessed reads): ten subset pairs, the
+/// replay partitions of the recovering overlap driver, so reassignments move
+/// real work at every rank count here.
 const io::ReadSet& overlap_fault_reads() {
   static const io::ReadSet reads = [] {
     const sim::Dataset d = sim::make_dataset(1, /*scale=*/0.13,
@@ -545,13 +546,12 @@ const io::ReadSet& overlap_fault_reads() {
   return reads;
 }
 
-std::vector<align::Overlap> run_overlap_driver(
+dist::ParallelOverlapResult run_overlap_driver(
     int nranks, const mpr::FaultPlan& plan = {},
     const mpr::FaultConfig& fault = {},
     const dist::DistConfig& dcfg = {dist::DistProtocol::kMaster}) {
   return dist::overlap_parallel(overlap_fault_reads(), align::OverlapperConfig{},
-                                nranks, {}, plan, fault, dcfg)
-      .overlaps;
+                                nranks, {}, plan, fault, dcfg);
 }
 
 void expect_same_overlaps(const std::vector<align::Overlap>& got,
@@ -567,31 +567,71 @@ void expect_same_overlaps(const std::vector<align::Overlap>& got,
   }
 }
 
-TEST(OverlapFault, EmptyPlanMatchesAllPairsAndShardedPaths) {
-  // The FT envelope with no plan is the sharded fast path; both must equal
-  // the all-pairs serial reference on the same reads.
-  const auto want =
-      align::find_overlaps_serial(overlap_fault_reads(), align::OverlapperConfig{});
-  for (const int nranks : {1, 3}) {
-    expect_same_overlaps(run_overlap_driver(nranks), want,
-                         "fault-free ranks " + std::to_string(nranks));
+// An empty plan is find_overlaps_parallel, RunStats included; a plan whose
+// only crash point never fires runs the recovering driver with nothing
+// injected. Both return the serial oracle's bytes under both protocols.
+TEST(OverlapFault, EmptyPlanIsAllPairsAndNeverFiringPlanMatchesIt) {
+  const auto want = align::find_overlaps_serial(overlap_fault_reads(),
+                                                align::OverlapperConfig{});
+  mpr::FaultPlan armed;
+  armed.crashes.push_back({1, std::uint64_t{1} << 62});
+  for (const auto protocol :
+       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+    const dist::DistConfig dcfg{protocol};
+    for (int nranks = 1; nranks <= 4; ++nranks) {
+      const std::string context =
+          std::string(protocol == dist::DistProtocol::kSymmetric ? "symmetric"
+                                                                 : "master") +
+          " ranks " + std::to_string(nranks);
+      const auto fast = align::find_overlaps_parallel(
+          overlap_fault_reads(), align::OverlapperConfig{}, nranks);
+      const auto empty = run_overlap_driver(nranks, {}, {}, dcfg);
+      expect_same_overlaps(empty.overlaps, want, "empty plan " + context);
+      EXPECT_EQ(empty.run.makespan, fast.stats.makespan) << context;
+      EXPECT_EQ(empty.run.messages, fast.stats.messages) << context;
+      EXPECT_EQ(empty.run.bytes, fast.stats.bytes) << context;
+      const auto recovering = run_overlap_driver(nranks, armed, {}, dcfg);
+      expect_same_overlaps(recovering.overlaps, want,
+                           "never-firing plan " + context);
+      EXPECT_EQ(recovering.run.ranks_failed, 0) << context;
+      EXPECT_EQ(recovering.run.retries, 0u) << context;
+    }
   }
 }
 
-// Crash a single worker at every op position it can reach during the overlap
+/// Crashes `victim` at op 1, 2, ... — every op it reaches — and expects the
+/// fault-free overlap set from each run. The sweep ends at the first op the
+/// victim never reaches (no rank failed); returns that op.
+std::uint64_t crash_sweep_overlaps(int nranks, Rank victim,
+                                   const dist::DistConfig& dcfg,
+                                   const std::vector<align::Overlap>& want) {
+  std::uint64_t op = 1;
+  for (;; ++op) {
+    EXPECT_LE(op, 64u) << "victim " << victim << ": sweep did not end";
+    if (op > 64) break;
+    mpr::FaultPlan plan;
+    plan.crashes.push_back({victim, op});
+    const auto got = run_overlap_driver(nranks, plan, {}, dcfg);
+    expect_same_overlaps(got.overlaps, want,
+                         "rank " + std::to_string(victim) + " crashed at op " +
+                             std::to_string(op));
+    if (got.run.ranks_failed == 0) break;
+  }
+  return op;
+}
+
+// Crash a single worker at every op position it reaches during the overlap
 // phase; the recovered overlap set must be exactly the fault-free one.
 TEST(OverlapFault, CrashAtEveryWorkerOpRecoversExactOverlaps) {
   const int nranks = 3;
-  const auto want = run_overlap_driver(nranks);
+  const auto want = run_overlap_driver(nranks).overlaps;
   for (Rank worker = 1; worker < nranks; ++worker) {
-    for (std::uint64_t op = 1; op <= 6; ++op) {
-      mpr::FaultPlan plan;
-      plan.crashes.push_back({worker, op});
-      const auto got = run_overlap_driver(nranks, plan);
-      expect_same_overlaps(got, want,
-                           "worker " + std::to_string(worker) +
-                               " crashed at op " + std::to_string(op));
-    }
+    // A worker receives its scan command, sends its records and receives
+    // the shutdown: at least three ops before the sweep runs off its end.
+    EXPECT_GT(crash_sweep_overlaps(nranks, worker,
+                                   {dist::DistProtocol::kMaster}, want),
+              3u)
+        << "worker " << worker;
   }
 }
 
@@ -600,32 +640,27 @@ TEST(OverlapFault, CrashAtEveryWorkerOpRecoversExactOverlaps) {
 // from the replicated WAL.
 TEST(OverlapFault, SymmetricCrashAtEveryOpOnEveryRankRecovers) {
   const int nranks = 3;
-  const dist::DistConfig sym{dist::DistProtocol::kSymmetric};
-  const auto want = run_overlap_driver(nranks);
+  const auto want = run_overlap_driver(nranks).overlaps;
   for (Rank victim = 0; victim < nranks; ++victim) {
-    for (std::uint64_t op = 1; op <= 6; ++op) {
-      mpr::FaultPlan plan;
-      plan.crashes.push_back({victim, op});
-      const auto got = run_overlap_driver(nranks, plan, {}, sym);
-      expect_same_overlaps(got, want,
-                           "symmetric rank " + std::to_string(victim) +
-                               " crashed at op " + std::to_string(op));
-    }
+    EXPECT_GT(crash_sweep_overlaps(nranks, victim,
+                                   {dist::DistProtocol::kSymmetric}, want),
+              3u)
+        << "victim " << victim;
   }
 }
 
 TEST(OverlapFault, SingleRankMasterToleratesPlanWithoutWorkers) {
   mpr::FaultPlan plan;
   plan.crashes.push_back({1, 1});
-  expect_same_overlaps(run_overlap_driver(1, plan), run_overlap_driver(1),
-                       "single-rank overlap");
+  expect_same_overlaps(run_overlap_driver(1, plan).overlaps,
+                       run_overlap_driver(1).overlaps, "single-rank overlap");
 }
 
 // Mixed message faults (drops, duplicates, corruption, delays) over several
 // seeds: replay recovery must reproduce the fault-free overlap set each time.
 TEST(OverlapFault, StressRandomMessageFaultsAlwaysRecover) {
   const int nranks = 3;
-  const auto want = run_overlap_driver(nranks);
+  const auto want = run_overlap_driver(nranks).overlaps;
   mpr::FaultConfig fault;
   fault.max_retries = 32;
   for (const auto protocol :
@@ -639,7 +674,7 @@ TEST(OverlapFault, StressRandomMessageFaultsAlwaysRecover) {
       plan.p_corrupt = 0.05;
       plan.p_delay = 0.05;
       expect_same_overlaps(
-          run_overlap_driver(nranks, plan, fault, dcfg), want,
+          run_overlap_driver(nranks, plan, fault, dcfg).overlaps, want,
           "trial " + std::to_string(trial) +
               (protocol == dist::DistProtocol::kSymmetric ? " symmetric"
                                                           : " master"));

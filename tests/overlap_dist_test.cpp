@@ -1,25 +1,26 @@
-// Distributed-index overlap equivalence suite: the mpr-sharded k-mer index
-// strategy (SeedStrategy::kDistributedIndex) must produce byte-identical
-// overlap sets to the all-pairs path — across rank counts, thread widths,
-// datasets, and config sweeps (k, max_kmer_occurrences, subset counts),
-// including the degenerate shard layouts. Plus the routing property tests:
-// shard ownership is a pure function of (key, ranks), reruns are
-// deterministic down to the message counts, and duplicate candidate pairs
-// from multi-seed hits collapse to one canonical record.
+// All-pairs oracle suite for the stage-2 drivers: find_overlaps_parallel
+// (the fault-free mpr driver) and dist::overlap_parallel (the same subset
+// pairs inside the fault envelope) must return find_overlaps_serial's bytes
+// across rank counts, thread widths, datasets, wire protocols and config
+// sweeps (k, max_kmer_occurrences, subset counts, seed backend), including
+// the degenerate inputs: reads shorter than k, more ranks than reads,
+// homopolymers. The recovering driver runs with an empty plan and with a
+// never-firing plan ({rank 1, op 2^62}): the first is find_overlaps_parallel
+// itself, the second runs the recovering protocol with nothing injected.
+// Plus the input contract every entry point shares and rerun determinism.
 //
 // Heavy grid variants are labelled perf-smoke in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "align/kmer_index.hpp"
 #include "align/overlapper.hpp"
-#include "align/shard_index.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dist/parallel.hpp"
 #include "io/preprocess.hpp"
 #include "sim/datasets.hpp"
 
@@ -60,11 +61,46 @@ io::ReadSet reads_from(const std::vector<std::string>& seqs) {
   return reads;
 }
 
+/// A plan whose only crash point is never reached: the recovering driver
+/// runs, nothing is injected.
+mpr::FaultPlan never_firing_plan() {
+  mpr::FaultPlan plan;
+  plan.crashes.push_back({1, std::uint64_t{1} << 62});
+  return plan;
+}
+
+constexpr dist::DistProtocol kProtocols[] = {dist::DistProtocol::kMaster,
+                                             dist::DistProtocol::kSymmetric};
+
+std::string protocol_name(dist::DistProtocol p) {
+  return p == dist::DistProtocol::kSymmetric ? "symmetric" : "master";
+}
+
+/// Runs both stage-2 drivers at `nranks` — find_overlaps_parallel, then the
+/// recovering driver under a never-firing plan in both protocols — and
+/// expects `want` from each.
+void expect_drivers_match(const io::ReadSet& reads,
+                          const OverlapperConfig& cfg, int nranks,
+                          const std::vector<Overlap>& want,
+                          const std::string& ctx) {
+  EXPECT_TRUE(
+      identical(find_overlaps_parallel(reads, cfg, nranks).overlaps, want))
+      << ctx << " find_overlaps_parallel ranks " << nranks;
+  for (const auto protocol : kProtocols) {
+    const auto got = dist::overlap_parallel(reads, cfg, nranks, {},
+                                            never_firing_plan(), {},
+                                            {protocol});
+    EXPECT_TRUE(identical(got.overlaps, want))
+        << ctx << " recovering " << protocol_name(protocol) << " ranks "
+        << nranks;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Serial reference: the single-shard pipeline against the all-pairs driver
+// Config sweeps against the serial oracle
 // ---------------------------------------------------------------------------
 
-TEST(DistributedOverlap, SerialPipelineMatchesAllPairsAcrossConfigs) {
+TEST(DistributedOverlap, ParallelDriversMatchSerialAcrossConfigs) {
   const io::ReadSet reads = dataset_reads(1);
   for (const unsigned k : {12u, 16u}) {
     for (const std::size_t max_occ : {std::size_t{16}, std::size_t{64}}) {
@@ -75,73 +111,125 @@ TEST(DistributedOverlap, SerialPipelineMatchesAllPairsAcrossConfigs) {
         cfg.max_kmer_occurrences = max_occ;
         cfg.subsets = subsets;
         const auto want = find_overlaps_serial(reads, cfg);
-        const auto got = find_overlaps_distributed_serial(reads, cfg);
-        EXPECT_TRUE(identical(got, want))
-            << "k=" << k << " max_occ=" << max_occ << " subsets=" << subsets;
+        expect_drivers_match(reads, cfg, 3, want,
+                             "k=" + std::to_string(k) + " max_occ=" +
+                                 std::to_string(max_occ) +
+                                 " subsets=" + std::to_string(subsets));
       }
     }
   }
 }
 
-TEST(DistributedOverlap, SerialPipelineMatchesSuffixArrayOracle) {
-  // The distributed pipeline always seeds from the hashed shard; it must
-  // still agree with an all-pairs run seeded by the suffix-array oracle.
+TEST(DistributedOverlap, ParallelDriversMatchSuffixArrayOracle) {
+  // Both drivers honour the seed backend: seeded by the suffix array, they
+  // still return the hashed serial oracle's bytes.
   const io::ReadSet reads = dataset_reads(2);
   OverlapperConfig cfg;
+  const auto want = find_overlaps_serial(reads, cfg);
   cfg.seed_backend = SeedBackend::kSuffixArray;
-  const auto oracle = find_overlaps_serial(reads, cfg);
-  const auto got = find_overlaps_distributed_serial(reads, cfg);
-  EXPECT_TRUE(identical(got, oracle));
+  expect_drivers_match(reads, cfg, 4, want, "suffix array");
 }
 
 // ---------------------------------------------------------------------------
-// The full grid: ranks x thread widths x datasets (perf-smoke label)
+// The full grid: ranks x thread widths x datasets x protocols (perf-smoke)
 // ---------------------------------------------------------------------------
 
 TEST(DistributedOverlapHeavy, GridRanksThreadsDatasetsByteIdentical) {
   for (const int ds : {1, 2, 3}) {
     const io::ReadSet reads = dataset_reads(ds, /*scale=*/0.25);
     OverlapperConfig cfg;
+    const auto want = find_overlaps_serial(reads, cfg);
 
-    // All-pairs oracle at every pooled width; widths must agree pairwise.
-    cfg.threads = 1;
-    const auto want = find_overlaps(reads, cfg);
-    for (const unsigned threads : {2u, 4u}) {
+    // Pooled widths agree with the serial oracle.
+    for (const unsigned threads : {1u, 2u, 4u}) {
       cfg.threads = threads;
       EXPECT_TRUE(identical(find_overlaps(reads, cfg), want))
           << "dataset " << ds << " threads " << threads;
     }
 
-    // Sharded protocol at every rank count against the same oracle.
     for (const int nranks : {1, 2, 4, 8}) {
-      const auto got = find_overlaps_sharded(reads, cfg, nranks);
-      EXPECT_TRUE(identical(got.overlaps, want))
-          << "dataset " << ds << " ranks " << nranks;
+      const std::string ctx =
+          "dataset " + std::to_string(ds) + " ranks " + std::to_string(nranks);
+      const auto fast = find_overlaps_parallel(reads, cfg, nranks);
+      EXPECT_TRUE(identical(fast.overlaps, want)) << ctx;
+      for (const auto protocol : kProtocols) {
+        const dist::DistConfig dcfg{protocol};
+        const std::string pctx = ctx + " " + protocol_name(protocol);
+
+        // Empty plan: find_overlaps_parallel, RunStats included.
+        const auto empty =
+            dist::overlap_parallel(reads, cfg, nranks, {}, {}, {}, dcfg);
+        EXPECT_TRUE(identical(empty.overlaps, want)) << pctx;
+        EXPECT_EQ(empty.run.makespan, fast.stats.makespan) << pctx;
+        EXPECT_EQ(empty.run.messages, fast.stats.messages) << pctx;
+
+        // Never-firing plan: the recovering driver scans the same pairs on
+        // the same ranks with the same work charges, so its makespan stays
+        // within 1% of the fault-free driver's. The symmetric protocol also
+        // replicates the merged set to every other rank's log before it
+        // publishes it; that write-ahead-log charge comes on top.
+        const auto armed = dist::overlap_parallel(
+            reads, cfg, nranks, {}, never_firing_plan(), {}, dcfg);
+        EXPECT_TRUE(identical(armed.overlaps, want)) << pctx;
+        EXPECT_EQ(armed.run.retries, 0u) << pctx;
+        EXPECT_EQ(armed.run.ranks_failed, 0) << pctx;
+        const double wal_charge =
+            protocol == dist::DistProtocol::kSymmetric
+                ? (nranks - 1) * mpr::CostModel{}.message_cost(
+                                     sizeof(std::uint64_t) +
+                                     want.size() * sizeof(Overlap))
+                : 0.0;
+        EXPECT_LE(std::abs(armed.run.makespan - fast.stats.makespan),
+                  0.01 * fast.stats.makespan + wal_charge)
+            << pctx << ": " << armed.run.makespan << " vs "
+            << fast.stats.makespan;
+      }
     }
   }
 }
 
-TEST(DistributedOverlapHeavy, StrategyDispatchInParallelDriver) {
-  // find_overlaps_parallel must honour OverlapperConfig::strategy: both
-  // strategies through the same entry point, same bytes out.
-  const io::ReadSet reads = dataset_reads(1, /*scale=*/0.25);
-  OverlapperConfig cfg;
-  for (const int nranks : {1, 3, 4}) {
-    cfg.strategy = SeedStrategy::kAllPairs;
-    const auto want = find_overlaps_parallel(reads, cfg, nranks);
-    cfg.strategy = SeedStrategy::kDistributedIndex;
-    const auto got = find_overlaps_parallel(reads, cfg, nranks);
-    EXPECT_TRUE(identical(got.overlaps, want.overlaps)) << "ranks " << nranks;
+// Crash one rank at every op it reaches, for every rank count above one and
+// both protocols: the recovered overlap set is the serial oracle's. The
+// master protocol cannot lose rank 0, so its victim is the last worker; the
+// symmetric one loses its first coordinator. A sweep ends at the first op
+// the victim never reaches (no rank failed).
+TEST(DistributedOverlapHeavy, CrashAtEveryOpRecoversSerialBytes) {
+  for (const int ds : {1, 2, 3}) {
+    const io::ReadSet reads = dataset_reads(ds, /*scale=*/0.25);
+    OverlapperConfig cfg;
+    const auto want = find_overlaps_serial(reads, cfg);
+    for (const int nranks : {2, 4, 8}) {
+      for (const auto protocol : kProtocols) {
+        const Rank victim =
+            protocol == dist::DistProtocol::kMaster ? nranks - 1 : 0;
+        const std::string ctx = "dataset " + std::to_string(ds) + " ranks " +
+                                std::to_string(nranks) + " " +
+                                protocol_name(protocol) + " victim " +
+                                std::to_string(victim);
+        std::uint64_t op = 1;
+        for (;; ++op) {
+          ASSERT_LE(op, 64u) << ctx << ": crash sweep did not terminate";
+          mpr::FaultPlan plan;
+          plan.crashes.push_back({victim, op});
+          const auto got = dist::overlap_parallel(reads, cfg, nranks, {}, plan,
+                                                  {}, {protocol});
+          EXPECT_TRUE(identical(got.overlaps, want))
+              << ctx << " crashed at op " << op;
+          if (got.run.ranks_failed == 0) break;
+        }
+        EXPECT_GT(op, 1u) << ctx << ": the victim never crashed";
+      }
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate shard layouts
+// Degenerate inputs
 // ---------------------------------------------------------------------------
 
-TEST(DistributedOverlap, HomopolymersPutEveryKeyOnOneShard) {
-  // Every k-mer of a poly-A read is the same key, so at 8 ranks exactly one
-  // shard holds postings and seven are empty — the worst skew possible.
+TEST(DistributedOverlap, HomopolymersSurviveOnlyTheRelaxedRepeatMask) {
+  // Every k-mer of a poly-A read is the same key: the default repeat mask
+  // drops it, a relaxed mask keeps every hit of every read.
   const io::ReadSet reads =
       reads_from({std::string(100, 'A'), std::string(100, 'A'),
                   std::string(90, 'A'), std::string(100, 'A')});
@@ -151,13 +239,12 @@ TEST(DistributedOverlap, HomopolymersPutEveryKeyOnOneShard) {
     cfg.subsets = 2;
     const auto want = find_overlaps_serial(reads, cfg);
     for (const int nranks : {1, 8}) {
-      const auto got = find_overlaps_sharded(reads, cfg, nranks);
-      EXPECT_TRUE(identical(got.overlaps, want))
-          << "max_occ=" << max_occ << " ranks=" << nranks;
+      expect_drivers_match(reads, cfg, nranks, want,
+                           "max_occ=" + std::to_string(max_occ));
     }
     // Sanity: the relaxed mask must actually find the overlaps the default
     // mask suppresses, or this case tests nothing.
-    if (max_occ == 1000) EXPECT_FALSE(want.empty());
+    EXPECT_EQ(want.empty(), max_occ == 64) << "max_occ=" << max_occ;
   }
 }
 
@@ -172,8 +259,7 @@ TEST(DistributedOverlap, ReadsShorterThanKContributeNothing) {
   const auto want = find_overlaps_serial(reads, cfg);
   EXPECT_FALSE(want.empty());
   for (const int nranks : {1, 2, 4, 8}) {
-    const auto got = find_overlaps_sharded(reads, cfg, nranks);
-    EXPECT_TRUE(identical(got.overlaps, want)) << "ranks " << nranks;
+    expect_drivers_match(reads, cfg, nranks, want, "short reads");
   }
   for (const auto& o : want) {
     EXPECT_NE(o.query, 2u);
@@ -184,85 +270,71 @@ TEST(DistributedOverlap, ReadsShorterThanKContributeNothing) {
 }
 
 TEST(DistributedOverlap, TinyAndDisjointSetsStayEmpty) {
-  // More ranks than reads, and reads with no shared k-mers: both paths agree
-  // on the empty answer (and the protocol survives empty stripes).
+  // More ranks than reads (and than subset pairs), and reads with no shared
+  // k-mers: every driver agrees on the empty answer, and idle ranks finish.
   Rng rng(11);
   const io::ReadSet disjoint =
       reads_from({random_seq(rng, 120), random_seq(rng, 120)});
   OverlapperConfig cfg;
-  for (const int nranks : {1, 4, 8}) {
-    const auto got = find_overlaps_sharded(disjoint, cfg, nranks);
-    EXPECT_TRUE(got.overlaps.empty()) << "ranks " << nranks;
-  }
   EXPECT_TRUE(find_overlaps_serial(disjoint, cfg).empty());
+  for (const int nranks : {1, 4, 8}) {
+    expect_drivers_match(disjoint, cfg, nranks, {}, "disjoint");
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: routing, determinism, dedup
+// Determinism and the input contract
 // ---------------------------------------------------------------------------
-
-TEST(ShardRouting, OwnerIsPureInRangeAndSpreads) {
-  Rng rng(1234);
-  std::vector<std::size_t> per_rank(8, 0);
-  for (int i = 0; i < 4096; ++i) {
-    const std::uint64_t key = rng.next_u64();
-    for (const int nranks : {1, 2, 5, 8}) {
-      const int owner = shard_owner(key, nranks);
-      ASSERT_GE(owner, 0);
-      ASSERT_LT(owner, nranks);
-      // Pure: same (key, nranks) always maps to the same rank.
-      ASSERT_EQ(owner, shard_owner(key, nranks));
-    }
-    ++per_rank[static_cast<std::size_t>(shard_owner(key, 8))];
-  }
-  for (int r = 0; r < 8; ++r) {
-    // splitmix64 over 4096 keys: each of 8 ranks expects ~512; a rank with
-    // under a quarter of that means the hash is not spreading.
-    EXPECT_GT(per_rank[static_cast<std::size_t>(r)], 128u) << "rank " << r;
-  }
-  // Ownership agrees with what the extractors actually route.
-  const io::ReadSet reads = reads_from({"ACGTACGTACGTACGTACGTACGT"});
-  const auto buckets = extract_shard_postings(reads, 0, 1, 16, 4);
-  for (std::size_t r = 0; r < buckets.size(); ++r) {
-    for (const ShardPosting& p : buckets[r]) {
-      EXPECT_EQ(shard_owner(p.key, 4), static_cast<int>(r));
-    }
-  }
-}
 
 TEST(DistributedOverlap, RerunIsDeterministicDownToTheMessages) {
   const io::ReadSet reads = dataset_reads(1);
   OverlapperConfig cfg;
-  const auto a = find_overlaps_sharded(reads, cfg, 4);
-  const auto b = find_overlaps_sharded(reads, cfg, 4);
+  const auto expect_same_run = [](const mpr::RunStats& a,
+                                  const mpr::RunStats& b,
+                                  const std::string& ctx) {
+    EXPECT_EQ(a.makespan, b.makespan) << ctx;
+    EXPECT_EQ(a.rank_vtime, b.rank_vtime) << ctx;
+    EXPECT_EQ(a.messages, b.messages) << ctx;
+    EXPECT_EQ(a.bytes, b.bytes) << ctx;
+  };
+  const auto a = find_overlaps_parallel(reads, cfg, 4);
+  const auto b = find_overlaps_parallel(reads, cfg, 4);
   EXPECT_TRUE(identical(a.overlaps, b.overlaps));
-  EXPECT_EQ(a.stats.makespan, b.stats.makespan);
-  EXPECT_EQ(a.stats.rank_vtime, b.stats.rank_vtime);
-  EXPECT_EQ(a.stats.messages, b.stats.messages);
-  EXPECT_EQ(a.stats.bytes, b.stats.bytes);
+  expect_same_run(a.stats, b.stats, "find_overlaps_parallel");
+  for (const auto protocol : kProtocols) {
+    const auto c = dist::overlap_parallel(reads, cfg, 4, {},
+                                          never_firing_plan(), {}, {protocol});
+    const auto d = dist::overlap_parallel(reads, cfg, 4, {},
+                                          never_firing_plan(), {}, {protocol});
+    EXPECT_TRUE(identical(c.overlaps, d.overlaps));
+    expect_same_run(c.run, d.run, protocol_name(protocol));
+  }
 }
 
-TEST(DistributedOverlap, MultiSeedPairsCollapseToOneCanonicalRecord) {
-  // Two reads sharing a long exact segment produce dozens of seed hits for
-  // the same (query, ref) pair — across several shards at 4 ranks. They must
-  // dedupe to exactly one canonical record per unordered pair, matching the
-  // all-pairs answer.
-  Rng rng(21);
-  const std::string genome = random_seq(rng, 200);
+TEST(DistributedOverlap, EveryEntryPointRejectsSeedLengthOutsideItsRange) {
+  // One input contract for stage 2: k in [8, 32], checked before any work.
+  Rng rng(5);
+  const std::string genome = random_seq(rng, 300);
   const io::ReadSet reads =
-      reads_from({genome.substr(0, 140), genome.substr(60, 140)});
-  OverlapperConfig cfg;
-  cfg.subsets = 1;
-  const auto want = find_overlaps_serial(reads, cfg);
-  const auto got = find_overlaps_sharded(reads, cfg, 4);
-  EXPECT_TRUE(identical(got.overlaps, want));
-  std::map<std::pair<ReadId, ReadId>, int> pair_counts;
-  for (const auto& o : got.overlaps) {
-    ++pair_counts[{std::min(o.query, o.ref), std::max(o.query, o.ref)}];
+      reads_from({genome.substr(0, 200), genome.substr(100, 200)});
+  for (const unsigned k : {7u, 33u}) {
+    OverlapperConfig cfg;
+    cfg.k = k;
+    cfg.min_overlap = 20;
+    SCOPED_TRACE("k=" + std::to_string(k));
+    EXPECT_THROW(find_overlaps_serial(reads, cfg), Error);
+    cfg.threads = 2;
+    EXPECT_THROW(find_overlaps(reads, cfg), Error);
+    EXPECT_THROW(find_overlaps_parallel(reads, cfg, 2), Error);
+    for (const auto protocol : kProtocols) {
+      EXPECT_THROW(dist::overlap_parallel(reads, cfg, 2, {}, {}, {},
+                                          {protocol}),
+                   Error);
+      EXPECT_THROW(dist::overlap_parallel(reads, cfg, 2, {},
+                                          never_firing_plan(), {}, {protocol}),
+                   Error);
+    }
   }
-  ASSERT_EQ(pair_counts.size(), 1u);
-  EXPECT_EQ(pair_counts.begin()->second, 1);
-  EXPECT_EQ(pair_counts.begin()->first, (std::pair<ReadId, ReadId>{0u, 1u}));
 }
 
 // ---------------------------------------------------------------------------

@@ -193,6 +193,28 @@ TEST(Pipeline, TimingsRecordedForEveryStage) {
   EXPECT_GT(result.total_vtime(), 0.0);
 }
 
+// Stage 2 reports the RunStats of whichever driver ran, like every other
+// distributed stage, under both strategy values.
+TEST(Pipeline, AlignRunReportsTheStageTwoDriver) {
+  const auto reads = single_genome_reads(48, 2000, 10.0);
+  for (const auto strategy : {align::SeedStrategy::kAllPairs,
+                              align::SeedStrategy::kDistributedIndex}) {
+    FocusConfig cfg = test_config();
+    cfg.ranks = 4;
+    cfg.overlap.strategy = strategy;
+    cfg.fault_plan = mpr::FaultPlan{};
+    const auto result = assemble_reads(reads.reads, cfg);
+    const std::string ctx =
+        strategy == align::SeedStrategy::kAllPairs ? "all-pairs"
+                                                   : "distributed";
+    EXPECT_EQ(result.align_run.makespan, result.timings.at("2-align").vtime)
+        << ctx;
+    EXPECT_GT(result.align_run.messages, 0u) << ctx;
+    EXPECT_GT(result.align_run.bytes, 0u) << ctx;
+    EXPECT_EQ(result.align_run.rank_vtime.size(), 4u) << ctx;
+  }
+}
+
 TEST(Pipeline, DeterministicEndToEnd) {
   const auto reads = single_genome_reads(46, 2000, 10.0);
   const auto a = assemble_reads(reads.reads, test_config());

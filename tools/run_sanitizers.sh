@@ -8,15 +8,18 @@
 # padded sequence copies in AlignScratch are what ASan checks), the
 # partitioner determinism suite (fork_join recursion, pooled KL/k-way
 # scoring, concurrent multi-trial initial bisections, the chunked KL pair
-# search, byte-identical partitions across thread widths), the
-# distributed-index overlap suite
-# (sharded k-mer index alltoall rounds across rank counts, per-subset repeat
-# masking, the FT overlap driver's block replay), the protocol-equivalence
-# suite (master vs symmetric simplify/traverse across rank counts: the
-# owner-computes simplify and the shared-WAL rotating coordinator), the
+# search, byte-identical partitions across thread widths), the stage-2
+# oracle suite (overlap_dist_test: find_overlaps_parallel and the recovering
+# subset-pair driver against find_overlaps_serial across rank counts and
+# both protocols, with empty, never-firing and crash-at-every-op plans: the
+# per-rank reference index released after its last pair, the merge freeing
+# record vectors, the symmetric publish from the WAL entry in place), the
+# protocol-equivalence suite (master vs symmetric simplify/traverse across
+# rank counts: the owner-computes simplify and the shared-WAL rotating
+# coordinator), the
 # fault-injection suite (label `fault`: crash-at-every-op recovery sweeps
-# over every FT driver — preprocess, distributed-index overlap, partition,
-# simplify, traverse, variants, including symmetric-coordinator rotation —
+# over every FT driver — preprocess, overlap, partition, simplify,
+# traverse, variants, including symmetric-coordinator rotation —
 # plus mixed-fault stress of the runtime's timeout/CRC detection paths, the
 # FaultEnv malformed-knob tests, and the empty-plan check that partition,
 # traverse and variants run their recovering driver, which is therefore
@@ -28,8 +31,8 @@
 # concurrent lanes, JobScheduler admission + virtual-time fair share), the
 # concurrent-assembler determinism suite (concurrent_jobs_test: two
 # simultaneous in-process pipelines vs the serial oracle across protocols ×
-# seed strategies × pool widths — the TSan proof obligation for the
-# EnvSnapshot sweep and the per-pool TLS slot fix), and bench_jobs's
+# seed strategies × fault plans × pool widths — the TSan proof obligation
+# for the EnvSnapshot sweep and the per-pool TLS slot fix), and bench_jobs's
 # multi-tenant scheduler smoke (label `perf-smoke`) are exercised under both
 # memory/UB and data-race checking.
 #

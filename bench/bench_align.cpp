@@ -16,13 +16,16 @@
 //     driver (dist::overlap_parallel) on the same subset pairs under a plan
 //     whose only crash point never fires, in both wire protocols. These come
 //     from the vtime task model, not the host's cores, and every driver's
-//     output is identity-checked against the reference first.
-// Every timed run is checked byte-identical against the suffix-array serial
-// reference before its timing is reported. The json's "provenance" object
-// labels each field as measured (host wall clock or counter) or modeled
-// (virtual time). Exit status is nonzero if any equivalence or
-// zero-allocation check fails, so the smoke invocation doubles as a ctest
-// (label: perf-smoke). Default output: BENCH_align.json.
+//     output is identity-checked against the reference first;
+//   * heavy-edge-matching coarsening (build_multilevel) serial vs the pool
+//     at 1/2/4/8 threads, on the overlap graph of the reference overlaps.
+// Every timed run is checked byte-identical against its serial reference
+// (the suffix-array overlap set, the serial coarsening hierarchy) before its
+// timing is reported. The json's "provenance" object labels each field as
+// measured (host wall clock or counter) or modeled (virtual time). Exit
+// status is nonzero if any equivalence or zero-allocation check fails, so
+// the smoke invocation doubles as a ctest (label: perf-smoke). Default
+// output: BENCH_align.json.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +42,8 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "dist/parallel.hpp"
+#include "graph/coarsen.hpp"
+#include "graph/graph.hpp"
 #include "io/preprocess.hpp"
 #include "sim/datasets.hpp"
 #include "sim/genome.hpp"
@@ -158,29 +163,6 @@ struct BackendRun {
   double overlaps_per_s = 0.0;
 };
 
-// Pre-overhaul wall-clock reference: bench_threads.json records the serial
-// alignment seconds measured with the original kernel (suffix-array seeding,
-// guarded single-pass NW) on the same dataset, config, and host. Scraped
-// when present so the json can report the speedup against the true pre-PR
-// kernel, not just against the in-tree suffix-array backend (which shares
-// this PR's faster NW).
-double pre_pr_serial_seconds(const char* path) {
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) return 0.0;
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  const auto overlap = text.find("\"overlap\"");
-  if (overlap == std::string::npos) return 0.0;
-  const auto key = text.find("\"serial_seconds\":", overlap);
-  if (key == std::string::npos) return 0.0;
-  return std::atof(text.c_str() + key + std::strlen("\"serial_seconds\":"));
-}
-
 BackendRun timed_run(const io::ReadSet& reads, align::OverlapperConfig cfg,
                      int repeats, std::size_t overlap_count) {
   BackendRun out;
@@ -293,20 +275,32 @@ int main(int argc, char** argv) {
     modeled_runs.push_back(m);
   }
 
+  // 5 — heavy-edge-matching coarsening, serial vs the pool. Graphs below
+  // the pooled-matching size threshold run serially at every width.
+  const graph::Graph g0 = graph::build_overlap_graph(reads.size(), reference);
+  graph::CoarsenConfig ccfg = bench::bench_config().coarsen;
+  ccfg.threads = 1;
+  graph::GraphHierarchy serial_hierarchy;
+  const double coarsen_serial_seconds = best_of(repeats, [&] {
+    Timer t;
+    serial_hierarchy = graph::build_multilevel(g0, ccfg);
+    return t.seconds();
+  });
+  std::vector<double> coarsen_pool_seconds;
+  for (const unsigned width : kWidths) {
+    ccfg.threads = width;
+    graph::GraphHierarchy pooled;
+    coarsen_pool_seconds.push_back(best_of(repeats, [&] {
+      Timer t;
+      pooled = graph::build_multilevel(g0, ccfg);
+      return t.seconds();
+    }));
+    all_identical &= pooled.parent == serial_hierarchy.parent &&
+                     pooled.depth() == serial_hierarchy.depth();
+  }
+
   const bool zero_alloc =
       probe.full_pass_allocs == 0 && probe.score_pass_allocs == 0;
-
-  // Only meaningful in full mode: the recorded baseline used the default
-  // scale/coverage.
-  double pre_pr_seconds = 0.0;
-  if (!smoke) {
-    // Repo root when run from the source tree, one level up when run from
-    // the build tree.
-    pre_pr_seconds = pre_pr_serial_seconds("bench_threads.json");
-    if (pre_pr_seconds == 0.0) {
-      pre_pr_seconds = pre_pr_serial_seconds("../bench_threads.json");
-    }
-  }
 
   std::printf("\nalignment kernel (D1, %zu reads, %zu overlaps)\n",
               reads.size(), reference.size());
@@ -323,11 +317,6 @@ int main(int argc, char** argv) {
   std::printf("  %-22s %10.3f %12.0f %16.0f\n", "kmer-hash (this PR)",
               hash_run.seconds, hash_run.reads_per_s, hash_run.overlaps_per_s);
   std::printf("  single-thread speedup: %.2fx\n", kernel_speedup);
-  if (pre_pr_seconds > 0.0) {
-    std::printf(
-        "  vs pre-overhaul kernel (bench_threads.json, %.3f s): %.2fx\n",
-        pre_pr_seconds, pre_pr_seconds / hash_run.seconds);
-  }
   std::printf("  kmer-hash on pool:\n");
   for (std::size_t w = 0; w < pool_runs.size(); ++w) {
     std::printf("    %u threads: %10.3f s %12.0f reads/s\n", kWidths[w],
@@ -342,6 +331,13 @@ int main(int argc, char** argv) {
                 modeled_runs[0].all_pairs_makespan / m.all_pairs_makespan,
                 m.recovering_master_makespan,
                 m.recovering_symmetric_makespan);
+  }
+  std::printf("  HEM coarsening (%zu levels): serial %.3f s\n",
+              serial_hierarchy.depth(), coarsen_serial_seconds);
+  for (std::size_t w = 0; w < coarsen_pool_seconds.size(); ++w) {
+    std::printf("    %u threads: %10.3f s %9.2fx\n", kWidths[w],
+                coarsen_pool_seconds[w],
+                coarsen_serial_seconds / coarsen_pool_seconds[w]);
   }
   std::printf("  output identical across backends/widths/drivers: %s\n",
               all_identical ? "yes" : "NO (BUG)");
@@ -360,7 +356,7 @@ int main(int argc, char** argv) {
                "  \"provenance\": {\"measured\": [\"allocs_per_full_pass\", "
                "\"allocs_per_score_pass\", \"suffix_array\", "
                "\"kmer_hash\", \"single_thread_speedup\", "
-               "\"kmer_hash_pool\"], \"modeled\": "
+               "\"kmer_hash_pool\", \"coarsen_hem\"], \"modeled\": "
                "[\"modeled_overlap_scaling\"]},\n");
   std::fprintf(f, "  \"dataset\": \"D1\",\n");
   std::fprintf(f, "  \"scale\": %.3f,\n", scale);
@@ -384,12 +380,6 @@ int main(int argc, char** argv) {
                " \"overlaps_per_s\": %.1f},\n",
                hash_run.seconds, hash_run.reads_per_s, hash_run.overlaps_per_s);
   std::fprintf(f, "  \"single_thread_speedup\": %.3f,\n", kernel_speedup);
-  if (pre_pr_seconds > 0.0) {
-    std::fprintf(f,
-                 "  \"pre_pr_kernel\": {\"source\": \"bench_threads.json\", "
-                 "\"serial_seconds\": %.6f, \"speedup\": %.3f},\n",
-                 pre_pr_seconds, pre_pr_seconds / hash_run.seconds);
-  }
   std::fprintf(f, "  \"kmer_hash_pool\": [\n");
   for (std::size_t w = 0; w < pool_runs.size(); ++w) {
     std::fprintf(f,
@@ -399,6 +389,19 @@ int main(int argc, char** argv) {
                  w + 1 < pool_runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"coarsen_hem\": {\"levels\": %zu, "
+               "\"serial_seconds\": %.6f, \"pool\": [\n",
+               serial_hierarchy.depth(), coarsen_serial_seconds);
+  for (std::size_t w = 0; w < coarsen_pool_seconds.size(); ++w) {
+    std::fprintf(f,
+                 "    {\"threads\": %u, \"seconds\": %.6f, "
+                 "\"speedup\": %.3f}%s\n",
+                 kWidths[w], coarsen_pool_seconds[w],
+                 coarsen_serial_seconds / coarsen_pool_seconds[w],
+                 w + 1 < coarsen_pool_seconds.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"modeled_overlap_scaling\": [\n");
   for (std::size_t w = 0; w < modeled_runs.size(); ++w) {
     const auto& m = modeled_runs[w];

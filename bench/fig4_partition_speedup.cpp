@@ -176,6 +176,16 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"k\": %d,\n", static_cast<int>(kParts));
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  // Measured: host wall clock, or a result of the run itself. Modeled:
+  // mpr virtual time, or list scheduling of the measured work grids.
+  std::fprintf(f,
+               "  \"provenance\": {\"measured\": [\"pool_wall\", "
+               "\"trials_pool.finest_cut\", "
+               "\"trials_pool.finest_cut_single_trial\", "
+               "\"trials_pool.serial_seconds\", \"trials_pool.pool\", "
+               "\"trials_pool.identical_output\"], \"modeled\": "
+               "[\"fig4_vtime\", \"modeled_pool\", "
+               "\"trials_pool.modeled\"]},\n");
   std::fprintf(f, "  \"datasets\": [\n");
 
   bool all_identical = true;

@@ -13,14 +13,9 @@
 // stays clean. Scratch contents never influence results: every user fully
 // overwrites or clears the ranges it reads.
 //
-// Lifetime across jobs: arenas warm to the largest workload a thread has
-// ever seen and would otherwise persist for the thread's lifetime — a
-// hazard for the multi-tenant job runtime, where one huge job would pin its
-// high-water arenas on every lane thread forever and leak its sizing into
-// every later job. reset(soft_cap) is the job-boundary hook: the scheduler
-// calls it on the lane thread after each job, releasing the arena only when
-// its footprint exceeds the cap (so same-sized consecutive jobs keep the
-// zero-alloc-after-warmup property that bench_align proves).
+// Arenas warm to the largest workload their thread has seen and are freed
+// when the thread exits. Pool workers and mpr rank threads are per-call, so
+// a finished stage releases theirs.
 #pragma once
 
 #include <cstddef>
@@ -53,34 +48,6 @@ struct AlignScratch {
 
   // 2-bit packed copy of the current query read.
   dna::PackedSeq query_packed;
-
-  /// Retained heap bytes across every buffer (capacities, not sizes).
-  std::size_t footprint_bytes() const {
-    std::size_t total = 0;
-    total += nw_prev.capacity() * sizeof(std::int32_t);
-    total += nw_cur.capacity() * sizeof(std::int32_t);
-    total += nw_moves.capacity() * sizeof(std::uint8_t);
-    total += nw_seqs.capacity();
-    total += member_diags.capacity() * sizeof(std::vector<std::int64_t>);
-    for (const auto& diags : member_diags) {
-      total += diags.capacity() * sizeof(std::int64_t);
-    }
-    total += touched.capacity() * sizeof(std::uint32_t);
-    total +=
-        candidates.capacity() * sizeof(std::pair<ReadId, std::uint32_t>);
-    total += query_packed.base_words().capacity() * sizeof(std::uint64_t);
-    total += query_packed.mask_words().capacity() * sizeof(std::uint64_t);
-    return total;
-  }
-
-  /// Job-boundary soft cap: releases every buffer when the retained
-  /// footprint exceeds `soft_cap_bytes` (0 = always release). Under the cap
-  /// the arena is kept warm, so a following job of similar size still runs
-  /// allocation-free after its first query.
-  void reset(std::size_t soft_cap_bytes) {
-    if (soft_cap_bytes > 0 && footprint_bytes() <= soft_cap_bytes) return;
-    *this = AlignScratch{};
-  }
 };
 
 /// The calling thread's scratch arena.

@@ -1,7 +1,7 @@
 // 128-bit content digests for artifact-cache keys.
 //
-// The job runtime (src/svc) keys cached stage artifacts by
-// (dataset digest, config fingerprint). The digest only has to be
+// The stage-artifact cache (core/stage_cache.hpp) keys cached stage
+// artifacts by (dataset digest, config fingerprint). The digest only has to be
 // deterministic across runs and collision-resistant enough that two
 // *accidentally* different inputs never share a key — it is not a
 // cryptographic commitment. Two independently-seeded FNV-1a streams give

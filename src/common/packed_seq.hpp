@@ -60,9 +60,6 @@ class PackedSeq {
   /// Number of ambiguous positions.
   std::size_t ambiguous_count() const;
 
-  const std::vector<std::uint64_t>& base_words() const { return words_; }
-  const std::vector<std::uint64_t>& mask_words() const { return mask_; }
-
  private:
   std::vector<std::uint64_t> words_;  // 2-bit codes, 32 bases/word
   std::vector<std::uint64_t> mask_;   // 1 = ambiguous, 64 bases/word

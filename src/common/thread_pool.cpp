@@ -16,9 +16,9 @@ namespace {
 /// pool then push and pop on the worker's own deque (LIFO), keeping
 /// recursive spawns cache-local until someone steals them. Keying the slot
 /// by pool identity is what makes several ThreadPools safe in one process
-/// (the multi-tenant job runtime runs one pool per in-flight assembly): a
-/// worker of pool A that enters pool B must not index B's deques with A's
-/// slot id, which can exceed B's width.
+/// (two concurrent assemblies each run their own pools): a worker of pool A
+/// that enters pool B must not index B's deques with A's slot id, which can
+/// exceed B's width.
 struct SlotContext {
   const void* pool = nullptr;
   unsigned slot = 0;

@@ -27,11 +27,11 @@
 // EnvSnapshot: 0 = auto, 1..256 = width, anything else throws), else
 // hardware concurrency.
 //
-// Multi-pool safety: several pools may coexist in one process (the job
-// runtime runs one assembly — and therefore one transient pool per parallel
-// stage — per in-flight job). The worker-slot thread_local is keyed by pool
-// identity, so a thread entering a pool it does not work for participates as
-// an external caller (slot 0) instead of indexing a foreign deque array.
+// Multi-pool safety: several pools may coexist in one process (two
+// concurrent assemblies each run one transient pool per parallel stage).
+// The worker-slot thread_local is keyed by pool identity, so a thread
+// entering a pool it does not work for participates as an external caller
+// (slot 0) instead of indexing a foreign deque array.
 #pragma once
 
 #include <atomic>

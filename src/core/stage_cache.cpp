@@ -70,7 +70,7 @@ common::Digest overlap_key(const common::Digest& preprocess,
   h.u64(static_cast<std::uint64_t>(o.diagonal_tolerance));
   h.u64(o.max_kmer_occurrences).u64(o.min_overlap);
   h.f64(o.min_identity);
-  h.u64(o.band).u64(o.subsets).u64(o.threads);
+  h.u64(o.band).u64(o.subsets);
   h.u64(static_cast<std::uint64_t>(o.seed_backend));
   h.u64(static_cast<std::uint64_t>(o.strategy));
   absorb_envelope(h, config);
@@ -85,7 +85,7 @@ common::Digest coarsen_key(const common::Digest& overlap,
   h.u64(g.min_nodes).u64(g.max_levels);
   h.f64(g.min_reduction);
   h.u64(static_cast<std::uint64_t>(g.max_node_weight));
-  h.u64(g.seed).u64(g.threads);
+  h.u64(g.seed);
   absorb_envelope(h, config);
   return h.finish();
 }

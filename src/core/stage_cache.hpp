@@ -1,11 +1,11 @@
 // Stage-artifact caching hooks for the assembly pipeline.
 //
-// The multi-tenant job runtime (src/svc) serves repeat and incremental
-// submissions: the same dataset re-assembled with tweaked downstream knobs,
-// or re-submitted verbatim. The expensive early stages — preprocessing
-// (packed reads), overlap discovery (the product of the k-mer index), and
-// multilevel coarsening (the graph hierarchy) — are pure functions of
-// (dataset, config), so their results can be cached and re-used across jobs.
+// The same dataset is often re-assembled with tweaked downstream knobs (the
+// pipeline benchmark's `resweep` workload re-partitions one dataset at many
+// k). The expensive early stages — preprocessing (packed reads), overlap
+// discovery (the product of the k-mer index), and multilevel coarsening (the
+// graph hierarchy) — are pure functions of (dataset, config), so their
+// results can be cached and re-used across runs.
 //
 // This header defines the *mechanism* the assembler consults: immutable
 // artifact value types, a digest-chained key schema, and an abstract
@@ -20,13 +20,15 @@
 // (makespans, message counts, recovery counters) are not — and a cache hit
 // must reproduce the exact AssemblyResult a fresh run would produce, stats
 // included. Keying on the envelope keeps that property at the cost of some
-// hit rate; determinism outranks reuse.
+// hit rate; determinism outranks reuse. Pool widths are not keyed: the
+// assembler's stage-2 drivers never read `overlap.threads`, and the
+// coarsened hierarchy and its vtime do not depend on `coarsen.threads`.
 //
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
 // postings) are transients of the stage — rebuilt per reference subset on
 // each rank that needs one, never materialized whole. What the cache
 // stores is the stage's deterministic product, the deduped overlap set,
-// which is what every repeat submission actually needs.
+// which is what every repeat run actually needs.
 #pragma once
 
 #include <memory>
@@ -73,8 +75,8 @@ struct CoarsenArtifact {
 /// are shared immutable values: get() returns a pointer the caller copies
 /// from (the assembler's result owns its data), put() hands ownership of a
 /// freshly built artifact to the cache. Implementations must be thread-safe
-/// — concurrent jobs hit one cache. A get() miss returns nullptr; put() may
-/// decline to retain (budget) without signalling.
+/// — concurrent assemblies may share one cache. A get() miss returns
+/// nullptr; put() may decline to retain (budget) without signalling.
 class StageCache {
  public:
   virtual ~StageCache() = default;

@@ -64,7 +64,7 @@ void ArtifactCache::put_any(Kind kind, const common::Digest& key,
   const Key full_key{kind, key};
   auto it = entries_.find(full_key);
   if (it != entries_.end()) {
-    // Refresh: a concurrent job rebuilt an artifact another job already
+    // Refresh: a concurrent assembly rebuilt an artifact another one already
     // deposited. Keep the newer value (identical content by construction).
     stats_.resident_bytes -= it->second.bytes;
     it->second.value = std::move(value);

@@ -1,12 +1,12 @@
-// LRU stage-artifact cache for the multi-tenant job runtime.
+// LRU stage-artifact cache.
 //
-// Implements core::StageCache (the interface the assembler consults) with the
-// policy the service layer wants: shared immutable artifacts retained under a
-// byte budget, least-recently-used eviction, and counters for the operator.
-// One cache is shared by every lane of a JobScheduler, so all operations are
+// Implements core::StageCache (the interface the assembler consults) with a
+// retention policy: shared immutable artifacts retained under a byte budget,
+// least-recently-used eviction, and counters for the operator. Concurrent
+// assemblies in one process may share one cache, so all operations are
 // mutex-serialized; the artifacts themselves are immutable shared_ptrs, so a
-// hit handed to one job stays valid even if the entry is evicted while the
-// job still reads it.
+// hit handed to one assembly stays valid even if the entry is evicted while
+// that assembly still reads it.
 //
 // Sizing is approximate by design: artifact_bytes() counts the dominant heap
 // blocks (read strings, overlap vectors, CSR arrays) and ignores allocator

@@ -1,11 +1,11 @@
 // Concurrent-assembler determinism suite: two in-process assemblies running
-// at the same time — raw std::threads or JobScheduler lanes — must each
-// produce the byte-identical result of a serial run, across wire protocols,
-// seed strategies and thread-pool widths. This is the proof obligation
-// for the global-state sweep (EnvSnapshot, per-pool TLS slots, job-boundary
-// scratch reset): before it, scattered getenv reads and cross-pool
-// thread_local indices made two concurrent Assemblers unsound. Runs under
-// TSan via tools/run_sanitizers.sh.
+// at the same time on raw std::threads must each produce the byte-identical
+// result of a serial run, across wire protocols, seed strategies,
+// thread-pool widths and a shared stage-artifact cache. This is the proof
+// obligation for the global-state sweep (EnvSnapshot, per-pool TLS slots):
+// before it, scattered getenv reads and cross-pool thread_local indices made
+// two concurrent Assemblers unsound. Runs under TSan via
+// tools/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,7 @@
 #include "common/env.hpp"
 #include "core/assembler.hpp"
 #include "sim/datasets.hpp"
-#include "svc/scheduler.hpp"
+#include "svc/artifact_cache.hpp"
 
 namespace focus {
 namespace {
@@ -82,17 +82,18 @@ void expect_same_assembly(const core::AssemblyResult& got,
   EXPECT_EQ(got.stats.total_bases, want.stats.total_bases) << ctx;
 }
 
-/// Runs two full assemblies concurrently on raw std::threads and checks both
-/// against the serial oracles.
+/// Runs two full assemblies concurrently on raw std::threads, both on
+/// `cache` when one is given, and checks both against the serial oracles.
 void run_concurrent_pair(const core::FocusConfig& cfg1,
                          const core::FocusConfig& cfg2,
-                         const std::string& ctx) {
+                         const std::string& ctx,
+                         svc::ArtifactCache* cache = nullptr) {
   core::AssemblyResult r1, r2;
   std::thread t1([&] {
-    r1 = core::FocusAssembler(cfg1).assemble(dataset_one().data.reads);
+    r1 = core::FocusAssembler(cfg1).assemble(dataset_one().data.reads, cache);
   });
   std::thread t2([&] {
-    r2 = core::FocusAssembler(cfg2).assemble(dataset_two().data.reads);
+    r2 = core::FocusAssembler(cfg2).assemble(dataset_two().data.reads, cache);
   });
   t1.join();
   t2.join();
@@ -136,29 +137,19 @@ TEST(ConcurrentAssemblers, MixedConfigurationsShareTheProcess) {
   run_concurrent_pair(all_pairs, recovering, "mixed configs");
 }
 
-TEST(ConcurrentAssemblers, SchedulerLanesMatchSerial) {
-  svc::SchedulerConfig sc;
-  sc.max_in_flight = 2;
-  svc::JobScheduler sched(sc);
+TEST(ConcurrentAssemblers, SharedArtifactCacheMatchesSerial) {
+  // Both assemblies miss, then put, all three stages of one cache at once.
+  svc::ArtifactCache cache(0);
+  const core::FocusConfig cfg = jobs_config(dist::DistProtocol::kSymmetric);
+  run_concurrent_pair(cfg, cfg, "shared cache", &cache);
+  EXPECT_EQ(cache.stats().entries, 6u);
 
-  auto f1 = sched.submit("t1", dataset_one().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric));
-  auto f2 = sched.submit("t2", dataset_two().data.reads,
-                         jobs_config(dist::DistProtocol::kSymmetric));
-  const svc::JobResult r1 = f1.get();
-  const svc::JobResult r2 = f2.get();
-  expect_same_assembly(r1.assembly, oracle_one(), "scheduler / dataset 1");
-  expect_same_assembly(r2.assembly, oracle_two(), "scheduler / dataset 2");
-
-  // Repeat submissions ride the shared artifact cache and stay identical.
-  const svc::JobResult again =
-      sched.submit("t1", dataset_one().data.reads,
-                   jobs_config(dist::DistProtocol::kSymmetric))
-          .get();
-  EXPECT_TRUE(again.stats.cache_hits.preprocess);
-  EXPECT_TRUE(again.stats.cache_hits.overlaps);
-  EXPECT_TRUE(again.stats.cache_hits.coarsen);
-  expect_same_assembly(again.assembly, oracle_one(), "scheduler / repeat");
+  const core::AssemblyResult again =
+      core::FocusAssembler(cfg).assemble(dataset_one().data.reads, &cache);
+  EXPECT_TRUE(again.cache_hits.preprocess);
+  EXPECT_TRUE(again.cache_hits.overlaps);
+  EXPECT_TRUE(again.cache_hits.coarsen);
+  expect_same_assembly(again, oracle_one(), "shared cache / repeat");
 }
 
 }  // namespace

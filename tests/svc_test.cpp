@@ -1,31 +1,22 @@
-// Multi-tenant job runtime suite (DESIGN.md §10): EnvSnapshot capture and
-// strict parsing (including the removed FOCUS_GRAPH_BACKEND=csr-spill
-// value), the AlignScratch job-boundary soft cap, ArtifactCache
-// policy (hit/miss, LRU eviction, oversized decline), JobScheduler admission
-// control and virtual-time fair share, and the end-to-end stage-cache path
-// through the assembler (repeat submissions must hit and stay
-// byte-identical).
+// Stage-artifact cache and environment suite (DESIGN.md §10): EnvSnapshot
+// capture and strict parsing (including the removed
+// FOCUS_GRAPH_BACKEND=csr-spill value), ArtifactCache policy (hit/miss, LRU
+// eviction, oversized decline), and the end-to-end stage-cache path through
+// the assembler (repeat runs must hit and stay byte-identical).
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "align/align_scratch.hpp"
-#include "align/banded_nw.hpp"
-#include "align/banded_nw_kernels.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/assembler.hpp"
 #include "sim/datasets.hpp"
 #include "svc/artifact_cache.hpp"
-#include "svc/scheduler.hpp"
 
 namespace focus {
 namespace {
@@ -134,63 +125,6 @@ TEST(FocusConfig, DefaultCtorFollowsEnvPinnedCtorDoesNot) {
 }
 
 // ---------------------------------------------------------------------------
-// AlignScratch job-boundary reset
-// ---------------------------------------------------------------------------
-
-TEST(AlignScratch, ResetHonorsSoftCap) {
-  align::AlignScratch s;
-  EXPECT_EQ(s.footprint_bytes(), 0u);
-  s.nw_prev.resize(1024);
-  s.nw_moves.resize(4096);
-  s.member_diags.resize(8);
-  s.member_diags[0].resize(100);
-  s.touched.reserve(50);
-  const std::size_t without_seqs = s.footprint_bytes();
-  s.nw_seqs.resize(300);  // the vector kernel's padded sequence copies
-  const std::size_t warm = s.footprint_bytes();
-  EXPECT_EQ(warm, without_seqs + s.nw_seqs.capacity());
-  ASSERT_GT(warm, 0u);
-
-  s.reset(warm + 1);  // under the cap: stays warm
-  EXPECT_EQ(s.footprint_bytes(), warm);
-  s.reset(warm - 1);  // over the cap: fully released
-  EXPECT_EQ(s.footprint_bytes(), 0u);
-
-  s.nw_cur.resize(64);
-  s.reset(0);  // 0 = always release
-  EXPECT_EQ(s.footprint_bytes(), 0u);
-}
-
-TEST(AlignScratch, ResetReleasesBandedNwBuffers) {
-  // A fresh thread owns a fresh arena: whatever the two NW passes leave in it
-  // is counted by footprint_bytes() and released by reset().
-  std::thread([] {
-    align::AlignScratch& s = align::tls_align_scratch();
-    ASSERT_EQ(s.footprint_bytes(), 0u);
-    std::string a, b;
-    for (int i = 0; i < 150; ++i) a.push_back("ACGT"[(i * 7 + i / 5) % 4]);
-    b = a.substr(3) + "TTGCA";
-    (void)align::banded_score_only(a, b, 8);
-    (void)align::banded_global_align(a, b, 8);
-    const std::size_t warm = s.footprint_bytes();
-    EXPECT_GE(warm, s.nw_moves.capacity() + s.nw_seqs.capacity());
-    if (align::detail::select_nw_kernel(a.size(), b.size(), 8, {}) ==
-        align::detail::NwKernel::kAvx2) {
-      // Anti-diagonal moves (16 bytes each) and both padded sequences.
-      EXPECT_GE(s.nw_moves.capacity(), (a.size() + b.size() + 1) * 16);
-      EXPECT_GE(s.nw_seqs.capacity(), a.size() + b.size());
-    } else {
-      EXPECT_GT(s.nw_prev.capacity(), 0u);
-    }
-    s.reset(warm);  // at the cap: stays warm
-    EXPECT_EQ(s.footprint_bytes(), warm);
-    s.reset(0);
-    EXPECT_EQ(s.footprint_bytes(), 0u);
-    EXPECT_EQ(s.nw_seqs.capacity(), 0u);
-  }).join();
-}
-
-// ---------------------------------------------------------------------------
 // ArtifactCache policy
 // ---------------------------------------------------------------------------
 
@@ -243,7 +177,7 @@ TEST(ArtifactCache, ZeroBudgetMeansUnlimited) {
 }
 
 // ---------------------------------------------------------------------------
-// JobScheduler: admission, fair share, cached repeats
+// StageCache through the assembler
 // ---------------------------------------------------------------------------
 
 const sim::Dataset& tiny_dataset() {
@@ -263,95 +197,6 @@ core::FocusConfig tiny_config() {
   cfg.ranks = 2;
   cfg.min_contig_length = 150;
   return cfg;
-}
-
-TEST(JobScheduler, AdmissionControlBoundsQueueAndShutdownRejects) {
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::atomic<int> dispatched{0};
-
-  svc::SchedulerConfig sc;
-  sc.max_in_flight = 1;
-  sc.max_queued = 1;
-  sc.before_execute = [&](const std::string&, std::uint64_t) {
-    if (dispatched.fetch_add(1) == 0) opened.wait();
-  };
-  svc::JobScheduler sched(sc);
-
-  auto f1 = sched.submit("a", tiny_dataset().data.reads, tiny_config());
-  while (dispatched.load() == 0) std::this_thread::yield();
-  auto f2 = sched.submit("a", tiny_dataset().data.reads, tiny_config());
-  try {
-    sched.submit("a", tiny_dataset().data.reads, tiny_config());
-    FAIL() << "third submission must be rejected";
-  } catch (const svc::Rejected& r) {
-    EXPECT_EQ(r.reason(), svc::Rejected::Reason::kQueueFull);
-    EXPECT_NE(std::string(r.what()).find("queue"), std::string::npos);
-  }
-
-  gate.set_value();
-  EXPECT_GT(f1.get().assembly.contigs.size(), 0u);
-  EXPECT_GT(f2.get().assembly.contigs.size(), 0u);
-
-  sched.shutdown();
-  try {
-    sched.submit("a", tiny_dataset().data.reads, tiny_config());
-    FAIL() << "post-shutdown submission must be rejected";
-  } catch (const svc::Rejected& r) {
-    EXPECT_EQ(r.reason(), svc::Rejected::Reason::kShuttingDown);
-  }
-}
-
-TEST(JobScheduler, FairShareDispatchesLightTenantFirst) {
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::mutex order_mu;
-  std::vector<std::pair<std::string, std::uint64_t>> order;
-
-  svc::SchedulerConfig sc;
-  sc.max_in_flight = 1;
-  sc.max_queued = 8;
-  sc.before_execute = [&](const std::string& tenant, std::uint64_t id) {
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lk(order_mu);
-      order.emplace_back(tenant, id);
-      first = order.size() == 1;
-    }
-    if (first) opened.wait();
-  };
-  svc::JobScheduler sched(sc);
-
-  // Tenant a submits three jobs, then tenant b submits one. Once a's first
-  // job completes, a carries a positive virtual-time charge while b is at
-  // zero, so b's job overtakes a's backlog.
-  auto a1 = sched.submit("a", tiny_dataset().data.reads, tiny_config());
-  {
-    // Ensure a1 is dispatched (and gated) before the backlog is queued.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lk(order_mu);
-        if (!order.empty()) break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  auto a2 = sched.submit("a", tiny_dataset().data.reads, tiny_config());
-  auto a3 = sched.submit("a", tiny_dataset().data.reads, tiny_config());
-  auto b1 = sched.submit("b", tiny_dataset().data.reads, tiny_config());
-  gate.set_value();
-  a1.get();
-  a2.get();
-  a3.get();
-  b1.get();
-  sched.shutdown();
-
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], (std::pair<std::string, std::uint64_t>{"a", 1}));
-  EXPECT_EQ(order[1], (std::pair<std::string, std::uint64_t>{"b", 4}));
-  EXPECT_EQ(order[2], (std::pair<std::string, std::uint64_t>{"a", 2}));
-  EXPECT_EQ(order[3], (std::pair<std::string, std::uint64_t>{"a", 3}));
-  EXPECT_GT(sched.tenant_vtime("a"), sched.tenant_vtime("b"));
 }
 
 void expect_identical_assembly(const core::AssemblyResult& got,
@@ -395,7 +240,8 @@ TEST(StageCache, AssemblerRepeatRunHitsAllThreeStages) {
 TEST(StageCache, KeysChainThroughTheStages) {
   svc::ArtifactCache cache(0);
   core::FocusConfig cfg = tiny_config();
-  core::FocusAssembler(cfg).assemble(tiny_dataset().data.reads, &cache);
+  const auto cold =
+      core::FocusAssembler(cfg).assemble(tiny_dataset().data.reads, &cache);
 
   // A downstream-only knob keeps all three artifacts valid.
   core::FocusConfig downstream = cfg;
@@ -405,6 +251,18 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_TRUE(reuse.cache_hits.preprocess);
   EXPECT_TRUE(reuse.cache_hits.overlaps);
   EXPECT_TRUE(reuse.cache_hits.coarsen);
+
+  // Pool widths change neither the cached artifacts nor their vtime, so a
+  // config that differs only in them hits all three stages.
+  core::FocusConfig rewidth = cfg;
+  rewidth.overlap.threads = cfg.overlap.threads + 3;
+  rewidth.coarsen.threads = cfg.coarsen.threads + 3;
+  const auto widened = core::FocusAssembler(rewidth)
+                           .assemble(tiny_dataset().data.reads, &cache);
+  EXPECT_TRUE(widened.cache_hits.preprocess);
+  EXPECT_TRUE(widened.cache_hits.overlaps);
+  EXPECT_TRUE(widened.cache_hits.coarsen);
+  expect_identical_assembly(widened, cold);
 
   // An overlap knob invalidates overlap + coarsen but not preprocessing.
   core::FocusConfig rekmer = cfg;
@@ -424,34 +282,6 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_FALSE(envelope.cache_hits.preprocess);
   EXPECT_FALSE(envelope.cache_hits.overlaps);
   EXPECT_FALSE(envelope.cache_hits.coarsen);
-}
-
-TEST(JobScheduler, RepeatSubmissionServedFromCache) {
-  svc::SchedulerConfig sc;
-  sc.max_in_flight = 1;
-  svc::JobScheduler sched(sc);
-
-  const svc::JobResult first =
-      sched.submit("a", tiny_dataset().data.reads, tiny_config()).get();
-  const svc::JobResult second =
-      sched.submit("a", tiny_dataset().data.reads, tiny_config()).get();
-
-  EXPECT_FALSE(first.stats.cache_hits.preprocess);
-  EXPECT_TRUE(second.stats.cache_hits.preprocess);
-  EXPECT_TRUE(second.stats.cache_hits.overlaps);
-  EXPECT_TRUE(second.stats.cache_hits.coarsen);
-  expect_identical_assembly(second.assembly, first.assembly);
-
-  const svc::CacheStats stats = sched.cache_stats();
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-
-  const auto completed = sched.completed_stats();
-  ASSERT_EQ(completed.size(), 2u);
-  EXPECT_EQ(completed[0].job_id, 1u);
-  EXPECT_EQ(completed[1].job_id, 2u);
-  EXPECT_EQ(completed[0].vtime, completed[1].vtime);  // identical makespans
 }
 
 }  // namespace

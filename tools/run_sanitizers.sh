@@ -25,16 +25,16 @@
 # traverse and variants run their recovering driver, which is therefore
 # also the driver every default fault-free run takes through them), and
 # the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
-# sweeps through the full assembler across both protocols), the job-runtime
-# suite (svc_test: EnvSnapshot capture/strict parsing, the removed
-# FOCUS_GRAPH_BACKEND value's typed error, ArtifactCache LRU policy under
-# concurrent lanes, JobScheduler admission + virtual-time fair share), the
-# concurrent-assembler determinism suite (concurrent_jobs_test: two
-# simultaneous in-process pipelines vs the serial oracle across protocols ×
-# seed strategies × fault plans × pool widths — the TSan proof obligation
-# for the EnvSnapshot sweep and the per-pool TLS slot fix), and bench_jobs's
-# multi-tenant scheduler smoke (label `perf-smoke`) are exercised under both
-# memory/UB and data-race checking.
+# sweeps through the full assembler across both protocols), the
+# stage-cache suite (svc_test: EnvSnapshot capture/strict parsing, the
+# removed FOCUS_GRAPH_BACKEND value's typed error, ArtifactCache LRU policy,
+# cached repeat runs through the assembler), and the concurrent-assembler
+# determinism suite (concurrent_jobs_test: two simultaneous in-process
+# pipelines vs the serial oracle across protocols × seed strategies × fault
+# plans × pool widths, and two pipelines writing one shared ArtifactCache —
+# the TSan proof obligation for the EnvSnapshot sweep, the per-pool TLS slot
+# fix and the cache's mutex-guarded map) are exercised under both memory/UB
+# and data-race checking.
 #
 # Review note: src/common/env.cpp must stay the only std::getenv call site
 # (grep 'std::getenv' src/); scattered env reads were the original

@@ -181,7 +181,7 @@ void ThreadPool::fork_join(const std::function<void()>& left,
       try {
         right();
       } catch (...) {
-        std::lock_guard<std::mutex> lk(fork.eptr_mu);
+        std::lock_guard<std::mutex> eptr_lk(fork.eptr_mu);
         fork.eptr = std::current_exception();
       }
       fork.done.store(true, std::memory_order_release);

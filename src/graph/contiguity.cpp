@@ -1,44 +1,71 @@
 #include "graph/contiguity.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.hpp"
 
 namespace focus::graph {
 
+namespace {
+
+constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
+// Advances an epoch counter; on wrap, stale marks could alias the new
+// epoch, so the marks are cleared (once every 2^32 advances).
+std::uint32_t next_epoch(std::uint32_t& epoch,
+                         std::vector<std::uint32_t>& a,
+                         std::vector<std::uint32_t>* b = nullptr) {
+  if (++epoch == 0) {
+    std::fill(a.begin(), a.end(), 0);
+    if (b != nullptr) std::fill(b->begin(), b->end(), 0);
+    epoch = 1;
+  }
+  return epoch;
+}
+
+}  // namespace
+
 ContiguityTester::ContiguityTester(const Digraph& reads,
                                    std::vector<std::uint32_t> read_lengths)
     : reads_(&reads),
       read_lengths_(std::move(read_lengths)),
-      stamp_(reads.node_count(), 0) {
+      stamp_(reads.node_count(), 0),
+      local_(reads.node_count(), kInvalidNode),
+      direct_(reads.node_count(), 0),
+      transitive_(reads.node_count(), 0) {
   FOCUS_CHECK(read_lengths_.size() == reads.node_count(),
               "read length table size mismatch");
 }
 
 bool ContiguityTester::contiguous(std::span<const NodeId> cluster,
-                                  std::vector<LayoutStep>* layout) const {
+                                  std::vector<LayoutStep>* layout) {
   if (cluster.empty()) return false;
+  const Digraph& g = *reads_;
 
-  ++current_stamp_;
-  const std::uint32_t mark = current_stamp_;
-  for (const NodeId v : cluster) stamp_[v] = mark;
-
-  // Active members: cluster reads that are not contained in another read.
-  std::vector<NodeId> active;
-  active.reserve(cluster.size());
+  // Stamp the members; active ones (not contained in another read) get
+  // local ids in cluster order.
+  const std::uint32_t member = next_epoch(epoch_, stamp_);
+  active_.clear();
   for (const NodeId v : cluster) {
-    if (!reads_->is_contained(v)) active.push_back(v);
+    FOCUS_CHECK(v < stamp_.size(), "cluster read out of range");
+    FOCUS_CHECK(stamp_[v] != member, "cluster lists a read twice");
+    stamp_[v] = member;
+    if (g.is_contained(v)) {
+      local_[v] = kInvalidNode;
+    } else {
+      local_[v] = static_cast<NodeId>(active_.size());
+      active_.push_back(v);
+    }
   }
   work_ += static_cast<double>(cluster.size());
+  const std::size_t n = active_.size();
 
-  if (active.size() <= 1) {
+  if (n <= 1) {
     if (layout != nullptr) {
       layout->clear();
       NodeId rep = kInvalidNode;
-      if (!active.empty()) {
-        rep = active.front();
+      if (!active_.empty()) {
+        rep = active_.front();
       } else {
         // All reads contained: the longest read carries the cluster sequence.
         rep = *std::max_element(
@@ -54,83 +81,89 @@ bool ContiguityTester::contiguous(std::span<const NodeId> cluster,
     return true;
   }
 
-  // Induced out-adjacency among active nodes. Contained reads are excluded
-  // from the path; edges through them carry no extra layout information.
-  std::unordered_map<NodeId, std::vector<DiEdge>> out;
-  out.reserve(active.size());
-  auto in_cluster_active = [&](NodeId v) {
-    return stamp_[v] == mark && !reads_->is_contained(v);
-  };
-  for (const NodeId u : active) {
-    auto& edges = out[u];
-    for (const DiEdge& e : reads_->out_edges(u)) {
-      if (in_cluster_active(e.to)) edges.push_back(e);
-      work_ += 1.0;
+  // Induced CSR adjacency among the active members. Contained reads are
+  // excluded from the path; edges through them carry no extra layout
+  // information.
+  row_.assign(n + 1, 0);
+  adj_.clear();
+  in_degree_.assign(n, 0);
+  std::size_t scanned = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto out = g.out_edges(active_[u]);
+    scanned += out.size();
+    for (const DiEdge& e : out) {
+      if (stamp_[e.to] != member || local_[e.to] == kInvalidNode) continue;
+      adj_.push_back(DiEdge{local_[e.to], e.overlap});
+      ++in_degree_[local_[e.to]];
     }
+    row_[u + 1] = static_cast<std::uint32_t>(adj_.size());
   }
+  // The reduction below scans m's row once per induced edge u->m. Charging
+  // that up front keeps the count exact when a verdict comes early.
+  std::size_t reduction = 0;
+  for (std::size_t m = 0; m < n; ++m) {
+    reduction += std::size_t{in_degree_[m]} * (row_[m + 1] - row_[m]);
+  }
+  work_ += static_cast<double>(scanned + reduction);
 
   // Local transitive reduction: u->w is redundant if some active v gives
-  // u->v and v->w.
-  std::unordered_set<NodeId> direct;
-  std::unordered_map<NodeId, std::vector<DiEdge>> reduced;
-  reduced.reserve(active.size());
-  for (const NodeId u : active) {
-    const auto& edges = out[u];
-    direct.clear();
-    for (const DiEdge& e : edges) direct.insert(e.to);
-    std::unordered_set<NodeId> transitive;
-    for (const DiEdge& mid : edges) {
-      for (const DiEdge& far : out[mid.to]) {
-        work_ += 1.0;
-        if (far.to != u && direct.contains(far.to)) transitive.insert(far.to);
+  // u->v and v->w. A member keeping two out-edges cannot lie on a path.
+  kept_.assign(n, kNoEdge);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const std::uint32_t mark = next_epoch(mark_epoch_, direct_, &transitive_);
+    for (std::uint32_t p = row_[u]; p < row_[u + 1]; ++p) {
+      direct_[adj_[p].to] = mark;
+    }
+    for (std::uint32_t p = row_[u]; p < row_[u + 1]; ++p) {
+      const NodeId mid = adj_[p].to;
+      for (std::uint32_t q = row_[mid]; q < row_[mid + 1]; ++q) {
+        const NodeId far = adj_[q].to;
+        if (far != u && direct_[far] == mark) transitive_[far] = mark;
       }
     }
-    auto& keep = reduced[u];
-    for (const DiEdge& e : edges) {
-      if (!transitive.contains(e.to)) keep.push_back(e);
+    for (std::uint32_t p = row_[u]; p < row_[u + 1]; ++p) {
+      if (transitive_[adj_[p].to] == mark) continue;
+      if (kept_[u] != kNoEdge) return false;
+      kept_[u] = p;
     }
   }
 
-  // Path test: after reduction every node has in/out degree <= 1, there are
-  // exactly |active|-1 edges, and the structure is connected (which, with
-  // the degree bound and edge count, a unique zero-in-degree start implies).
-  std::unordered_map<NodeId, std::size_t> in_degree;
+  // Path test: every member now has out-degree <= 1; in-degree must be <= 1
+  // too, with exactly n-1 edges and a unique zero-in-degree start.
+  std::fill(in_degree_.begin(), in_degree_.end(), 0);
   std::size_t edge_total = 0;
-  for (const NodeId u : active) {
-    const auto& edges = reduced[u];
-    if (edges.size() > 1) return false;
-    edge_total += edges.size();
-    for (const DiEdge& e : edges) {
-      if (++in_degree[e.to] > 1) return false;
-    }
+  for (std::size_t u = 0; u < n; ++u) {
+    if (kept_[u] == kNoEdge) continue;
+    ++edge_total;
+    if (++in_degree_[adj_[kept_[u]].to] > 1) return false;
   }
-  if (edge_total != active.size() - 1) return false;
+  if (edge_total != n - 1) return false;
 
   NodeId start = kInvalidNode;
-  for (const NodeId u : active) {
-    if (in_degree.find(u) == in_degree.end()) {
-      if (start != kInvalidNode) return false;  // two path starts: disconnected
-      start = u;
-    }
+  for (NodeId u = 0; u < n; ++u) {
+    if (in_degree_[u] != 0) continue;
+    if (start != kInvalidNode) return false;  // two path starts: disconnected
+    start = u;
   }
   if (start == kInvalidNode) return false;  // cycle
 
-  // Walk the path; must visit every active node exactly once.
-  std::vector<LayoutStep> steps;
-  steps.reserve(active.size());
-  NodeId cur = start;
-  for (;;) {
-    const auto& edges = reduced[cur];
-    if (edges.empty()) {
-      steps.push_back(LayoutStep{cur, 0});
-      break;
-    }
-    steps.push_back(LayoutStep{cur, edges.front().overlap});
-    cur = edges.front().to;
+  // Walk the path; it must visit every active member exactly once (a cycle
+  // beside the path also leaves the edge count at n-1).
+  std::size_t steps = 1;
+  for (NodeId cur = start; kept_[cur] != kNoEdge; cur = adj_[kept_[cur]].to) {
+    ++steps;
   }
-  if (steps.size() != active.size()) return false;
+  if (steps != n) return false;
 
-  if (layout != nullptr) *layout = std::move(steps);
+  if (layout != nullptr) {
+    layout->clear();
+    layout->reserve(n);
+    NodeId cur = start;
+    for (; kept_[cur] != kNoEdge; cur = adj_[kept_[cur]].to) {
+      layout->push_back(LayoutStep{active_[cur], adj_[kept_[cur]].overlap});
+    }
+    layout->push_back(LayoutStep{active_[cur], 0});
+  }
   return true;
 }
 

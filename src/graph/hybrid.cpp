@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -23,6 +24,9 @@ std::vector<PartId> HybridGraphSet::project_to_reads(
 
 namespace {
 
+// clusters[l][v] = the reads of multilevel node (l, v).
+using LevelClusters = std::vector<std::vector<std::vector<NodeId>>>;
+
 // Per-multilevel-level representative marks and stored layouts.
 struct Selection {
   // is_rep[l][v]
@@ -33,7 +37,8 @@ struct Selection {
 };
 
 Selection select_representatives(const GraphHierarchy& ml,
-                                 const ContiguityTester& tester) {
+                                 const LevelClusters& clusters,
+                                 ContiguityTester& tester) {
   const std::size_t depth = ml.depth();
   Selection sel;
   sel.is_rep.resize(depth);
@@ -52,12 +57,6 @@ Selection select_representatives(const GraphHierarchy& ml,
     }
   }
 
-  // Per-level cluster expansion (reads of each node).
-  std::vector<std::vector<std::vector<NodeId>>> clusters(depth);
-  for (std::size_t l = 0; l < depth; ++l) {
-    clusters[l] = ml.expand_clusters(l);
-  }
-
   // Top-down selection, iterative (explicit stack).
   std::vector<std::pair<std::size_t, NodeId>> stack;
   const std::size_t top = depth - 1;
@@ -68,12 +67,9 @@ Selection select_representatives(const GraphHierarchy& ml,
     const auto [l, v] = stack.back();
     stack.pop_back();
     std::vector<LayoutStep> layout;
-    if (l == 0 || tester.contiguous(clusters[l][v], &layout)) {
-      if (l == 0) {
-        // Single-read cluster: trivially contiguous.
-        const bool ok = tester.contiguous(clusters[l][v], &layout);
-        FOCUS_ASSERT(ok, "single-read cluster must be contiguous");
-      }
+    const bool contiguous = tester.contiguous(clusters[l][v], &layout);
+    FOCUS_ASSERT(contiguous || l > 0, "single-read cluster must be contiguous");
+    if (contiguous) {
       sel.is_rep[l][v] = true;
       sel.layouts[l].emplace(v, std::move(layout));
       ++sel.reps_per_level[l];
@@ -90,10 +86,19 @@ HybridGraphSet build_hybrid(const GraphHierarchy& ml,
                             const Digraph& read_graph,
                             std::vector<std::uint32_t> read_lengths) {
   FOCUS_CHECK(ml.depth() >= 1, "multilevel set is empty");
+  FOCUS_CHECK(ml.finest().node_count() == read_graph.node_count(),
+              "multilevel set's finest level has " +
+                  std::to_string(ml.finest().node_count()) +
+                  " nodes but the read graph has " +
+                  std::to_string(read_graph.node_count()) + " reads");
   const std::size_t depth = ml.depth();
 
+  LevelClusters clusters(depth);
+  for (std::size_t l = 0; l < depth; ++l) {
+    clusters[l] = ml.expand_clusters(l);
+  }
   ContiguityTester tester(read_graph, std::move(read_lengths));
-  Selection sel = select_representatives(ml, tester);
+  Selection sel = select_representatives(ml, clusters, tester);
 
   HybridGraphSet out;
   out.reps_per_level = sel.reps_per_level;
@@ -192,23 +197,13 @@ HybridGraphSet build_hybrid(const GraphHierarchy& ml,
     }
   }
 
-  // G'0 clusters and layouts.
-  const auto clusters0 = [&] {
-    // At hybrid level 0, every node's origin is a representative; expand its
-    // multilevel cluster to reads.
-    std::vector<std::vector<std::vector<NodeId>>> ml_clusters(depth);
-    for (std::size_t l = 0; l < depth; ++l) {
-      ml_clusters[l] = ml.expand_clusters(l);
-    }
-    const std::size_t hn = out.hierarchy.levels[0].node_count();
-    std::vector<std::vector<NodeId>> reads(hn);
-    for (NodeId h = 0; h < hn; ++h) {
-      const HybridOrigin o = out.origin[0][h];
-      reads[h] = ml_clusters[o.ml_level][o.ml_node];
-    }
-    return reads;
-  }();
-  out.cluster_reads = clusters0;
+  // G'0 clusters and layouts. At hybrid level 0 every node's origin is a
+  // distinct representative, so each multilevel cluster moves out once.
+  out.cluster_reads.resize(out.hierarchy.levels[0].node_count());
+  for (NodeId h = 0; h < out.cluster_reads.size(); ++h) {
+    const HybridOrigin o = out.origin[0][h];
+    out.cluster_reads[h] = std::move(clusters[o.ml_level][o.ml_node]);
+  }
 
   out.layouts.resize(out.cluster_reads.size());
   for (NodeId h = 0; h < out.cluster_reads.size(); ++h) {

@@ -1,6 +1,7 @@
 // Tests for graph structures, coarsening (HEM), and the multilevel set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -151,7 +152,6 @@ TEST(Digraph, EdgesAndContainment) {
   EXPECT_EQ(g.out_edges(0)[0].to, 1u);
   EXPECT_EQ(g.out_degree(1), 1u);
   EXPECT_EQ(g.out_edges(1)[0].to, 2u);
-  EXPECT_EQ(g.in_degree(1), 1u);
   EXPECT_TRUE(g.is_contained(3));
   EXPECT_FALSE(g.is_contained(0));
   EXPECT_EQ(g.edge_count(), 2u);
@@ -160,6 +160,118 @@ TEST(Digraph, EdgesAndContainment) {
 TEST(Digraph, RejectsSelfLoop) {
   Digraph g(2);
   EXPECT_THROW(g.add_edge(1, 1, 10), Error);
+}
+
+TEST(Digraph, RejectsContainmentOfUnknownRead) {
+  Digraph g(2);
+  EXPECT_THROW(g.mark_contained(2), Error);
+  std::vector<align::Overlap> overlaps(1);
+  overlaps[0].query = 1;
+  overlaps[0].ref = 40;
+  overlaps[0].length = 60;
+  overlaps[0].kind = align::OverlapKind::kRefContained;  // marks read 40
+  EXPECT_THROW(build_read_digraph(2, overlaps), Error);
+}
+
+TEST(Digraph, HandBuiltRowsSortedAcrossFinalizes) {
+  Digraph g(4);
+  g.add_edge(0, 3, 10);
+  g.add_edge(0, 1, 20);
+  g.add_edge(0, 1, 50);
+  g.add_edge(2, 0, 30);
+  g.finalize();
+  g.add_edge(0, 2, 40);  // joins row 0 at the next finalize
+  g.mark_contained(3);
+  EXPECT_EQ(g.edge_count(), 5u);
+  g.finalize();
+  const auto row = g.out_edges(0);
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row[0].to, 1u);
+  EXPECT_EQ(row[0].overlap, 50);  // larger overlap first on a tie
+  EXPECT_EQ(row[1].to, 1u);
+  EXPECT_EQ(row[1].overlap, 20);
+  EXPECT_EQ(row[2].to, 2u);
+  EXPECT_EQ(row[3].to, 3u);
+  EXPECT_EQ(g.out_degree(1), 0u);
+  EXPECT_EQ(g.out_degree(2), 1u);
+  EXPECT_EQ(g.out_edges(2)[0].to, 0u);
+  EXPECT_TRUE(g.is_contained(3));
+  EXPECT_EQ(g.edge_count(), 5u);
+}
+
+// The read digraph is a function of the overlap set alone: a shuffled list
+// with flipped (non-canonical) records and shorter duplicates of some pairs
+// gives the same graph as the canonical sorted list, which skips the sort.
+TEST(Digraph, BuildIgnoresRecordOrderOrientationAndShorterDuplicates) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 10 + rng.next_below(40);
+    std::vector<align::Overlap> sorted;
+    for (ReadId q = 0; q < n; ++q) {
+      for (ReadId r = q + 1; r < n; ++r) {
+        if (rng.next_below(5) != 0) continue;
+        align::Overlap o;
+        o.query = q;
+        o.ref = r;
+        o.length = 50 + static_cast<std::uint32_t>(rng.next_below(50));
+        o.kind = static_cast<align::OverlapKind>(rng.next_below(4));
+        sorted.push_back(o);
+      }
+    }
+    std::vector<align::Overlap> messy;
+    for (const auto& o : sorted) {
+      messy.push_back(rng.next_below(2) == 0 ? o : align::flipped(o));
+      if (rng.next_below(3) == 0) {
+        align::Overlap shorter = o;
+        shorter.length = o.length - 1 - static_cast<std::uint32_t>(
+                                            rng.next_below(o.length - 40));
+        shorter.kind = static_cast<align::OverlapKind>(rng.next_below(4));
+        messy.push_back(rng.next_below(2) == 0 ? shorter
+                                               : align::flipped(shorter));
+      }
+    }
+    rng.shuffle(messy);
+
+    const Digraph a = build_read_digraph(n, sorted);
+    const Digraph b = build_read_digraph(n, messy);
+    // Expected graph, straight from the distinct records.
+    std::vector<std::vector<std::pair<NodeId, Weight>>> rows(n);
+    std::vector<bool> contained(n, false);
+    std::size_t edges = 0;
+    for (const auto& o : sorted) {
+      const auto w = static_cast<Weight>(o.length);
+      switch (o.kind) {
+        case align::OverlapKind::kSuffixPrefix:
+          rows[o.query].emplace_back(o.ref, w);
+          ++edges;
+          break;
+        case align::OverlapKind::kPrefixSuffix:
+          rows[o.ref].emplace_back(o.query, w);
+          ++edges;
+          break;
+        case align::OverlapKind::kQueryContained:
+          contained[o.query] = true;
+          break;
+        case align::OverlapKind::kRefContained:
+          contained[o.ref] = true;
+          break;
+      }
+    }
+    for (const Digraph* g : {&a, &b}) {
+      ASSERT_EQ(g->node_count(), n);
+      EXPECT_EQ(g->edge_count(), edges) << "seed " << seed;
+      for (NodeId v = 0; v < n; ++v) {
+        std::sort(rows[v].begin(), rows[v].end());
+        const auto out = g->out_edges(v);
+        ASSERT_EQ(out.size(), rows[v].size()) << "seed " << seed << " v " << v;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          EXPECT_EQ(out[i].to, rows[v][i].first) << "seed " << seed;
+          EXPECT_EQ(out[i].overlap, rows[v][i].second) << "seed " << seed;
+        }
+        EXPECT_EQ(g->is_contained(v), contained[v]) << "seed " << seed;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

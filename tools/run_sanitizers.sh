@@ -2,7 +2,13 @@
 # Runs the tier-1 ctest suite under ThreadSanitizer and combined
 # AddressSanitizer+UndefinedBehaviorSanitizer — so the seed-backend
 # equivalence suite (hashed k-mer index vs suffix-array oracle, packed-read
-# bit manipulation, two-pass NW scratch reuse), the banded-NW kernel
+# bit manipulation, two-pass NW scratch reuse), the stage-4 suites
+# (hybrid_test: the flat-array contiguity tester against the hash-map
+# reference on every multilevel node of D1-D3 and on seeded random read
+# graphs, one tester per graph so its per-read stamp and local-index arrays
+# and per-call CSR scratch are reused across thousands of calls; graph_test:
+# the CSR read digraph, built from sorted and from shuffled, flipped and
+# duplicated overlap lists), the banded-NW kernel
 # equivalence suite (banded_nw_simd_test: the AVX2 anti-diagonal kernel vs
 # the scalar oracle, field for field; its unaligned 16-byte loads over the
 # padded sequence copies in AlignScratch are what ASan checks), the
@@ -50,6 +56,12 @@
 #   tools/run_sanitizers.sh asan-ubsan -R Seed     # equivalence, ASan+UBSan
 #   tools/run_sanitizers.sh asan-ubsan -R 'BandedNw|Seed'  # NW kernels too
 #   tools/run_sanitizers.sh thread -L fault        # fault suite under TSan
+#
+# Stricter ASan+UBSan leg (any UB report fails its test; libstdc++ bounds
+# checks on): configure a fresh build-asan-ubsan/ with
+#
+#   CXXFLAGS='-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS' \
+#     tools/run_sanitizers.sh asan-ubsan -R 'Contiguity|Hybrid|Digraph|AsmBuild|Pipeline'
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -20,10 +20,10 @@ DistProtocol dist_protocol_from_env() {
 }
 
 DistProtocol dist_protocol_from_env(const EnvSnapshot& env) {
-  // Symmetric is the default as of PR 9: it is makespan-balanced (LPT over
-  // measured scan estimates) and survives coordinator death, at the price of
-  // the WAL replication charge. `master` remains selectable as the §V paper
-  // baseline and fallback.
+  // Symmetric is the default: it is makespan-balanced (LPT over measured
+  // scan estimates) and survives coordinator death, at the price of the
+  // phase log's replication charge. `master` remains selectable as the §V
+  // paper baseline.
   if (!env.dist_protocol.has_value() || env.dist_protocol->empty()) {
     return DistProtocol::kSymmetric;
   }
@@ -173,150 +173,7 @@ std::vector<std::vector<NodeId>> partition_node_lists(
   return nodes;
 }
 
-// ---------------------------------------------------------------------------
-// Fault-tolerant master/worker protocol (DESIGN.md §7). The phase machinery
-// — command/record framing, dead-rank reassignment, round replay, the
-// symmetric rotating-coordinator WAL — lives in mpr/ft_phase.hpp, shared by
-// every covered pipeline stage; the graph drivers here supply only the
-// per-phase scan/unpack/apply bodies. Simplify runs these drivers only under
-// a non-empty plan; traverse runs them for every plan.
-// ---------------------------------------------------------------------------
-
 namespace {
-
-using mpr::FtMasterState;
-using mpr::SymWal;
-using mpr::ft_collect_phase;
-using mpr::ft_shutdown_workers;
-using mpr::ft_sym_drive;
-using mpr::ft_worker_loop;
-using mpr::sym_collect_phase;
-using mpr::sym_wal_commit;
-
-void ft_simplify_master(mpr::Comm& comm, AsmGraph& g,
-                        const std::vector<std::vector<NodeId>>& nodes,
-                        const SimplifyConfig& config, PartId nparts,
-                        const mpr::FaultConfig& fault, SimplifyStats* stats) {
-  FtMasterState st;
-  st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-  // Checkpoint between phases: the applied graph plus the stats so far.
-  // Applies happen strictly after a round's records are complete, so a
-  // replay restarts the current phase against exactly this state — no
-  // partial mutation can leak into a retry.
-  struct Checkpoint {
-    std::uint32_t phases_done = 0;
-    SimplifyStats stats;
-  } ckpt;
-
-  {  // Phase 0: transitive reduction (§V-A).
-    TransitiveScratch scratch;
-    auto recs = ft_collect_phase<std::vector<EdgeId>>(
-        comm, st, nparts, ckpt.phases_done, fault,
-        [&](std::uint32_t p, double* work) {
-          return find_transitive_edges(g, nodes[p], scratch, work);
-        },
-        [](mpr::Message& m) { return m.unpack_vector<EdgeId>(); });
-    std::vector<EdgeId> all;
-    for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-    comm.charge(static_cast<double>(all.size()));
-    ckpt.stats.transitive_edges = apply_edge_removals(g, std::move(all));
-    ckpt.phases_done = 1;
-  }
-
-  {  // Phase 1: containment removal + edge verification (§V-B).
-    auto recs = ft_collect_phase<ContainmentFindings>(
-        comm, st, nparts, ckpt.phases_done, fault,
-        [&](std::uint32_t p, double* work) {
-          return find_containments(g, nodes[p], config, work);
-        },
-        [](mpr::Message& m) {
-          ContainmentFindings f;
-          f.verified = m.unpack_vector<EdgeVerification>();
-          f.false_edges = m.unpack_vector<EdgeId>();
-          f.contained_nodes = m.unpack_vector<NodeId>();
-          return f;
-        });
-    ContainmentFindings all;
-    for (auto& r : recs) {
-      all.verified.insert(all.verified.end(), r.verified.begin(),
-                          r.verified.end());
-      all.false_edges.insert(all.false_edges.end(), r.false_edges.begin(),
-                             r.false_edges.end());
-      all.contained_nodes.insert(all.contained_nodes.end(),
-                                 r.contained_nodes.begin(),
-                                 r.contained_nodes.end());
-    }
-    comm.charge(static_cast<double>(all.verified.size() +
-                                    all.false_edges.size() +
-                                    all.contained_nodes.size()));
-    ckpt.stats.verified_edges = apply_verifications(g, all.verified);
-    ckpt.stats.false_edges =
-        apply_edge_removals(g, std::move(all.false_edges));
-    ckpt.stats.contained_nodes =
-        apply_node_removals(g, std::move(all.contained_nodes));
-    ckpt.phases_done = 2;
-  }
-
-  {  // Phase 2: dead-end trimming (§V-C).
-    auto recs = ft_collect_phase<std::vector<NodeId>>(
-        comm, st, nparts, ckpt.phases_done, fault,
-        [&](std::uint32_t p, double* work) {
-          return find_tips(g, nodes[p], config, work);
-        },
-        [](mpr::Message& m) { return m.unpack_vector<NodeId>(); });
-    std::vector<NodeId> all;
-    for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-    comm.charge(static_cast<double>(all.size()));
-    ckpt.stats.tip_nodes = apply_node_removals(g, std::move(all));
-    ckpt.phases_done = 3;
-  }
-
-  {  // Phase 3: bubble popping (§V-C).
-    auto recs = ft_collect_phase<std::vector<NodeId>>(
-        comm, st, nparts, ckpt.phases_done, fault,
-        [&](std::uint32_t p, double* work) {
-          return find_bubbles(g, nodes[p], config, work);
-        },
-        [](mpr::Message& m) { return m.unpack_vector<NodeId>(); });
-    std::vector<NodeId> all;
-    for (auto& r : recs) all.insert(all.end(), r.begin(), r.end());
-    comm.charge(static_cast<double>(all.size()));
-    ckpt.stats.bubble_nodes = apply_node_removals(g, std::move(all));
-    ckpt.phases_done = 4;
-  }
-
-  ft_shutdown_workers(comm, st);
-  *stats = ckpt.stats;
-}
-
-void ft_simplify_worker(mpr::Comm& comm, const AsmGraph& g,
-                        const std::vector<std::vector<NodeId>>& nodes,
-                        const SimplifyConfig& config) {
-  TransitiveScratch scratch;
-  ft_worker_loop(comm, [&](std::uint32_t phase, std::uint32_t p,
-                           mpr::Message& frame, double* work) {
-    switch (phase) {
-      case 0:
-        frame.pack_vector(find_transitive_edges(g, nodes[p], scratch, work));
-        break;
-      case 1: {
-        const auto f = find_containments(g, nodes[p], config, work);
-        frame.pack_vector(f.verified);
-        frame.pack_vector(f.false_edges);
-        frame.pack_vector(f.contained_nodes);
-        break;
-      }
-      case 2:
-        frame.pack_vector(find_tips(g, nodes[p], config, work));
-        break;
-      case 3:
-        frame.pack_vector(find_bubbles(g, nodes[p], config, work));
-        break;
-      default:
-        FOCUS_THROW("unknown simplify phase in scan command");
-    }
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Symmetric owner-computes protocol, fault-free fast path (DESIGN.md §7b).
@@ -465,41 +322,42 @@ void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
 }
 
 // ---------------------------------------------------------------------------
-// Symmetric fault-tolerant protocol (DESIGN.md §7b): rotating coordinator
-// over a replicated write-ahead log.
+// Recovering drivers (DESIGN.md §7 / §7b). The phase machinery — command and
+// record framing, dead-rank reassignment, round replay, the phase log and
+// the coordinator role — lives in mpr/ft_phase.hpp and runs both protocols:
+// symmetric replicates the log and lets a survivor take the coordinator
+// role, master keeps the log local and the role fixed at rank 0. Each driver
+// here supplies one coordinator body and one worker scan.
 //
-// The master protocol survives any worker death but rank 0 is irreplaceable.
-// Here coordination is a *role*, not a rank: whichever live rank currently
-// coordinates runs the same collect/apply loop the master would, but commits
-// each completed phase — the canonical record payload plus the resulting
-// counters — to a write-ahead log that models replicated stable storage
-// (appends charge the writer one per-live-replica message). When the
-// coordinator dies, every surviving rank walks the succession order
-// (ascending rank, skipping ranks it has proven dead) and the lowest live
-// rank takes over: it fast-forwards through the log's completed phases and
-// resumes collection at the first uncommitted phase. Applies sit strictly
-// between communication operations, so a crash can never leave a phase
-// half-applied: the graph state always equals exactly the committed log.
+// A coordinator body commits each completed phase — the canonical record
+// payload plus the resulting counters — and starts wherever the log it
+// inherits ends. Applies sit strictly between communication operations, so a
+// crash can never leave a phase half-applied: the graph state always equals
+// exactly the committed log. Simplify runs this driver only under a
+// non-empty plan; traverse runs it for every plan.
 // ---------------------------------------------------------------------------
 
-/// Coordinator body of the fault-tolerant symmetric simplify: the
-/// master-protocol phases, but each phase ends with a durable log commit and
-/// the loop starts wherever the inherited log ends. The final counters are a
+using mpr::PhaseLog;
+using mpr::ft_collect;
+using mpr::ft_commit;
+using mpr::ft_drive;
+
+/// Coordinator body of the recovering simplify. The final counters are a
 /// pure function of the log, so any coordinator — original, successor, or a
 /// late orphan finding a complete log — reports the same stats.
-void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
-                             const std::vector<std::vector<NodeId>>& nodes,
-                             const SimplifyConfig& config, PartId nparts,
-                             const mpr::FaultConfig& fault,
-                             std::uint32_t phase_start, SimplifyStats* stats) {
+void simplify_coordinate(mpr::Comm& comm, PhaseLog& log, AsmGraph& g,
+                         const std::vector<std::vector<NodeId>>& nodes,
+                         const SimplifyConfig& config, PartId nparts,
+                         const mpr::FaultConfig& fault,
+                         std::uint32_t phase_start, SimplifyStats* stats) {
   TransitiveScratch scratch;
   for (std::uint32_t phase = phase_start; phase < 4; ++phase) {
-    SymWal::Entry entry;
+    PhaseLog::Entry entry;
     entry.counts.assign(6, 0);  // SimplifyStats field order
     switch (phase) {
       case 0: {  // Transitive reduction (§V-A).
-        auto recs = sym_collect_phase<std::vector<EdgeId>>(
-            comm, wal, nparts, phase, fault,
+        auto recs = ft_collect<std::vector<EdgeId>>(
+            comm, log, nparts, phase, fault,
             [&](std::uint32_t p, double* work) {
               return find_transitive_edges(g, nodes[p], scratch, work);
             },
@@ -512,8 +370,8 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
         break;
       }
       case 1: {  // Containment removal + edge verification (§V-B).
-        auto recs = sym_collect_phase<ContainmentFindings>(
-            comm, wal, nparts, phase, fault,
+        auto recs = ft_collect<ContainmentFindings>(
+            comm, log, nparts, phase, fault,
             [&](std::uint32_t p, double* work) {
               return find_containments(g, nodes[p], config, work);
             },
@@ -547,8 +405,8 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
         break;
       }
       case 2: {  // Dead-end trimming (§V-C).
-        auto recs = sym_collect_phase<std::vector<NodeId>>(
-            comm, wal, nparts, phase, fault,
+        auto recs = ft_collect<std::vector<NodeId>>(
+            comm, log, nparts, phase, fault,
             [&](std::uint32_t p, double* work) {
               return find_tips(g, nodes[p], config, work);
             },
@@ -561,8 +419,8 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
         break;
       }
       default: {  // Phase 3: bubble popping (§V-C).
-        auto recs = sym_collect_phase<std::vector<NodeId>>(
-            comm, wal, nparts, phase, fault,
+        auto recs = ft_collect<std::vector<NodeId>>(
+            comm, log, nparts, phase, fault,
             [&](std::uint32_t p, double* work) {
               return find_bubbles(g, nodes[p], config, work);
             },
@@ -575,13 +433,13 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
         break;
       }
     }
-    sym_wal_commit(comm, wal, std::move(entry));
+    ft_commit(comm, log, std::move(entry));
   }
 
   SimplifyStats total;
   {
-    std::lock_guard<std::mutex> lock(wal.mu);
-    for (const auto& e : wal.entries) {
+    std::lock_guard<std::mutex> lock(log.mu);
+    for (const auto& e : log.entries) {
       total.transitive_edges += e.counts[0];
       total.false_edges += e.counts[1];
       total.contained_nodes += e.counts[2];
@@ -591,52 +449,6 @@ void sym_simplify_coordinate(mpr::Comm& comm, SymWal& wal, AsmGraph& g,
     }
   }
   *stats = total;
-}
-
-ParallelSimplifyResult ft_sym_simplify(
-    AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes, PartId nparts,
-    const SimplifyConfig& config, int nranks, mpr::CostModel cost,
-    const mpr::FaultPlan& fault_plan, const mpr::FaultConfig& fault) {
-  ParallelSimplifyResult out;
-  SymWal wal;
-  wal.live.assign(static_cast<std::size_t>(nranks), 1);
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        TransitiveScratch scratch;
-        ft_sym_drive(
-            comm, wal, fault,
-            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-                double* work) {
-              switch (phase) {
-                case 0:
-                  frame.pack_vector(
-                      find_transitive_edges(g, nodes[p], scratch, work));
-                  break;
-                case 1: {
-                  const auto f = find_containments(g, nodes[p], config, work);
-                  frame.pack_vector(f.verified);
-                  frame.pack_vector(f.false_edges);
-                  frame.pack_vector(f.contained_nodes);
-                  break;
-                }
-                case 2:
-                  frame.pack_vector(find_tips(g, nodes[p], config, work));
-                  break;
-                case 3:
-                  frame.pack_vector(find_bubbles(g, nodes[p], config, work));
-                  break;
-                default:
-                  FOCUS_THROW("unknown simplify phase in scan command");
-              }
-            },
-            [&](std::uint32_t phase_start) {
-              sym_simplify_coordinate(comm, wal, g, nodes, config, nparts,
-                                      fault, phase_start, &out.stats);
-            });
-      },
-      cost, fault_plan);
-  return out;
 }
 
 }  // namespace
@@ -655,23 +467,46 @@ ParallelSimplifyResult simplify_parallel(AsmGraph& g,
 
   ParallelSimplifyResult out;
   if (!fault_plan.empty()) {
-    if (dist.protocol == DistProtocol::kSymmetric) {
-      return ft_sym_simplify(g, nodes, nparts, config, nranks, cost,
-                             fault_plan, fault);
-    }
-    out.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          if (comm.rank() == 0) {
-            ft_simplify_master(comm, g, nodes, config, nparts, fault,
-                               &out.stats);
-          } else {
-            ft_simplify_worker(comm, g, nodes, config);
-          }
-        },
-        cost, fault_plan);
+    out.run = mpr::ft_execute(
+        nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
+        [&](mpr::Comm& comm, PhaseLog& log) {
+          TransitiveScratch scratch;
+          ft_drive(
+              comm, log, fault,
+              [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                  double* work) {
+                switch (phase) {
+                  case 0:
+                    frame.pack_vector(
+                        find_transitive_edges(g, nodes[p], scratch, work));
+                    break;
+                  case 1: {
+                    const auto f =
+                        find_containments(g, nodes[p], config, work);
+                    frame.pack_vector(f.verified);
+                    frame.pack_vector(f.false_edges);
+                    frame.pack_vector(f.contained_nodes);
+                    break;
+                  }
+                  case 2:
+                    frame.pack_vector(find_tips(g, nodes[p], config, work));
+                    break;
+                  case 3:
+                    frame.pack_vector(
+                        find_bubbles(g, nodes[p], config, work));
+                    break;
+                  default:
+                    FOCUS_THROW("unknown simplify phase in scan command");
+                }
+              },
+              [&](std::uint32_t phase_start) {
+                simplify_coordinate(comm, log, g, nodes, config, nparts,
+                                    fault, phase_start, &out.stats);
+              });
+        });
     return out;
   }
+
 
   if (dist.protocol == DistProtocol::kSymmetric) {
     double estimator_work = 0.0;
@@ -827,130 +662,58 @@ namespace {
 
 using Subpaths = std::vector<std::vector<NodeId>>;
 
-void ft_traverse_master(mpr::Comm& comm, const AsmGraph& g,
-                        const std::vector<std::vector<NodeId>>& nodes,
-                        std::span<const PartId> part, PartId nparts,
-                        const mpr::FaultConfig& fault, Subpaths* paths) {
-  FtMasterState st;
-  st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-  std::vector<bool> visited(g.node_count(), false);
-  auto recs = ft_collect_phase<Subpaths>(
-      comm, st, nparts, 0, fault,
-      [&](std::uint32_t p, double* work) {
-        // Partitions are disjoint and sub-paths never cross a partition
-        // boundary, so clearing only the extracted nodes between partitions
-        // extracts the same sub-paths as a fresh visited set per partition —
-        // and keeps a replayed partition (fault recovery) starting clean
-        // without re-zeroing node_count() bits each scan.
-        auto found = extract_subpaths(g, nodes[p], part, visited, work);
-        clear_visited(found, visited);
-        return found;
-      },
-      [](mpr::Message& m) {
-        Subpaths s(m.unpack<std::uint32_t>());
-        for (auto& path : s) path = m.unpack_vector<NodeId>();
-        return s;
-      });
-  Subpaths all;
-  for (auto& r : recs) {
-    for (auto& path : r) all.push_back(std::move(path));
-  }
-  double join_work = 0.0;
-  *paths = join_subpaths(g, std::move(all), &join_work);
-  comm.charge(join_work);
-  ft_shutdown_workers(comm, st);
+/// Decodes one partition's sub-paths: a u32 count, then one vector each. The
+/// count is bounded by the frame before anything is allocated.
+Subpaths unpack_subpaths(mpr::Message& m) {
+  Subpaths s(m.unpack_count(sizeof(std::uint64_t)));
+  for (auto& path : s) path = m.unpack_vector<NodeId>();
+  return s;
 }
 
-void ft_traverse_worker(mpr::Comm& comm, const AsmGraph& g,
-                        const std::vector<std::vector<NodeId>>& nodes,
-                        std::span<const PartId> part) {
-  std::vector<bool> visited(g.node_count(), false);
-  ft_worker_loop(comm, [&](std::uint32_t phase, std::uint32_t p,
-                           mpr::Message& frame, double* work) {
-    FOCUS_CHECK(phase == 0, "unknown traverse phase in scan command");
-    const auto found = extract_subpaths(g, nodes[p], part, visited, work);
-    clear_visited(found, visited);
-    frame.pack(static_cast<std::uint32_t>(found.size()));
-    for (const auto& path : found) frame.pack_vector(path);
-  });
-}
-
-/// Coordinator body of the fault-tolerant symmetric traverse: one collected
-/// phase committed to the log, then joining from the durable record — which
-/// is identical whether this rank collected the sub-paths itself or
-/// inherited them from a crashed predecessor.
-void sym_traverse_coordinate(mpr::Comm& comm, SymWal& wal, const AsmGraph& g,
-                             const std::vector<std::vector<NodeId>>& nodes,
-                             std::span<const PartId> part, PartId nparts,
-                             const mpr::FaultConfig& fault,
-                             std::uint32_t phase_start, Subpaths* paths) {
+/// Coordinator body of the recovering traverse: one collected phase
+/// committed to the log, then joining from the durable record — which is
+/// identical whether this rank collected the sub-paths itself or inherited
+/// them from a crashed predecessor.
+void traverse_coordinate(mpr::Comm& comm, PhaseLog& log, const AsmGraph& g,
+                         const std::vector<std::vector<NodeId>>& nodes,
+                         std::span<const PartId> part, PartId nparts,
+                         const mpr::FaultConfig& fault,
+                         std::uint32_t phase_start, Subpaths* paths) {
   if (phase_start == 0) {
     std::vector<bool> visited(g.node_count(), false);
-    auto recs = sym_collect_phase<Subpaths>(
-        comm, wal, nparts, 0, fault,
+    auto recs = ft_collect<Subpaths>(
+        comm, log, nparts, 0, fault,
         [&](std::uint32_t p, double* work) {
+          // Partitions are disjoint and sub-paths never cross a partition
+          // boundary, so clearing only the extracted nodes between
+          // partitions extracts the same sub-paths as a fresh visited set
+          // per partition — and keeps a replayed partition starting clean
+          // without re-zeroing node_count() bits each scan.
           auto found = extract_subpaths(g, nodes[p], part, visited, work);
           clear_visited(found, visited);
           return found;
         },
-        [](mpr::Message& m) {
-          Subpaths s(m.unpack<std::uint32_t>());
-          for (auto& path : s) path = m.unpack_vector<NodeId>();
-          return s;
-        });
-    SymWal::Entry entry;
+        unpack_subpaths);
+    PhaseLog::Entry entry;
     std::uint32_t count = 0;
     for (const auto& r : recs) count += static_cast<std::uint32_t>(r.size());
     entry.payload.pack(count);
     for (const auto& r : recs) {
       for (const auto& path : r) entry.payload.pack_vector(path);
     }
-    sym_wal_commit(comm, wal, std::move(entry));
+    ft_commit(comm, log, std::move(entry));
   }
 
   mpr::Message payload;
   {
-    std::lock_guard<std::mutex> lock(wal.mu);
-    payload = wal.entries.front().payload;
+    std::lock_guard<std::mutex> lock(log.mu);
+    payload = log.entries.front().payload;
   }
-  Subpaths all(payload.unpack<std::uint32_t>());
-  for (auto& path : all) path = payload.unpack_vector<NodeId>();
+  Subpaths all = unpack_subpaths(payload);
   FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in sub-path log");
   double join_work = 0.0;
   *paths = join_subpaths(g, std::move(all), &join_work);
   comm.charge(join_work);
-}
-
-ParallelTraverseResult ft_sym_traverse(
-    const AsmGraph& g, const std::vector<std::vector<NodeId>>& nodes,
-    std::span<const PartId> part, PartId nparts, int nranks,
-    mpr::CostModel cost, const mpr::FaultPlan& fault_plan,
-    const mpr::FaultConfig& fault) {
-  ParallelTraverseResult out;
-  SymWal wal;
-  wal.live.assign(static_cast<std::size_t>(nranks), 1);
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        std::vector<bool> visited(g.node_count(), false);
-        ft_sym_drive(
-            comm, wal, fault,
-            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-                double* work) {
-              FOCUS_CHECK(phase == 0, "unknown traverse phase in scan command");
-              const auto found =
-                  extract_subpaths(g, nodes[p], part, visited, work);
-              clear_visited(found, visited);
-              frame.pack(static_cast<std::uint32_t>(found.size()));
-              for (const auto& path : found) frame.pack_vector(path);
-            },
-            [&](std::uint32_t phase_start) {
-              sym_traverse_coordinate(comm, wal, g, nodes, part, nparts,
-                                      fault, phase_start, &out.paths);
-            });
-      },
-      cost, fault_plan);
-  return out;
 }
 
 }  // namespace
@@ -966,23 +729,29 @@ ParallelTraverseResult traverse_parallel(const AsmGraph& g,
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
   const auto nodes = partition_node_lists(part, nparts, threads);
 
-  // One driver per protocol: the recovering one, for every plan. An empty
-  // plan injects nothing, so it runs fault-free (DESIGN.md §7).
-  if (dist.protocol == DistProtocol::kSymmetric) {
-    return ft_sym_traverse(g, nodes, part, nparts, nranks, cost, fault_plan,
-                           fault);
-  }
+  // The recovering driver, for every plan. An empty plan injects nothing,
+  // so it runs fault-free (DESIGN.md §7).
   ParallelTraverseResult out;
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          ft_traverse_master(comm, g, nodes, part, nparts, fault, &out.paths);
-        } else {
-          ft_traverse_worker(comm, g, nodes, part);
-        }
-      },
-      cost, fault_plan);
+  out.run = mpr::ft_execute(
+      nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
+      [&](mpr::Comm& comm, PhaseLog& log) {
+        std::vector<bool> visited(g.node_count(), false);
+        ft_drive(
+            comm, log, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0, "unknown traverse phase in scan command");
+              const auto found =
+                  extract_subpaths(g, nodes[p], part, visited, work);
+              clear_visited(found, visited);
+              frame.pack(static_cast<std::uint32_t>(found.size()));
+              for (const auto& path : found) frame.pack_vector(path);
+            },
+            [&](std::uint32_t phase_start) {
+              traverse_coordinate(comm, log, g, nodes, part, nparts, fault,
+                                  phase_start, &out.paths);
+            });
+      });
   return out;
 }
 
@@ -1020,66 +789,6 @@ std::vector<align::Overlap> ft_overlap_merge(
   return align::dedupe_overlaps(std::move(all));
 }
 
-std::vector<align::Overlap> unpack_overlaps(mpr::Message& m) {
-  return m.unpack_vector<align::Overlap>();
-}
-
-void ft_overlap_master(mpr::Comm& comm, align::PairScanner& scanner,
-                       PartId nparts, const mpr::FaultConfig& fault,
-                       std::vector<align::Overlap>* overlaps) {
-  FtMasterState st;
-  st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-  auto recs = ft_collect_phase<std::vector<align::Overlap>>(
-      comm, st, nparts, 0, fault,
-      [&](std::uint32_t p, double* work) {
-        return scan_pair(scanner, p, work);
-      },
-      unpack_overlaps);
-  *overlaps = ft_overlap_merge(comm, std::move(recs));
-  ft_shutdown_workers(comm, st);
-}
-
-void ft_overlap_worker(mpr::Comm& comm, align::PairScanner& scanner) {
-  ft_worker_loop(comm, [&](std::uint32_t phase, std::uint32_t p,
-                           mpr::Message& frame, double* work) {
-    FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-    frame.pack_vector(scan_pair(scanner, p, work));
-  });
-}
-
-void ft_overlap_symmetric(mpr::Comm& comm, align::PairScanner& scanner,
-                          PartId nparts, const mpr::FaultConfig& fault,
-                          SymWal& wal, std::vector<align::Overlap>* overlaps) {
-  ft_sym_drive(
-      comm, wal, fault,
-      [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-          double* work) {
-        FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-        frame.pack_vector(scan_pair(scanner, p, work));
-      },
-      [&](std::uint32_t phase_start) {
-        if (phase_start == 0) {
-          auto recs = sym_collect_phase<std::vector<align::Overlap>>(
-              comm, wal, nparts, 0, fault,
-              [&](std::uint32_t p, double* work) {
-                return scan_pair(scanner, p, work);
-              },
-              unpack_overlaps);
-          SymWal::Entry entry;
-          entry.payload.pack_vector(ft_overlap_merge(comm, std::move(recs)));
-          sym_wal_commit(comm, wal, std::move(entry));
-        }
-        // Publish from the durable record, in place — identical whether this
-        // rank merged the pairs itself or inherited the committed entry (a
-        // successor may re-read an entry its predecessor already published).
-        std::lock_guard<std::mutex> lock(wal.mu);
-        mpr::Message& payload = wal.entries.front().payload;
-        payload.rewind();
-        *overlaps = payload.unpack_vector<align::Overlap>();
-        FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in overlap log");
-      });
-}
-
 }  // namespace
 
 ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
@@ -1098,26 +807,47 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
   const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
   const auto pairs = align::subset_pairs(subsets.size());
   const auto nparts = static_cast<PartId>(pairs.size());
-  const bool symmetric = dist.protocol == DistProtocol::kSymmetric;
 
-  SymWal wal;
-  wal.live.assign(static_cast<std::size_t>(nranks), 1);
   ParallelOverlapResult out;
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
+  out.run = mpr::ft_execute(
+      nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
+      [&](mpr::Comm& comm, PhaseLog& log) {
         align::PairScanner scanner(reads, subsets, pairs, config,
                                    static_cast<std::size_t>(nranks));
-        if (symmetric) {
-          ft_overlap_symmetric(comm, scanner, nparts, fault, wal,
-                               &out.overlaps);
-        } else if (comm.rank() == 0) {
-          ft_overlap_master(comm, scanner, nparts, fault, &out.overlaps);
-        } else {
-          ft_overlap_worker(comm, scanner);
-        }
-      },
-      cost, fault_plan);
+        ft_drive(
+            comm, log, fault,
+            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                double* work) {
+              FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
+              frame.pack_vector(scan_pair(scanner, p, work));
+            },
+            [&](std::uint32_t phase_start) {
+              if (phase_start == 0) {
+                auto recs = ft_collect<std::vector<align::Overlap>>(
+                    comm, log, nparts, 0, fault,
+                    [&](std::uint32_t p, double* work) {
+                      return scan_pair(scanner, p, work);
+                    },
+                    [](mpr::Message& m) {
+                      return m.unpack_vector<align::Overlap>();
+                    });
+                PhaseLog::Entry entry;
+                entry.payload.pack_vector(
+                    ft_overlap_merge(comm, std::move(recs)));
+                ft_commit(comm, log, std::move(entry));
+              }
+              // Publish from the durable record, in place — identical
+              // whether this rank merged the pairs itself or inherited the
+              // committed entry (a successor may re-read an entry its
+              // predecessor already published).
+              std::lock_guard<std::mutex> lock(log.mu);
+              mpr::Message& payload = log.entries.front().payload;
+              payload.rewind();
+              out.overlaps = payload.unpack_vector<align::Overlap>();
+              FOCUS_CHECK(payload.fully_consumed(),
+                          "trailing bytes in overlap log");
+            });
+      });
   return out;
 }
 

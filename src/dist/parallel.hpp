@@ -5,17 +5,22 @@
 // assigned round-robin, workers scan and ship recorded changes to the master
 // (rank 0), which applies them between phases. kSymmetric has no
 // irreplaceable rank (DESIGN.md §7b): its fault-free simplify is
-// owner-computes, and its recovering drivers rotate the coordinator role
-// over a replicated write-ahead log. Both produce byte-identical output.
+// owner-computes, and its recovering drivers let a survivor take over the
+// coordinator role. Both produce byte-identical output.
 //
-// Fault tolerance (DESIGN.md §7): the recovering drivers run an explicitly
-// commanded protocol. The master sends each live worker a scan command
+// Fault tolerance (DESIGN.md §7): each recovering driver has one coordinator
+// body and one worker scan, run under both protocols by the engine in
+// mpr/ft_phase.hpp. The coordinator sends each live worker a scan command
 // naming its partitions, collects one record frame per worker with a timed
 // receive, and on a worker timeout reassigns the dead worker's partitions
 // to the survivors and replays the phase (bounded by
 // FaultConfig::max_retries). Records are absorbed in a canonical partition
 // order that is independent of which rank scanned them, so a recovered run
-// applies the exact change sequence of a fault-free run.
+// applies the exact change sequence of a fault-free run. Each completed
+// phase is committed to a log: replicated under kSymmetric, so a survivor
+// can take over from it; kept on rank 0 under kMaster, whose coordinator is
+// fixed. A run whose coordinator role dies with no successor (rank 0 under
+// kMaster, every rank under kSymmetric) throws focus::Error.
 //
 // An empty plan injects nothing. traverse_parallel runs its recovering
 // driver for every plan, as do partition and variants. Three stages keep a
@@ -51,8 +56,9 @@ namespace focus::dist {
 /// simplify is owner-computes: partitions are LPT-assigned to ranks by
 /// estimated scan cost, every rank applies the deltas for the nodes and
 /// edges it owns, and cross-owner deltas travel in batched
-/// mpr::exchange_deltas rounds. Every other symmetric driver rotates the
-/// coordinator role over a replicated write-ahead log, so any rank may die.
+/// mpr::exchange_deltas rounds. Every recovering driver replicates its
+/// phase log under kSymmetric, so a survivor can take over the coordinator
+/// role and any rank but the last may die.
 /// Both protocols produce byte-identical graphs, stats and paths
 /// (tests/dist_protocol_test.cpp).
 enum class DistProtocol {
@@ -88,7 +94,7 @@ struct ParallelSimplifyResult {
 
 /// Distributed graph trimming: transitive reduction, containment removal and
 /// edge verification, dead-end trimming, bubble popping — each as a
-/// worker-record / master-apply phase separated by barriers. `threads`
+/// worker-record / coordinator-apply phase. `threads`
 /// parallelizes the host-side partition gather only (see
 /// partition_node_lists); the per-rank bodies stay single-threaded so the
 /// virtual-time measurement is not confounded by host parallelism.
@@ -110,9 +116,9 @@ struct ParallelTraverseResult {
 };
 
 /// Distributed maximal-path traversal: workers grow partition-local
-/// sub-paths; the coordinator joins them across partition boundaries (rank
-/// 0 under kMaster; under kSymmetric whichever rank holds the role, joining
-/// from the logged sub-paths). Runs the recovering driver for every plan.
+/// sub-paths; the coordinator joins them across partition boundaries from
+/// the logged sub-paths (rank 0 under kMaster; under kSymmetric whichever
+/// rank holds the role). Runs the recovering driver for every plan.
 /// `threads` and `fault` as in simplify_parallel.
 ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
@@ -138,8 +144,9 @@ struct ParallelOverlapResult {
 /// scan is pure in (reads, config, p), so a recovered run returns
 /// find_overlaps_serial's bytes (tests/overlap_dist_test.cpp,
 /// tests/mpr_fault_test.cpp). `dist` picks the recovery wire protocol:
-/// master/worker (rank 0 immortal) or symmetric (WAL-replicated coordination
-/// that survives any rank's death, including rank 0).
+/// master (the coordinator is fixed at rank 0, whose death throws) or
+/// symmetric (a replicated log lets a survivor take over after any rank's
+/// death, including rank 0's).
 ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                                        const align::OverlapperConfig& config,
                                        int nranks, mpr::CostModel cost = {},

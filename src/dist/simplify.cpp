@@ -274,6 +274,8 @@ std::vector<NodeId> find_bubbles(const AsmGraph& g,
 std::size_t apply_edge_removals(AsmGraph& g, std::vector<EdgeId> edges) {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  FOCUS_CHECK(edges.empty() || edges.back() < g.edge_count(),
+              "edge removal names an edge outside the graph");
   std::size_t applied = 0;
   for (const EdgeId e : edges) {
     if (!g.edge(e).removed) {
@@ -287,6 +289,8 @@ std::size_t apply_edge_removals(AsmGraph& g, std::vector<EdgeId> edges) {
 std::size_t apply_node_removals(AsmGraph& g, std::vector<NodeId> nodes) {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  FOCUS_CHECK(nodes.empty() || nodes.back() < g.node_count(),
+              "node removal names a node outside the graph");
   std::size_t applied = 0;
   for (const NodeId v : nodes) {
     if (g.node_live(v)) {
@@ -299,6 +303,10 @@ std::size_t apply_node_removals(AsmGraph& g, std::vector<NodeId> nodes) {
 
 std::size_t apply_verifications(AsmGraph& g,
                                 const std::vector<EdgeVerification>& v) {
+  for (const auto& rec : v) {
+    FOCUS_CHECK(rec.edge < g.edge_count(),
+                "edge verification names an edge outside the graph");
+  }
   std::size_t applied = 0;
   for (const auto& rec : v) {
     if (!g.edge(rec.edge).verified) {

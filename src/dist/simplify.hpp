@@ -107,7 +107,8 @@ std::vector<NodeId> find_bubbles(const AsmGraph& g,
 
 /// Applies recorded changes, deduplicating (cross-partition edges are
 /// recorded by both sides, paper §V-A). Returns the number of *distinct*
-/// applied changes.
+/// applied changes. The records may have crossed the wire: an id outside the
+/// graph throws focus::Error before anything is applied.
 std::size_t apply_edge_removals(AsmGraph& g, std::vector<EdgeId> edges);
 std::size_t apply_node_removals(AsmGraph& g, std::vector<NodeId> nodes);
 std::size_t apply_verifications(AsmGraph& g,

@@ -82,6 +82,10 @@ std::vector<std::vector<NodeId>> join_subpaths(
   left_of.reserve(subpaths.size());
   for (std::size_t i = 0; i < subpaths.size(); ++i) {
     FOCUS_CHECK(!subpaths[i].empty(), "empty sub-path");
+    for (const NodeId v : subpaths[i]) {
+      FOCUS_CHECK(v < g.node_count(),
+                  "sub-path names a node outside the graph");
+    }
     const auto [it, inserted] = left_of.emplace(subpaths[i].front(), i);
     FOCUS_CHECK(inserted, "two sub-paths share a left endpoint");
   }

@@ -3,7 +3,7 @@
 // Workers grow unambiguous paths inside their own partition: from a seed
 // node, extension by out-edges appends vz when the current endpoint has a
 // single out-edge e = (vy, vz), e is vz's only in-edge, and vz is in the same
-// partition; extension by in-edges is symmetric. The master then joins
+// partition; extension by in-edges is symmetric. The coordinator then joins
 // sub-paths whose junction is unambiguous (p1's right endpoint has an
 // out-edge to p2's left endpoint, and that endpoint has no other in-edges).
 #pragma once
@@ -33,7 +33,9 @@ std::vector<std::vector<NodeId>> extract_subpaths(
 void clear_visited(const std::vector<std::vector<NodeId>>& paths,
                    std::vector<bool>& visited);
 
-/// Master-side joining of worker sub-paths; returns the final maximal paths.
+/// Coordinator-side joining of worker sub-paths; returns the final maximal
+/// paths. A sub-path naming a node outside the graph (a corrupt record)
+/// throws focus::Error.
 std::vector<std::vector<NodeId>> join_subpaths(
     const AsmGraph& g, std::vector<std::vector<NodeId>> subpaths,
     double* work = nullptr);

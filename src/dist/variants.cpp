@@ -209,54 +209,31 @@ ParallelVariantResult find_variants_parallel(
     return canonical_variants(std::move(all));
   };
 
-  if (dist.protocol == DistProtocol::kSymmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    out.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          mpr::ft_sym_drive(
-              comm, wal, fault, scan_and_pack,
-              [&](std::uint32_t phase_start) {
-                if (phase_start == 0) {
-                  auto recs = mpr::sym_collect_phase<Rec>(
-                      comm, wal, nparts, 0, fault, scan_one, unpack_one);
-                  mpr::SymWal::Entry entry;
-                  entry.payload.pack_vector(merge(comm, std::move(recs)));
-                  mpr::sym_wal_commit(comm, wal, std::move(entry));
-                }
-                // Publish from the durable record — identical whether this
-                // rank merged the records itself or inherited them.
-                mpr::Message payload;
-                {
-                  std::lock_guard<std::mutex> lock(wal.mu);
-                  payload = wal.entries.front().payload;
-                }
-                auto merged = payload.unpack_vector<Variant>();
-                FOCUS_CHECK(payload.fully_consumed(),
-                            "trailing bytes in variant log");
-                out.variants = std::move(merged);
-              });
-        },
-        cost, fault_plan);
-    return out;
-  }
-
-  out.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-          auto recs = mpr::ft_collect_phase<Rec>(comm, st, nparts, 0, fault,
-                                                 scan_one, unpack_one);
-          out.variants = merge(comm, std::move(recs));
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          mpr::ft_worker_loop(comm, scan_and_pack);
-        }
-      },
-      cost, fault_plan);
+  out.run = mpr::ft_execute(
+      nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
+      [&](mpr::Comm& comm, mpr::PhaseLog& log) {
+        const auto coordinate = [&](std::uint32_t phase_start) {
+          if (phase_start == 0) {
+            auto recs = mpr::ft_collect<Rec>(comm, log, nparts, 0, fault,
+                                             scan_one, unpack_one);
+            mpr::PhaseLog::Entry entry;
+            entry.payload.pack_vector(merge(comm, std::move(recs)));
+            mpr::ft_commit(comm, log, std::move(entry));
+          }
+          // Publish from the durable record — identical whether this rank
+          // merged the records itself or inherited them.
+          mpr::Message payload;
+          {
+            std::lock_guard<std::mutex> lock(log.mu);
+            payload = log.entries.front().payload;
+          }
+          auto merged = payload.unpack_vector<Variant>();
+          FOCUS_CHECK(payload.fully_consumed(),
+                      "trailing bytes in variant log");
+          out.variants = std::move(merged);
+        };
+        mpr::ft_drive(comm, log, fault, scan_and_pack, coordinate);
+      });
   return out;
 }
 

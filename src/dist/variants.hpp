@@ -74,11 +74,11 @@ struct ParallelVariantResult {
 };
 
 /// Distributed driver: partitions round-robin over ranks, coordinator merge
-/// + dedupe. The scan runs under the shared fault-tolerant phase protocol
+/// + dedupe. The scan runs under the recovering phase engine
 /// (mpr/ft_phase.hpp) for every fault plan (an empty plan injects nothing):
-/// master/worker under kMaster, the rotating-coordinator WAL under
-/// kSymmetric — either way a recovered run returns the byte-identical
-/// fault-free variant list.
+/// the coordinator is fixed at rank 0 under kMaster and rotates to a
+/// survivor under kSymmetric. Either way a recovered run returns the
+/// byte-identical fault-free variant list.
 ParallelVariantResult find_variants_parallel(
     const AsmGraph& g, std::span<const PartId> part, PartId nparts,
     const VariantConfig& config, int nranks, mpr::CostModel cost = {},

@@ -234,67 +234,41 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
     pack_block(preprocess_block(input, config, p, work), frame);
   };
 
-  if (symmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    result.run = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          mpr::ft_sym_drive(
-              comm, wal, fault, scan_and_pack,
-              [&](std::uint32_t phase_start) {
-                if (phase_start == 0) {
-                  auto recs = mpr::sym_collect_phase<PreprocessBlock>(
-                      comm, wal, nparts, 0, fault, scan_one, unpack_one,
-                      mpr::FtOrder::kAscending);
-                  mpr::SymWal::Entry entry;
-                  entry.payload.pack(static_cast<std::uint32_t>(recs.size()));
-                  for (const auto& block : recs) {
-                    pack_block(block, entry.payload);
-                  }
-                  mpr::sym_wal_commit(comm, wal, std::move(entry));
-                }
-                // Assemble from the durable record — identical whether this
-                // rank collected the blocks itself or inherited them from a
-                // crashed predecessor.
-                mpr::Message payload;
-                {
-                  std::lock_guard<std::mutex> lock(wal.mu);
-                  payload = wal.entries.front().payload;
-                }
-                const auto count = payload.unpack<std::uint32_t>();
-                FOCUS_CHECK(count == nparts,
-                            "preprocess log holds the wrong block count");
-                std::vector<PreprocessBlock> recs;
-                recs.reserve(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                  recs.push_back(unpack_block(payload));
-                }
-                FOCUS_CHECK(payload.fully_consumed(),
-                            "trailing bytes in preprocess log");
-                assemble_blocks(input, std::move(recs), &result);
-              });
-        },
-        cost, fault_plan);
-    return result;
-  }
-
-  result.run = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
-          auto recs = mpr::ft_collect_phase<PreprocessBlock>(
-              comm, st, nparts, 0, fault, scan_one, unpack_one,
-              mpr::FtOrder::kAscending);
+  result.run = mpr::ft_execute(
+      nranks, symmetric, cost, fault_plan,
+      [&](mpr::Comm& comm, mpr::PhaseLog& log) {
+        const auto coordinate = [&](std::uint32_t phase_start) {
+          if (phase_start == 0) {
+            auto recs = mpr::ft_collect<PreprocessBlock>(
+                comm, log, nparts, 0, fault, scan_one, unpack_one,
+                mpr::FtOrder::kAscending);
+            mpr::PhaseLog::Entry entry;
+            entry.payload.pack(static_cast<std::uint32_t>(recs.size()));
+            for (const auto& block : recs) pack_block(block, entry.payload);
+            mpr::ft_commit(comm, log, std::move(entry));
+          }
+          // Assemble from the durable record — identical whether this rank
+          // collected the blocks itself or inherited them from a crashed
+          // predecessor.
+          mpr::Message payload;
+          {
+            std::lock_guard<std::mutex> lock(log.mu);
+            payload = log.entries.front().payload;
+          }
+          const auto count = payload.unpack<std::uint32_t>();
+          FOCUS_CHECK(count == nparts,
+                      "preprocess log holds the wrong block count");
+          std::vector<PreprocessBlock> recs;
+          recs.reserve(count);
+          for (std::uint32_t i = 0; i < count; ++i) {
+            recs.push_back(unpack_block(payload));
+          }
+          FOCUS_CHECK(payload.fully_consumed(),
+                      "trailing bytes in preprocess log");
           assemble_blocks(input, std::move(recs), &result);
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          mpr::ft_worker_loop(comm, scan_and_pack);
-        }
-      },
-      cost, fault_plan);
+        };
+        mpr::ft_drive(comm, log, fault, scan_and_pack, coordinate);
+      });
   return result;
 }
 

@@ -73,14 +73,14 @@ struct ParallelPreprocessResult {
 /// contiguous chunk of the input; rank 0 gathers the chunks in rank order,
 /// so the output is identical to the serial preprocess().
 ///
-/// With a non-empty fault plan the stage runs under the shared
-/// fault-tolerant phase protocol (mpr/ft_phase.hpp) over fixed 64-read
-/// blocks — the block decomposition is a pure function of the read count, so
-/// replayed blocks reproduce the serial output byte for byte regardless of
-/// which surviving rank scans them. `symmetric` selects the rotating-
-/// coordinator WAL protocol (survives a rank-0 crash) instead of
-/// master/worker; it is a plain bool rather than a dist::DistConfig because
-/// the io layer sits below dist.
+/// With a non-empty fault plan the stage runs under the recovering phase
+/// engine (mpr/ft_phase.hpp) over fixed 64-read blocks — the block
+/// decomposition is a pure function of the read count, so replayed blocks
+/// reproduce the serial output byte for byte regardless of which surviving
+/// rank scans them. `symmetric` replicates the engine's phase log, so a
+/// survivor takes over after a rank-0 crash; without it the coordinator is
+/// fixed at rank 0, and its death throws focus::Error. It is a plain bool
+/// rather than a dist::DistConfig because the io layer sits below dist.
 ParallelPreprocessResult preprocess_parallel(
     const ReadSet& input, const PreprocessConfig& config, int nranks,
     mpr::CostModel cost = {}, const mpr::FaultPlan& fault_plan = {},

@@ -120,10 +120,10 @@ struct FaultPlan {
 /// Recovery knobs for the fault-tolerant distributed drivers.
 struct FaultConfig {
   /// Bound on phase replays: after this many failed rounds of one phase the
-  /// master gives up and throws.
+  /// coordinator gives up and throws.
   int max_retries = 8;
   /// Virtual-time deadline charged per timed-out receive; also the base unit
-  /// of the linear retry backoff charged to the master's clock.
+  /// of the linear retry backoff charged to the coordinator's clock.
   double recv_timeout_vtime = 1e-3;
 
   /// Config from FOCUS_FAULT_MAX_RETRIES / FOCUS_FAULT_RECV_TIMEOUT; unset

@@ -1,24 +1,30 @@
-// Shared fault-tolerant phase machinery (DESIGN.md §7 / §7b), extracted from
-// the dist drivers so every pipeline stage — preprocess, overlap, partition,
-// simplify, traverse, variants — runs the same two protocols:
+// The recovering phase engine (DESIGN.md §7 / §7b). Every recovering stage
+// (preprocess, overlap, partition, simplify, traverse, variants) runs both
+// wire protocols through this one collect/apply loop:
 //
-//  * master/worker (§7): rank 0 commands scans over replayable partitions,
-//    collects CRC-framed records, detects dead workers by quiescence timeout
-//    and replays the phase with orphaned partitions reassigned round-robin
-//    over the live ranks, bounded by FaultConfig::max_retries.
-//  * symmetric (§7b): coordination is a *role* — whichever live rank
-//    currently coordinates runs the same collect loop but commits each
-//    completed phase to a write-ahead log modeling replicated stable
-//    storage; on the coordinator's death the lowest surviving rank takes
-//    over, fast-forwards through the log and resumes at the first
-//    uncommitted phase. No rank is irreplaceable.
+//  * A coordinator commands scans over replayable partitions, collects
+//    CRC-framed records, detects dead workers by quiescence timeout and
+//    replays the phase with orphaned partitions reassigned round-robin over
+//    the live ranks, bounded by FaultConfig::max_retries. Each completed
+//    phase is committed to a PhaseLog.
+//  * symmetric (§7b): the log is replicated (each commit charges one message
+//    per other live rank) and coordination is a role: on the coordinator's
+//    death the lowest surviving rank takes over, fast-forwards through the
+//    log and resumes at the first uncommitted phase.
+//  * master (§7, the paper's §V protocol): the same loop with the
+//    coordinator fixed at rank 0 and the log kept local. Commits charge
+//    nothing, and a worker that loses rank 0 fails instead of taking over.
 //
-// Commands and record frames flow over two user tags per protocol. Every
-// scan command carries a monotone sequence number (workers discard
-// duplicated commands without re-scanning) and every record frame carries
-// its (phase, round) so stale frames from failed rounds are discarded.
+// A run in which no coordinator finishes (master: rank 0 died; symmetric:
+// every rank died) throws from ft_execute instead of returning a partial
+// result.
 //
-// Two extensions over the original in-driver machinery:
+// Commands and record frames flow over two user tags. Every scan command
+// carries a monotone sequence number (workers discard duplicated commands
+// without re-scanning) and every record frame carries its (phase, round) so
+// stale frames from failed rounds are discarded.
+//
+// Two extensions over a plain scatter/gather:
 //  * FtOrder — the canonical order collected records are returned in.
 //    kRankMajor reproduces the fault-free gather order of the graph drivers
 //    (partitions sorted by (p % size, p)); kAscending returns plain
@@ -45,12 +51,10 @@
 
 namespace focus::mpr {
 
-// Wire tags of the two protocols; each driver runs in its own Runtime, so
-// the tags are shared across stages without collision.
-inline constexpr int kFtTagCmd = 100;
-inline constexpr int kFtTagRec = 101;
-inline constexpr int kFtTagSymCmd = 120;
-inline constexpr int kFtTagSymRec = 121;
+// Wire tags of the engine; each driver runs in its own Runtime, so the tags
+// are shared across stages and protocols without collision.
+inline constexpr int kFtCommandTag = 120;
+inline constexpr int kFtRecordTag = 121;
 inline constexpr std::uint32_t kFtCmdScan = 1;
 inline constexpr std::uint32_t kFtCmdDone = 2;
 
@@ -93,11 +97,6 @@ inline std::vector<std::vector<std::uint32_t>> ft_assign(
   return parts_for_rank;
 }
 
-struct FtMasterState {
-  std::vector<std::uint8_t> live;  // live[0] is the master itself
-  std::uint64_t cmd_seq = 0;
-};
-
 namespace detail {
 
 /// Canonical emission of the per-partition record slots.
@@ -127,188 +126,56 @@ std::vector<Rec> ft_emit(std::vector<std::optional<Rec>>& by_part, int size,
 
 }  // namespace detail
 
-/// One worker-record / master-collect phase under the fault-tolerant
-/// protocol. Returns the per-partition records in the canonical order
-/// selected by `order` — so downstream applies see the exact record
-/// sequence of a fault-free run, regardless of which surviving rank
-/// actually scanned each partition. Replays the whole phase on a worker
-/// timeout (marking it dead) or a corrupt frame (worker stays live), up to
-/// FaultConfig::max_retries replays.
-template <typename Rec>
-std::vector<Rec> ft_collect_phase(
-    Comm& comm, FtMasterState& st, std::uint32_t nparts, std::uint32_t phase,
-    const FaultConfig& fault,
-    const std::function<Rec(std::uint32_t, double*)>& scan_one,
-    const std::function<Rec(Message&)>& unpack_one,
-    FtOrder order = FtOrder::kRankMajor,
-    const FtPackState& pack_state = nullptr) {
-  const int size = comm.size();
-  for (std::uint32_t round = 0;; ++round) {
-    FOCUS_CHECK(static_cast<int>(round) <= fault.max_retries,
-                "fault recovery exhausted max_retries replays of a phase");
-    const auto assign = ft_assign(nparts, st.live, size);
-    for (int r = 1; r < size; ++r) {
-      if (!st.live[static_cast<std::size_t>(r)]) continue;
-      Message cmd;
-      cmd.pack(kFtCmdScan);
-      cmd.pack(++st.cmd_seq);
-      cmd.pack(phase);
-      cmd.pack(round);
-      cmd.pack_vector(assign[static_cast<std::size_t>(r)]);
-      if (pack_state) {
-        for (const std::uint32_t p : assign[static_cast<std::size_t>(r)]) {
-          pack_state(p, cmd);
-        }
-      }
-      comm.send(r, kFtTagCmd, std::move(cmd));
-    }
-
-    std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
-    double work = 0.0;
-    for (const std::uint32_t p : assign[0]) {
-      by_part[p] = scan_one(p, &work);
-    }
-    comm.charge(work);
-
-    bool failed = false;
-    for (int r = 1; r < size && !failed; ++r) {
-      if (!st.live[static_cast<std::size_t>(r)]) continue;
-      for (;;) {
-        auto res = comm.try_recv(r, kFtTagRec, fault.recv_timeout_vtime);
-        if (res.status == RecvStatus::kTimeout) {
-          st.live[static_cast<std::size_t>(r)] = 0;
-          failed = true;
-          break;
-        }
-        if (res.status == RecvStatus::kCorrupt) {
-          failed = true;  // frame lost in transit; the worker itself is fine
-          break;
-        }
-        const auto fphase = res.msg.unpack<std::uint32_t>();
-        const auto fround = res.msg.unpack<std::uint32_t>();
-        const auto count = res.msg.unpack<std::uint32_t>();
-        if (fphase != phase || fround != round) continue;  // stale frame
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto p = res.msg.unpack<std::uint32_t>();
-          FOCUS_CHECK(p < nparts, "record frame names an invalid partition");
-          by_part[p] = unpack_one(res.msg);
-        }
-        FOCUS_CHECK(res.msg.fully_consumed(),
-                    "trailing bytes in record frame");
-        break;
-      }
-    }
-    if (failed) {
-      comm.note_retry();
-      comm.charge_recovery(fault.recv_timeout_vtime *
-                           static_cast<double>(round + 1));
-      continue;
-    }
-    return detail::ft_emit(by_part, size, order);
-  }
-}
-
-/// Worker loop shared by all drivers: execute scan commands until told to
-/// stop. `scan_and_pack(phase, partition, frame, work)` runs one partition's
-/// read-only scan and appends its records to the frame. When the master
-/// packs per-partition state into commands, `unpack_state` consumes it (in
-/// assignment order, before any scan runs).
-inline void ft_worker_loop(
-    Comm& comm,
-    const std::function<void(std::uint32_t, std::uint32_t, Message&,
-                             double*)>& scan_and_pack,
-    const FtUnpackState& unpack_state = nullptr) {
-  std::uint64_t last_seq = 0;
-  for (;;) {
-    Message cmd;
-    try {
-      cmd = comm.recv(0, kFtTagCmd);
-    } catch (const CorruptMessage& e) {
-      // A command this worker cannot decode means it cannot follow the
-      // protocol any more: fail the rank and let the master reassign.
-      throw RankFailed(e.what());
-    }
-    const auto kind = cmd.unpack<std::uint32_t>();
-    if (kind == kFtCmdDone) {
-      FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in done command");
-      return;
-    }
-    FOCUS_CHECK(kind == kFtCmdScan, "unknown command kind");
-    const auto seq = cmd.unpack<std::uint64_t>();
-    const auto phase = cmd.unpack<std::uint32_t>();
-    const auto round = cmd.unpack<std::uint32_t>();
-    const auto parts = cmd.unpack_vector<std::uint32_t>();
-    if (unpack_state) {
-      for (const std::uint32_t p : parts) unpack_state(phase, p, cmd);
-    }
-    FOCUS_CHECK(cmd.fully_consumed(), "trailing bytes in scan command");
-    if (seq <= last_seq) continue;  // duplicated command; already executed
-    last_seq = seq;
-
-    Message frame;
-    frame.pack(phase);
-    frame.pack(round);
-    frame.pack(static_cast<std::uint32_t>(parts.size()));
-    double work = 0.0;
-    for (const std::uint32_t p : parts) {
-      frame.pack(p);
-      scan_and_pack(phase, p, frame, &work);
-    }
-    comm.charge(work);
-    comm.send(0, kFtTagRec, std::move(frame));
-  }
-}
-
-inline void ft_shutdown_workers(Comm& comm, const FtMasterState& st) {
-  for (int r = 1; r < comm.size(); ++r) {
-    if (!st.live[static_cast<std::size_t>(r)]) continue;
-    Message done;
-    done.pack(kFtCmdDone);
-    comm.send(r, kFtTagCmd, std::move(done));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Symmetric fault-tolerant protocol (DESIGN.md §7b): rotating coordinator
-// over a replicated write-ahead log.
-// ---------------------------------------------------------------------------
-
-/// Replicated write-ahead log shared by all ranks. The mutex stands in for
-/// the replicated-storage commit protocol; `live` and `cmd_seq` ride along so
+/// The committed phases of one run, shared by all ranks. Symmetric runs
+/// replicate it (`replicated`): the mutex stands in for the
+/// replicated-storage commit protocol, and `live` and `cmd_seq` ride along so
 /// a successor inherits the failure detector's state and the command-sequence
 /// high-water mark (workers discard stale duplicates by sequence number, so
-/// the counter must survive the coordinator).
-struct SymWal {
+/// the counter must survive the coordinator). Master runs keep it local to
+/// rank 0, which never hands it on. `finished` records that a coordinator
+/// returned from its body.
+struct PhaseLog {
   struct Entry {
     Message payload;                  // canonical records, applied order
     std::vector<std::size_t> counts;  // driver-defined per-phase counters
   };
+  PhaseLog(int nranks, bool replicate)
+      : replicated(replicate), live(static_cast<std::size_t>(nranks), 1) {}
+
+  const bool replicated;
   std::mutex mu;
   std::vector<std::uint8_t> live;
   std::uint64_t cmd_seq = 0;
   std::vector<Entry> entries;
+  bool finished = false;
 };
 
-/// Durably commit one completed phase and charge the writer for replicating
-/// the entry to every other live rank.
-inline void sym_wal_commit(Comm& comm, SymWal& wal, SymWal::Entry entry) {
+/// Durably commit one completed phase. A replicated log charges the writer
+/// one message of the entry's size per other live rank.
+inline void ft_commit(Comm& comm, PhaseLog& log, PhaseLog::Entry entry) {
   const std::size_t bytes = entry.payload.size_bytes();
   int nlive = 0;
   {
-    std::lock_guard<std::mutex> lock(wal.mu);
-    for (const auto l : wal.live) nlive += l;
-    wal.entries.push_back(std::move(entry));
+    std::lock_guard<std::mutex> lock(log.mu);
+    for (const auto l : log.live) nlive += l;
+    log.entries.push_back(std::move(entry));
   }
-  comm.advance_vtime(static_cast<double>(nlive - 1) *
-                     comm.cost().message_cost(bytes));
+  if (log.replicated) {
+    comm.advance_vtime(static_cast<double>(nlive - 1) *
+                       comm.cost().message_cost(bytes));
+  }
 }
 
-/// ft_collect_phase for the symmetric protocol: the collector is whichever
-/// rank currently coordinates, and the live set / command sequence live in
-/// the replicated log instead of coordinator-local state.
+/// One scan-and-collect phase, run by whichever rank currently coordinates.
+/// Returns the per-partition records in the canonical order selected by
+/// `order` — so downstream applies see the exact record sequence of a
+/// fault-free run, regardless of which surviving rank actually scanned each
+/// partition. Replays the whole phase on a worker timeout (marking it dead
+/// in the log) or a corrupt frame (worker stays live), up to
+/// FaultConfig::max_retries replays.
 template <typename Rec>
-std::vector<Rec> sym_collect_phase(
-    Comm& comm, SymWal& wal, std::uint32_t nparts, std::uint32_t phase,
+std::vector<Rec> ft_collect(
+    Comm& comm, PhaseLog& log, std::uint32_t nparts, std::uint32_t phase,
     const FaultConfig& fault,
     const std::function<Rec(std::uint32_t, double*)>& scan_one,
     const std::function<Rec(Message&)>& unpack_one,
@@ -321,8 +188,8 @@ std::vector<Rec> sym_collect_phase(
                 "fault recovery exhausted max_retries replays of a phase");
     std::vector<std::uint8_t> live;
     {
-      std::lock_guard<std::mutex> lock(wal.mu);
-      live = wal.live;
+      std::lock_guard<std::mutex> lock(log.mu);
+      live = log.live;
     }
     const auto assign = ft_assign(nparts, live, size);
     for (int r = 0; r < size; ++r) {
@@ -330,8 +197,8 @@ std::vector<Rec> sym_collect_phase(
       Message cmd;
       cmd.pack(kFtCmdScan);
       {
-        std::lock_guard<std::mutex> lock(wal.mu);
-        cmd.pack(++wal.cmd_seq);
+        std::lock_guard<std::mutex> lock(log.mu);
+        cmd.pack(++log.cmd_seq);
       }
       cmd.pack(phase);
       cmd.pack(round);
@@ -341,7 +208,7 @@ std::vector<Rec> sym_collect_phase(
           pack_state(p, cmd);
         }
       }
-      comm.send(r, kFtTagSymCmd, std::move(cmd));
+      comm.send(r, kFtCommandTag, std::move(cmd));
     }
 
     std::vector<std::optional<Rec>> by_part(static_cast<std::size_t>(nparts));
@@ -355,10 +222,10 @@ std::vector<Rec> sym_collect_phase(
     for (int r = 0; r < size && !failed; ++r) {
       if (r == self || !live[static_cast<std::size_t>(r)]) continue;
       for (;;) {
-        auto res = comm.try_recv(r, kFtTagSymRec, fault.recv_timeout_vtime);
+        auto res = comm.try_recv(r, kFtRecordTag, fault.recv_timeout_vtime);
         if (res.status == RecvStatus::kTimeout) {
-          std::lock_guard<std::mutex> lock(wal.mu);
-          wal.live[static_cast<std::size_t>(r)] = 0;
+          std::lock_guard<std::mutex> lock(log.mu);
+          log.live[static_cast<std::size_t>(r)] = 0;
           failed = true;
           break;
         }
@@ -390,17 +257,25 @@ std::vector<Rec> sym_collect_phase(
   }
 }
 
-/// Shared drive loop of the symmetric protocol. Every rank serves scan
-/// commands from whichever rank it currently believes coordinates; on proof
-/// of that rank's death it rotates to the lowest rank it has not proven dead
-/// (death is only ever proven by a receive from a terminated rank throwing).
-/// Rank order is the succession order, so at most one live rank can believe
-/// itself coordinator: a rank self-appoints only after proving every lower
-/// rank terminated, and every higher live rank then blocks on the true
-/// coordinator or on a terminated rank it is about to prove dead — never on
-/// a live non-coordinator.
-inline void ft_sym_drive(
-    Comm& comm, SymWal& wal, const FaultConfig& fault,
+/// The drive loop every rank runs. Each rank serves scan commands from
+/// whichever rank it currently believes coordinates, starting at rank 0:
+/// `scan_and_pack(phase, partition, frame, work)` runs one partition's
+/// read-only scan and appends its records to the frame, after
+/// `unpack_state` (when the coordinator packs per-partition state into
+/// commands) has consumed each assigned partition's state. The rank that
+/// coordinates runs `coordinate(phase_start)`, which starts after the last
+/// committed phase of the log.
+///
+/// On proof of the coordinator's death (a receive from a terminated rank
+/// throwing), a rank of a replicated log rotates to the lowest rank it has
+/// not proven dead. Rank order is the succession order, so at most one live
+/// rank can believe itself coordinator: a rank self-appoints only after
+/// proving every lower rank terminated, and every higher live rank then
+/// blocks on the true coordinator or on a terminated rank it is about to
+/// prove dead — never on a live non-coordinator. Without a replicated log
+/// nobody can take over, so the rank fails with the coordinator.
+inline void ft_drive(
+    Comm& comm, PhaseLog& log, const FaultConfig& fault,
     const std::function<void(std::uint32_t, std::uint32_t, Message&,
                              double*)>& scan_and_pack,
     const std::function<void(std::uint32_t)>& coordinate,
@@ -413,7 +288,7 @@ inline void ft_sym_drive(
   while (coord != self) {
     Message cmd;
     try {
-      cmd = comm.recv(coord, kFtTagSymCmd);
+      cmd = comm.recv(coord, kFtCommandTag);
     } catch (const CorruptMessage& e) {
       // A command this rank cannot decode means it cannot follow the
       // protocol any more: fail the rank and let the coordinator reassign.
@@ -421,6 +296,7 @@ inline void ft_sym_drive(
     } catch (const RankCrashed&) {
       throw;  // this rank's own injected crash, not a peer's death
     } catch (const RankFailed&) {
+      if (!log.replicated) throw;
       proven_dead[static_cast<std::size_t>(coord)] = 1;
       int next = self;
       for (int r = 0; r < size; ++r) {
@@ -459,7 +335,7 @@ inline void ft_sym_drive(
       scan_and_pack(phase, p, frame, &work);
     }
     comm.charge(work);
-    comm.send(coord, kFtTagSymRec, std::move(frame));
+    comm.send(coord, kFtRecordTag, std::move(frame));
   }
 
   // Coordinator (rank 0 initially, or a successor after rotation): join the
@@ -467,23 +343,23 @@ inline void ft_sym_drive(
   // survived — absorb this rank's own death proofs, and resume after the
   // last committed phase.
   std::uint32_t phase_start = 0;
-  std::size_t wal_bytes = 0;
+  std::size_t log_bytes = 0;
   {
-    std::lock_guard<std::mutex> lock(wal.mu);
+    std::lock_guard<std::mutex> lock(log.mu);
     for (int r = 0; r < size; ++r) {
       if (proven_dead[static_cast<std::size_t>(r)]) {
-        wal.live[static_cast<std::size_t>(r)] = 0;
+        log.live[static_cast<std::size_t>(r)] = 0;
       }
     }
-    wal.live[static_cast<std::size_t>(self)] = 1;
-    phase_start = static_cast<std::uint32_t>(wal.entries.size());
-    for (const auto& e : wal.entries) wal_bytes += e.payload.size_bytes();
+    log.live[static_cast<std::size_t>(self)] = 1;
+    phase_start = static_cast<std::uint32_t>(log.entries.size());
+    for (const auto& e : log.entries) log_bytes += e.payload.size_bytes();
   }
   if (self != 0) {
     // A successor fetches the committed log from replicated storage and
     // fast-forwards through it before commanding anything.
     comm.charge_recovery(fault.recv_timeout_vtime +
-                         comm.cost().message_cost(wal_bytes));
+                         comm.cost().message_cost(log_bytes));
   }
   coordinate(phase_start);
 
@@ -491,15 +367,37 @@ inline void ft_sym_drive(
   // already terminated are harmless).
   std::vector<std::uint8_t> live;
   {
-    std::lock_guard<std::mutex> lock(wal.mu);
-    live = wal.live;
+    std::lock_guard<std::mutex> lock(log.mu);
+    log.finished = true;
+    live = log.live;
   }
   for (int r = 0; r < size; ++r) {
     if (r == self || !live[static_cast<std::size_t>(r)]) continue;
     Message done;
     done.pack(kFtCmdDone);
-    comm.send(r, kFtTagSymCmd, std::move(done));
+    comm.send(r, kFtCommandTag, std::move(done));
   }
+}
+
+/// Runs `rank_body` on `nranks` ranks over a fresh PhaseLog (replicated for
+/// the symmetric protocol) and returns the run's stats. Every rank must run
+/// ft_drive on the log. Throws focus::Error when no coordinator finished:
+/// the master protocol's rank 0 died, or every rank of a symmetric run did.
+inline RunStats ft_execute(
+    int nranks, bool replicated, CostModel cost, const FaultPlan& plan,
+    const std::function<void(Comm&, PhaseLog&)>& rank_body) {
+  FOCUS_CHECK(nranks >= 1, "need at least one rank");
+  PhaseLog log(nranks, replicated);
+  RunStats stats = Runtime::execute(
+      nranks, [&](Comm& comm) { rank_body(comm, log); }, cost, plan);
+  if (!log.finished) {
+    FOCUS_THROW(replicated
+                    ? "no coordinator survived: every rank died before the "
+                      "phase log was complete"
+                    : "the master protocol's coordinator (rank 0) died; its "
+                      "role is fixed, so no rank could finish the run");
+  }
+  return stats;
 }
 
 }  // namespace focus::mpr

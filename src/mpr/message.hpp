@@ -67,6 +67,16 @@ class Message {
     return s;
   }
 
+  /// Unpacks a u32 element count for a caller that decodes the elements
+  /// itself, checked against the remainder before the caller allocates: each
+  /// element takes at least `min_element_bytes` of the frame.
+  std::uint32_t unpack_count(std::size_t min_element_bytes) {
+    const auto n = unpack<std::uint32_t>();
+    FOCUS_CHECK(n <= remaining() / min_element_bytes,
+                "element count exceeds message remainder");
+    return n;
+  }
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> unpack_vector() {

@@ -25,8 +25,8 @@
 //     starved — a terminal configuration), the receive reports kTimeout and
 //     charges the deadline to the caller's clock. Terminal configurations of
 //     a deterministic program are unique, so timeouts are deterministic too;
-//     the guarantee is exact when a single rank (the master) performs timed
-//     receives, which is the master/worker pattern of the drivers.
+//     the guarantee is exact when a single rank (the coordinator) performs
+//     timed receives, which is the coordinator/worker pattern of the drivers.
 #pragma once
 
 #include <condition_variable>

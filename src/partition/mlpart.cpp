@@ -523,7 +523,7 @@ ParallelPartitionResult partition_hierarchy_parallel(
     };
   };
 
-  // Coordinator-side per-phase pieces (shared by both protocols).
+  // Coordinator-side per-phase pieces.
   const auto bisect_scan_one = [&](const StepRegions& regs, std::uint32_t s) {
     return [&, s](std::uint32_t p, double* work) {
       return bisect_region(finest, regs.regions[p], config,
@@ -569,146 +569,93 @@ ParallelPartitionResult partition_hierarchy_parallel(
     comm.charge(lift_work);
   };
 
-  if (symmetric) {
-    mpr::SymWal wal;
-    wal.live.assign(static_cast<std::size_t>(nranks), 1);
-    out.stats = mpr::Runtime::execute(
-        nranks,
-        [&](mpr::Comm& comm) {
-          FtScanState state;
-          mpr::ft_sym_drive(
-              comm, wal, fault, make_scan_and_pack(state),
-              [&](std::uint32_t phase_start) {
-                // Rebuild the labels: committed bisection steps are replayed
-                // from the log (a successor inherits them), the rest are
-                // collected live and committed one entry per step.
-                std::vector<PartId> part(finest.node_count(), 0);
-                PartId current_parts = 1;
-                const std::uint32_t done =
-                    std::min(phase_start, nsteps);
-                for (std::uint32_t s = 0; s < nsteps; ++s) {
-                  const StepRegions regs =
-                      step_regions(finest, part, current_parts);
-                  std::vector<std::vector<std::uint8_t>> sides;
-                  if (s < done) {
-                    mpr::Message payload;
-                    {
-                      std::lock_guard<std::mutex> lock(wal.mu);
-                      payload = wal.entries[s].payload;
-                    }
-                    sides.resize(static_cast<std::size_t>(current_parts));
-                    for (auto& side : sides) side = unpack_side(payload);
-                    FOCUS_CHECK(payload.fully_consumed(),
-                                "trailing bytes in bisection log entry");
-                  } else {
-                    sides = mpr::sym_collect_phase<std::vector<std::uint8_t>>(
-                        comm, wal, static_cast<std::uint32_t>(current_parts),
-                        s, fault, bisect_scan_one(regs, s), unpack_side,
-                        mpr::FtOrder::kAscending, bisect_pack_state(regs));
-                    mpr::SymWal::Entry entry;
-                    for (const auto& side : sides) {
-                      entry.payload.pack_vector(side);
-                    }
-                    entry.counts.assign(1, sides.size());
-                    mpr::sym_wal_commit(comm, wal, std::move(entry));
-                  }
-                  apply_sides(regs, sides, current_parts, part);
-                  current_parts *= 2;
-                }
-
-                // Lift is recomputed deterministically by whichever rank
-                // coordinates — cheaper than logging every level.
-                charge_lift(comm);
-                auto levels = lift_partition(h, part, k);
-
-                if (config.kway_refinement) {
-                  bool committed = false;
-                  {
-                    std::lock_guard<std::mutex> lock(wal.mu);
-                    committed = wal.entries.size() > nsteps;
-                  }
-                  if (!committed) {
-                    auto refined = mpr::sym_collect_phase<std::vector<PartId>>(
-                        comm, wal, depth, nsteps, fault,
-                        refine_scan_one(levels), unpack_level,
-                        mpr::FtOrder::kAscending, refine_pack_state(levels));
-                    mpr::SymWal::Entry entry;
-                    for (const auto& labels : refined) {
-                      entry.payload.pack_vector(labels);
-                    }
-                    entry.counts.assign(1, refined.size());
-                    mpr::sym_wal_commit(comm, wal, std::move(entry));
-                  }
-                  // Publish from the durable record — identical whether this
-                  // rank refined the levels itself or inherited them.
+  out.stats = mpr::ft_execute(
+      nranks, symmetric, cost, fault_plan,
+      [&](mpr::Comm& comm, mpr::PhaseLog& log) {
+        FtScanState state;
+        mpr::ft_drive(
+            comm, log, fault, make_scan_and_pack(state),
+            [&](std::uint32_t phase_start) {
+              // Rebuild the labels: committed bisection steps are replayed
+              // from the log (a successor inherits them), the rest are
+              // collected live and committed one entry per step.
+              std::vector<PartId> part(finest.node_count(), 0);
+              PartId current_parts = 1;
+              const std::uint32_t done = std::min(phase_start, nsteps);
+              for (std::uint32_t s = 0; s < nsteps; ++s) {
+                const StepRegions regs =
+                    step_regions(finest, part, current_parts);
+                std::vector<std::vector<std::uint8_t>> sides;
+                if (s < done) {
                   mpr::Message payload;
                   {
-                    std::lock_guard<std::mutex> lock(wal.mu);
-                    payload = wal.entries[nsteps].payload;
+                    std::lock_guard<std::mutex> lock(log.mu);
+                    payload = log.entries[s].payload;
                   }
-                  for (std::uint32_t l = 0; l < depth; ++l) {
-                    levels[l] = payload.unpack_vector<PartId>();
-                    validate_level(l, levels[l]);
-                  }
+                  sides.resize(static_cast<std::size_t>(current_parts));
+                  for (auto& side : sides) side = unpack_side(payload);
                   FOCUS_CHECK(payload.fully_consumed(),
-                              "trailing bytes in refinement log entry");
+                              "trailing bytes in bisection log entry");
+                } else {
+                  sides = mpr::ft_collect<std::vector<std::uint8_t>>(
+                      comm, log, static_cast<std::uint32_t>(current_parts),
+                      s, fault, bisect_scan_one(regs, s), unpack_side,
+                      mpr::FtOrder::kAscending, bisect_pack_state(regs));
+                  mpr::PhaseLog::Entry entry;
+                  for (const auto& side : sides) {
+                    entry.payload.pack_vector(side);
+                  }
+                  entry.counts.assign(1, sides.size());
+                  mpr::ft_commit(comm, log, std::move(entry));
                 }
+                apply_sides(regs, sides, current_parts, part);
+                current_parts *= 2;
+              }
 
-                out.partitioning.levels = std::move(levels);
-                out.partitioning.finest_cut =
-                    edge_cut(finest, out.partitioning.levels[0]);
-              },
-              make_unpack_state(state));
-        },
-        cost, fault_plan);
-    return out;
-  }
+              // Lift is recomputed deterministically by whichever rank
+              // coordinates — cheaper than logging every level.
+              charge_lift(comm);
+              auto levels = lift_partition(h, part, k);
 
-  out.stats = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        if (comm.rank() == 0) {
-          mpr::FtMasterState st;
-          st.live.assign(static_cast<std::size_t>(comm.size()), 1);
+              if (config.kway_refinement) {
+                bool committed = false;
+                {
+                  std::lock_guard<std::mutex> lock(log.mu);
+                  committed = log.entries.size() > nsteps;
+                }
+                if (!committed) {
+                  auto refined = mpr::ft_collect<std::vector<PartId>>(
+                      comm, log, depth, nsteps, fault,
+                      refine_scan_one(levels), unpack_level,
+                      mpr::FtOrder::kAscending, refine_pack_state(levels));
+                  mpr::PhaseLog::Entry entry;
+                  for (const auto& labels : refined) {
+                    entry.payload.pack_vector(labels);
+                  }
+                  entry.counts.assign(1, refined.size());
+                  mpr::ft_commit(comm, log, std::move(entry));
+                }
+                // Publish from the durable record — identical whether this
+                // rank refined the levels itself or inherited them.
+                mpr::Message payload;
+                {
+                  std::lock_guard<std::mutex> lock(log.mu);
+                  payload = log.entries[nsteps].payload;
+                }
+                for (std::uint32_t l = 0; l < depth; ++l) {
+                  levels[l] = payload.unpack_vector<PartId>();
+                  validate_level(l, levels[l]);
+                }
+                FOCUS_CHECK(payload.fully_consumed(),
+                            "trailing bytes in refinement log entry");
+              }
 
-          std::vector<PartId> part(finest.node_count(), 0);
-          PartId current_parts = 1;
-          for (std::uint32_t s = 0; s < nsteps; ++s) {
-            const StepRegions regs = step_regions(finest, part, current_parts);
-            const auto sides =
-                mpr::ft_collect_phase<std::vector<std::uint8_t>>(
-                    comm, st, static_cast<std::uint32_t>(current_parts), s,
-                    fault, bisect_scan_one(regs, s), unpack_side,
-                    mpr::FtOrder::kAscending, bisect_pack_state(regs));
-            apply_sides(regs, sides, current_parts, part);
-            current_parts *= 2;
-          }
-
-          charge_lift(comm);
-          auto levels = lift_partition(h, part, k);
-
-          if (config.kway_refinement) {
-            auto refined = mpr::ft_collect_phase<std::vector<PartId>>(
-                comm, st, depth, nsteps, fault, refine_scan_one(levels),
-                unpack_level, mpr::FtOrder::kAscending,
-                refine_pack_state(levels));
-            for (std::uint32_t l = 0; l < depth; ++l) {
-              validate_level(l, refined[l]);
-              levels[l] = std::move(refined[l]);
-            }
-          }
-
-          out.partitioning.levels = std::move(levels);
-          out.partitioning.finest_cut =
-              edge_cut(finest, out.partitioning.levels[0]);
-          mpr::ft_shutdown_workers(comm, st);
-        } else {
-          FtScanState state;
-          mpr::ft_worker_loop(comm, make_scan_and_pack(state),
-                              make_unpack_state(state));
-        }
-      },
-      cost, fault_plan);
+              out.partitioning.levels = std::move(levels);
+              out.partitioning.finest_cut =
+                  edge_cut(finest, out.partitioning.levels[0]);
+            },
+            make_unpack_state(state));
+      });
   return out;
 }
 

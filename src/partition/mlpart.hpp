@@ -132,16 +132,17 @@ struct ParallelPartitionResult {
 /// then per-level k-way refinement round-robin over ranks. Produces the
 /// same partitioning as the serial driver for every rank count.
 ///
-/// It runs the shared fault-tolerant phase protocol (mpr/ft_phase.hpp) for
-/// every fault plan; an empty plan injects nothing. Each bisection step is
+/// It runs the recovering phase engine (mpr/ft_phase.hpp) for every fault
+/// plan; an empty plan injects nothing. Each bisection step is
 /// one phase whose scan commands carry the region node lists and weights
 /// (workers are stateless — every scan is a pure function of the command
 /// payload plus the replicated hierarchy), followed by one phase of
 /// per-level k-way refinement whose commands carry the lifted level labels.
-/// `symmetric` selects the rotating-coordinator WAL protocol (§7b) instead
-/// of master/worker — a bool rather than dist::DistProtocol because the
-/// partition layer sits below dist. Either way a recovered partitioning is
-/// byte-identical to the fault-free one.
+/// `symmetric` replicates the engine's phase log (§7b), so a survivor takes
+/// over the coordinator role; without it the role is fixed at rank 0, and
+/// its death throws focus::Error. It is a bool rather than
+/// dist::DistProtocol because the partition layer sits below dist. Either
+/// way a recovered partitioning is byte-identical to the fault-free one.
 ParallelPartitionResult partition_hierarchy_parallel(
     const graph::GraphHierarchy& h, PartId k, const PartitionerConfig& config,
     int nranks, mpr::CostModel cost = {}, const mpr::FaultPlan& fault_plan = {},

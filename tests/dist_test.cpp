@@ -450,6 +450,50 @@ TEST(Traverse, CycleHandledWithoutHanging) {
 }
 
 // ---------------------------------------------------------------------------
+// Scan records naming ids past the graph
+// ---------------------------------------------------------------------------
+
+// The apply and join functions are where scan records land after crossing
+// the wire. An id one past the graph is a typed error there, not an
+// out-of-bounds access.
+AsmGraph make_pair_graph() {
+  AsmGraph g;
+  Rng rng(19);
+  const NodeId a = g.add_node(random_seq(rng, 80), 2);
+  const NodeId b = g.add_node(random_seq(rng, 80), 2);
+  g.add_edge(a, b, 40);
+  return g;
+}
+
+TEST(ScanRecords, EdgeRemovalPastTheGraphThrows) {
+  AsmGraph g = make_pair_graph();
+  EXPECT_THROW(
+      apply_edge_removals(g, {0, static_cast<EdgeId>(g.edge_count())}),
+      Error);
+}
+
+TEST(ScanRecords, NodeRemovalPastTheGraphThrows) {
+  AsmGraph g = make_pair_graph();
+  EXPECT_THROW(
+      apply_node_removals(g, {static_cast<NodeId>(g.node_count()), 1}),
+      Error);
+}
+
+TEST(ScanRecords, VerificationPastTheGraphThrows) {
+  AsmGraph g = make_pair_graph();
+  const std::vector<EdgeVerification> records = {
+      {0, 40, 1.0f}, {static_cast<EdgeId>(g.edge_count()), 40, 1.0f}};
+  EXPECT_THROW(apply_verifications(g, records), Error);
+}
+
+TEST(ScanRecords, SubpathPastTheGraphThrows) {
+  const AsmGraph g = make_pair_graph();
+  const auto past = static_cast<NodeId>(g.node_count());
+  EXPECT_THROW(join_subpaths(g, {{0}, {past}}), Error);
+  EXPECT_THROW(join_subpaths(g, {{0, past, 1}}), Error);
+}
+
+// ---------------------------------------------------------------------------
 // Parallel == serial equivalence
 // ---------------------------------------------------------------------------
 

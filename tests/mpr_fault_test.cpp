@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,22 @@ TEST(MessageHardening, VectorLengthMustMatchRemainderExactly) {
   msg.pack(std::uint64_t{3});               // claims 3 elements…
   msg.pack_vector(std::vector<int>{1, 2});  // …but fewer bytes follow
   EXPECT_THROW(msg.unpack_vector<std::uint64_t>(), Error);
+}
+
+TEST(MessageHardening, HostileElementCountRejectedBeforeAllocation) {
+  // A corrupted u32 count claiming ~4 G sub-paths of at least 8 bytes each,
+  // ahead of a 20-byte remainder.
+  mpr::Message hostile;
+  hostile.pack(std::uint32_t{0xffffffffu});
+  hostile.pack_vector(std::vector<NodeId>{1, 2, 3});
+  EXPECT_THROW(hostile.unpack_count(sizeof(std::uint64_t)), Error);
+
+  // Two sub-paths, one of them empty: exactly 8 bytes each at the least.
+  mpr::Message fits;
+  fits.pack(std::uint32_t{2});
+  fits.pack_vector(std::vector<NodeId>{7});
+  fits.pack_vector(std::vector<NodeId>{});
+  EXPECT_EQ(fits.unpack_count(sizeof(std::uint64_t)), 2u);
 }
 
 // --- Runtime failure detection ----------------------------------------------
@@ -1045,6 +1062,356 @@ TEST(DistFault, EmptyPlanRunsTheRecoveringDriver) {
       expect_same_variants(v_armed.variants, v_empty.variants,
                            "variants " + context);
       expect_same_run(v_armed.run, v_empty.run, "variants " + context);
+    }
+  }
+}
+
+// --- One engine, both protocols ---------------------------------------------
+
+// Each recovering driver on its fixture above, at three ranks. A run yields
+// its RunStats and a print of everything the driver returns, so runs of
+// different drivers compare alike.
+enum class Stage {
+  kPreprocess,
+  kOverlap,
+  kPartition,
+  kSimplify,
+  kTraverse,
+  kVariants
+};
+constexpr Stage kStages[] = {Stage::kPreprocess, Stage::kOverlap,
+                             Stage::kPartition,  Stage::kSimplify,
+                             Stage::kTraverse,   Stage::kVariants};
+constexpr int kStageRanks = 3;
+
+const char* stage_name(Stage stage) {
+  switch (stage) {
+    case Stage::kPreprocess: return "preprocess";
+    case Stage::kOverlap: return "overlap";
+    case Stage::kPartition: return "partition";
+    case Stage::kSimplify: return "simplify";
+    case Stage::kTraverse: return "traverse";
+    case Stage::kVariants: return "variants";
+  }
+  return "?";
+}
+
+const char* protocol_name(dist::DistProtocol protocol) {
+  return protocol == dist::DistProtocol::kSymmetric ? "symmetric" : "master";
+}
+
+struct StageRun {
+  mpr::RunStats run;
+  std::string out;
+};
+
+StageRun run_stage(Stage stage, dist::DistProtocol protocol,
+                   const mpr::FaultPlan& plan,
+                   const mpr::FaultConfig& fault = {}) {
+  const dist::DistConfig dcfg{protocol};
+  const bool symmetric = protocol == dist::DistProtocol::kSymmetric;
+  std::ostringstream out;
+  out << std::hexfloat;
+  StageRun r;
+  switch (stage) {
+    case Stage::kPreprocess: {
+      const auto got = run_preprocess_driver(kStageRanks, plan, fault,
+                                             symmetric);
+      for (const io::Read& read : got.reads) {
+        out << read.name << ' ' << read.seq << ' ' << read.qual << ' '
+            << read.origin << ' ' << read.reverse << '\n';
+      }
+      out << got.stats.input_reads << ' ' << got.stats.dropped_short << ' '
+          << got.stats.output_reads << ' ' << got.stats.bases_trimmed;
+      r.run = got.run;
+      break;
+    }
+    case Stage::kOverlap: {
+      const auto got = run_overlap_driver(kStageRanks, plan, fault, dcfg);
+      for (const align::Overlap& o : got.overlaps) {
+        out << o.query << ' ' << o.ref << ' ' << o.length << ' '
+            << o.identity << ' ' << static_cast<int>(o.kind) << '\n';
+      }
+      r.run = got.run;
+      break;
+    }
+    case Stage::kPartition: {
+      const auto got = run_partition_driver(kStageRanks, plan, fault,
+                                            symmetric);
+      out << got.partitioning.parts << ' ' << got.partitioning.finest_cut;
+      for (const auto& level : got.partitioning.levels) {
+        out << '\n';
+        for (const PartId p : level) out << p << ' ';
+      }
+      r.run = got.stats;
+      break;
+    }
+    case Stage::kSimplify: {
+      AsmGraph g = make_fault_graph(100);
+      const auto part = striped_partition(g, kParts);
+      const auto got = dist::simplify_parallel(g, part, kParts,
+                                               SimplifyConfig{}, kStageRanks,
+                                               {}, 1, plan, fault, dcfg);
+      const SimplifyStats& s = got.stats;
+      out << s.transitive_edges << ' ' << s.false_edges << ' '
+          << s.contained_nodes << ' ' << s.verified_edges << ' '
+          << s.tip_nodes << ' ' << s.bubble_nodes << '\n';
+      for (NodeId v = 0; v < g.node_count(); ++v) out << g.node_live(v);
+      for (dist::EdgeId e = 0; e < g.edge_count(); ++e) {
+        const dist::AsmEdge& edge = g.edge(e);
+        out << '\n'
+            << edge.removed << edge.verified << ' ' << edge.overlap << ' '
+            << edge.identity;
+      }
+      r.run = got.run;
+      break;
+    }
+    case Stage::kTraverse: {
+      static const AsmGraph g = [] {
+        AsmGraph simplified = make_fault_graph(100);
+        dist::simplify_serial(simplified, SimplifyConfig{});
+        return simplified;
+      }();
+      static const auto part = striped_partition(g, kParts);
+      const auto got = dist::traverse_parallel(g, part, kParts, kStageRanks,
+                                               {}, 1, plan, fault, dcfg);
+      for (const auto& path : got.paths) {
+        for (const NodeId v : path) out << v << ' ';
+        out << '\n';
+      }
+      r.run = got.run;
+      break;
+    }
+    case Stage::kVariants: {
+      static const AsmGraph g = make_variant_fault_graph();
+      static const auto part = striped_partition(g, kParts);
+      const auto got = dist::find_variants_parallel(
+          g, part, kParts, {}, kStageRanks, {}, plan, fault, dcfg);
+      for (const dist::Variant& v : got.variants) {
+        out << v.branch_point << ' ' << v.merge_point << ' ' << v.major_allele
+            << ' ' << v.minor_allele << ' ' << v.major_coverage << ' '
+            << v.minor_coverage << ' ' << v.major_nodes << ' ' << v.minor_nodes
+            << ' ' << v.mismatch_sites << ' ' << v.indel_sites << ' '
+            << v.identity << '\n';
+      }
+      r.run = got.run;
+      break;
+    }
+  }
+  r.out = out.str();
+  return r;
+}
+
+// The plans the RunStats goldens are taken under.
+enum class PlanKind { kNeverFires, kWorkerCrash, kCoordinatorCrash, kStorm };
+
+const char* plan_name(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kNeverFires: return "never-firing";
+    case PlanKind::kWorkerCrash: return "rank 1 crash at op 2";
+    case PlanKind::kCoordinatorCrash: return "rank 0 crash at op 2";
+    case PlanKind::kStorm: return "storm seed 4";
+  }
+  return "?";
+}
+
+mpr::FaultPlan make_plan(PlanKind kind) {
+  mpr::FaultPlan plan;
+  switch (kind) {
+    case PlanKind::kNeverFires:
+      plan.crashes.push_back({1, std::uint64_t{1} << 62});
+      break;
+    case PlanKind::kWorkerCrash:
+      plan.crashes.push_back({1, 2});
+      break;
+    case PlanKind::kCoordinatorCrash:
+      plan.crashes.push_back({0, 2});
+      break;
+    case PlanKind::kStorm:
+      plan.seed = 4;
+      plan.p_drop = 0.1;
+      plan.p_duplicate = 0.1;
+      plan.p_corrupt = 0.1;
+      plan.p_delay = 0.1;
+      break;
+  }
+  return plan;
+}
+
+// RunStats of every recovering driver under both protocols, pinned to the
+// bits the drivers gave while each protocol still had its own coordinator
+// and worker loops. The master protocol loses rank 0 for good, so it has no
+// coordinator-crash row.
+TEST(RecoveringRunStats, BothProtocolsMatchTheirGoldens) {
+  struct Golden {
+    Stage stage;
+    dist::DistProtocol protocol;
+    PlanKind plan;
+    std::uint64_t messages, bytes, retries;
+    int ranks_failed;
+    double makespan, recovery_vtime;
+  };
+  using enum Stage;
+  using enum PlanKind;
+  constexpr auto kM = dist::DistProtocol::kMaster;
+  constexpr auto kS = dist::DistProtocol::kSymmetric;
+  const std::vector<Golden> goldens = {
+      {kPreprocess, kM, kNeverFires, 6, 85544, 0, 0,
+       0x1.ba6823de5f242p-13, 0x0p+0},
+      {kPreprocess, kM, kWorkerCrash, 6, 85216, 1, 1,
+       0x1.335d46fa5cca4p-9, 0x1.0624dd2f1a9fcp-9},
+      {kPreprocess, kM, kStorm, 14, 283012, 3, 1,
+       0x1.02aa1830bd25fp-7, 0x1.cac083126e979p-8},
+      {kPreprocess, kS, kNeverFires, 6, 85544, 0, 0,
+       0x1.0b98310629b23p-11, 0x0p+0},
+      {kPreprocess, kS, kWorkerCrash, 6, 85216, 1, 1,
+       0x1.46fd0bfc2f076p-9, 0x1.0624dd2f1a9fcp-9},
+      {kPreprocess, kS, kCoordinatorCrash, 5, 115228, 0, 1,
+       0x1.8b0f349db8da9p-10, 0x1.07746887a8d65p-10},
+      {kPreprocess, kS, kStorm, 14, 283012, 3, 1,
+       0x1.0792097131b54p-7, 0x1.cac083126e979p-8},
+      {kOverlap, kM, kNeverFires, 6, 37704, 0, 0,
+       0x1.4f52f528dc9aep-5, 0x0p+0},
+      {kOverlap, kM, kWorkerCrash, 6, 43516, 1, 1,
+       0x1.b451a2c075a14p-4, 0x1.0624dd2f1a9fcp-9},
+      {kOverlap, kM, kStorm, 14, 120028, 3, 1,
+       0x1.87371e91da8adp-3, 0x1.cac083126e979p-8},
+      {kOverlap, kS, kNeverFires, 6, 37704, 0, 0,
+       0x1.5032a1a9e21c8p-5, 0x0p+0},
+      {kOverlap, kS, kWorkerCrash, 6, 43516, 1, 1,
+       0x1.b4898de0b701bp-4, 0x1.0624dd2f1a9fcp-9},
+      {kOverlap, kS, kCoordinatorCrash, 5, 49532, 0, 1,
+       0x1.72efa0376c278p-4, 0x1.07746887a8d65p-10},
+      {kOverlap, kS, kStorm, 14, 120028, 3, 1,
+       0x1.87531421fb3bp-3, 0x1.cac083126e979p-8},
+      {kPartition, kM, kNeverFires, 14, 1630, 0, 0,
+       0x1.30e389f95fb45p-10, 0x0p+0},
+      {kPartition, kM, kWorkerCrash, 10, 672, 1, 1,
+       0x1.11bb7ae634331p-8, 0x1.0624dd2f1a9fcp-9},
+      {kPartition, kM, kStorm, 16, 1042, 4, 2,
+       0x1.a9ba9ffe606dcp-7, 0x1.26e978d4fdf3cp-7},
+      {kPartition, kS, kNeverFires, 14, 1630, 0, 0,
+       0x1.39741ea8fc111p-10, 0x0p+0},
+      {kPartition, kS, kWorkerCrash, 10, 672, 1, 1,
+       0x1.12cd8d7c27bebp-8, 0x1.0624dd2f1a9fcp-9},
+      {kPartition, kS, kCoordinatorCrash, 9, 708, 0, 1,
+       0x1.3935f836abac5p-9, 0x1.07746887a8d65p-10},
+      {kPartition, kS, kStorm, 16, 1042, 4, 2,
+       0x1.aa10b9c40ce86p-7, 0x1.26e978d4fdf3cp-7},
+      {kSimplify, kM, kNeverFires, 18, 652, 0, 0,
+       0x1.623020da1534ep-12, 0x0p+0},
+      {kSimplify, kM, kWorkerCrash, 12, 420, 1, 1,
+       0x1.481ed2a904c65p-9, 0x1.0624dd2f1a9fcp-9},
+      {kSimplify, kM, kStorm, 16, 596, 4, 2,
+       0x1.3a85da4176e52p-7, 0x1.26e978d4fdf3cp-7},
+      {kSimplify, kS, kNeverFires, 18, 652, 0, 0,
+       0x1.8ccf7e246a9p-12, 0x0p+0},
+      {kSimplify, kS, kWorkerCrash, 12, 420, 1, 1,
+       0x1.4ac8c87daa1bfp-9, 0x1.0624dd2f1a9fcp-9},
+      {kSimplify, kS, kCoordinatorCrash, 11, 484, 0, 1,
+       0x1.85c91c0202fe5p-10, 0x1.07746887a8d65p-10},
+      {kSimplify, kS, kStorm, 16, 596, 4, 2,
+       0x1.3adc528464dcap-7, 0x1.26e978d4fdf3cp-7},
+      {kTraverse, kM, kNeverFires, 6, 176, 0, 0,
+       0x1.519febff53431p-15, 0x0p+0},
+      {kTraverse, kM, kWorkerCrash, 6, 204, 1, 1,
+       0x1.0b700f7659675p-9, 0x1.0624dd2f1a9fcp-9},
+      {kTraverse, kM, kStorm, 14, 540, 3, 1,
+       0x1.d7e7ddf53e302p-8, 0x1.cac083126e979p-8},
+      {kTraverse, kS, kNeverFires, 6, 176, 0, 0,
+       0x1.a7dc0dc39e363p-15, 0x0p+0},
+      {kTraverse, kS, kWorkerCrash, 6, 204, 1, 1,
+       0x1.0c1c87b9e1fd3p-9, 0x1.0624dd2f1a9fcp-9},
+      {kTraverse, kS, kCoordinatorCrash, 5, 224, 0, 1,
+       0x1.14b8ec11adf4cp-10, 0x1.07746887a8d65p-10},
+      {kTraverse, kS, kStorm, 14, 540, 3, 1,
+       0x1.d83e1a17027b1p-8, 0x1.cac083126e979p-8},
+      {kVariants, kM, kNeverFires, 6, 232, 0, 0,
+       0x1.01fbb64ce137cp-13, 0x0p+0},
+      {kVariants, kM, kWorkerCrash, 6, 260, 1, 1,
+       0x1.2a02d53ed8a53p-9, 0x1.0624dd2f1a9fcp-9},
+      {kVariants, kM, kStorm, 14, 708, 3, 1,
+       0x1.ed9d5a76f78bcp-8, 0x1.cac083126e979p-8},
+      {kVariants, kS, kNeverFires, 6, 232, 0, 0,
+       0x1.17b16658be4bfp-13, 0x0p+0},
+      {kVariants, kS, kWorkerCrash, 6, 260, 1, 1,
+       0x1.2ab082bf378ddp-9, 0x1.0624dd2f1a9fcp-9},
+      {kVariants, kS, kCoordinatorCrash, 5, 244, 0, 1,
+       0x1.51dd64c1edeep-10, 0x1.07746887a8d65p-10},
+      {kVariants, kS, kStorm, 14, 708, 3, 1,
+       0x1.edf4313727001p-8, 0x1.cac083126e979p-8},
+  };
+  mpr::FaultConfig fault;
+  fault.max_retries = 32;
+  std::size_t row = 0;
+  for (const Stage stage : kStages) {
+    for (const auto protocol : {kM, kS}) {
+      for (const PlanKind plan : {kNeverFires, kWorkerCrash, kCoordinatorCrash,
+                                  kStorm}) {
+        if (plan == kCoordinatorCrash && protocol == kM) continue;
+        const auto got = run_stage(stage, protocol, make_plan(plan), fault).run;
+        const Golden& gold = goldens[row++];
+        const std::string context = std::string(stage_name(stage)) + ", " +
+                                    protocol_name(protocol) + ", " +
+                                    plan_name(plan);
+        ASSERT_TRUE(gold.stage == stage && gold.protocol == protocol &&
+                    gold.plan == plan)
+            << "golden table out of order at " << context;
+        EXPECT_EQ(got.makespan, gold.makespan) << context;
+        EXPECT_EQ(got.messages, gold.messages) << context;
+        EXPECT_EQ(got.bytes, gold.bytes) << context;
+        EXPECT_EQ(got.retries, gold.retries) << context;
+        EXPECT_EQ(got.ranks_failed, gold.ranks_failed) << context;
+        EXPECT_EQ(got.recovery_vtime, gold.recovery_vtime) << context;
+      }
+    }
+  }
+  EXPECT_EQ(row, goldens.size());
+}
+
+bool names_lost_coordinator(const Error& e) {
+  return std::string(e.what()).find("coordinator") != std::string::npos;
+}
+
+// The master protocol's coordinator is fixed at rank 0, so its death ends
+// the run: every crash point rank 0 reaches either throws a typed error
+// naming the coordinator or, once rank 0 has finished coordinating (it dies
+// releasing the workers), leaves the fault-free output. Never a default
+// result.
+TEST(CoordinatorLoss, MasterRankZeroCrashThrowsOrLeavesTheFaultFreeOutput) {
+  for (const Stage stage : kStages) {
+    const std::string want =
+        run_stage(stage, dist::DistProtocol::kMaster, {}).out;
+    for (std::uint64_t op = 1;; ++op) {
+      ASSERT_LE(op, 256u) << stage_name(stage) << ": sweep did not end";
+      const std::string context = std::string(stage_name(stage)) +
+                                  ", rank 0 crash at op " + std::to_string(op);
+      mpr::FaultPlan plan;
+      plan.crashes.push_back({0, op});
+      try {
+        const auto got = run_stage(stage, dist::DistProtocol::kMaster, plan);
+        EXPECT_NE(op, 1u) << context << ": a crash at op 1 must throw";
+        EXPECT_EQ(got.out, want) << context;
+        if (got.run.ranks_failed == 0) break;  // rank 0 never reached op
+      } catch (const Error& e) {
+        EXPECT_TRUE(names_lost_coordinator(e)) << context << ": " << e.what();
+      }
+    }
+  }
+}
+
+// Under the symmetric protocol any survivor takes over; with none left the
+// run throws the same typed error.
+TEST(CoordinatorLoss, SymmetricRunWithEveryRankCrashedThrows) {
+  mpr::FaultPlan plan;
+  for (Rank r = 0; r < kStageRanks; ++r) plan.crashes.push_back({r, 1});
+  for (const Stage stage : kStages) {
+    try {
+      (void)run_stage(stage, dist::DistProtocol::kSymmetric, plan);
+      ADD_FAILURE() << stage_name(stage) << ": expected the run to throw";
+    } catch (const Error& e) {
+      EXPECT_TRUE(names_lost_coordinator(e))
+          << stage_name(stage) << ": " << e.what();
     }
   }
 }

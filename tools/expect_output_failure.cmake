@@ -1,12 +1,19 @@
 # Checks that focus_asm publishes its four outputs all together or not at
 # all:
 #
-#   cmake -DFOCUS_ASM=<binary> -DWORK_DIR=<dir> -P expect_output_failure.cmake
+#   cmake -DFOCUS_ASM=<binary> -DWORK_DIR=<dir> [-DCASE=<case>]
+#         -P expect_output_failure.cmake
 #
-# With <prefix>.stats.txt pre-created as a directory, a run that assembles
-# must exit 1 with an error naming that file and leave no other <prefix>.*
-# output and no temp file behind. With the directory gone, the same run must
-# exit 0 and leave exactly the four outputs.
+# CASE stats_path_is_directory (the default): with <prefix>.stats.txt
+# pre-created as a directory, a run that assembles must exit 1 with an error
+# naming that file and leave no other <prefix>.* output and no temp file
+# behind. With the directory gone, the same run must exit 0 and leave
+# exactly the four outputs.
+#
+# CASE no_coordinator_survives: every rank crashes at its first message op
+# (FOCUS_FAULT_SEED=1 FOCUS_FAULT_CRASH=1), so no rank is left to coordinate.
+# Under each protocol the run must exit 1 with an error naming the lost
+# coordinator and leave no <prefix>.* file at all.
 #
 # The input is synthetic: 100 bp windows every 15 bp over a fixed-seed
 # 3 kbp random genome, with all-'I' qualities.
@@ -36,27 +43,44 @@ function(run_focus_asm expect_exit)
   set(err "${err}" PARENT_SCOPE)
 endfunction()
 
-file(MAKE_DIRECTORY "${prefix}.stats.txt")
-run_focus_asm(1)
-if(NOT err MATCHES "out\\.stats\\.txt")
-  message(FATAL_ERROR "the error does not name out.stats.txt:\n${err}")
-endif()
-foreach(name ${outputs})
-  if(EXISTS "${prefix}.${name}.tmp")
-    message(FATAL_ERROR "failed run left ${prefix}.${name}.tmp behind")
+if(CASE STREQUAL "no_coordinator_survives")
+  set(ENV{FOCUS_FAULT_SEED} 1)
+  set(ENV{FOCUS_FAULT_CRASH} 1)
+  foreach(protocol master symmetric)
+    set(ENV{FOCUS_DIST_PROTOCOL} ${protocol})
+    run_focus_asm(1)
+    if(NOT err MATCHES "error: [^\n]*coordinator")
+      message(FATAL_ERROR
+        "${protocol}: the error does not name the coordinator:\n${err}")
+    endif()
+    file(GLOB left "${prefix}.*")
+    if(left)
+      message(FATAL_ERROR "${protocol}: failed run left ${left} behind")
+    endif()
+  endforeach()
+else()
+  file(MAKE_DIRECTORY "${prefix}.stats.txt")
+  run_focus_asm(1)
+  if(NOT err MATCHES "out\\.stats\\.txt")
+    message(FATAL_ERROR "the error does not name out.stats.txt:\n${err}")
   endif()
-  if(NOT name STREQUAL "stats.txt" AND EXISTS "${prefix}.${name}")
-    message(FATAL_ERROR "failed run left ${prefix}.${name} behind")
-  endif()
-endforeach()
+  foreach(name ${outputs})
+    if(EXISTS "${prefix}.${name}.tmp")
+      message(FATAL_ERROR "failed run left ${prefix}.${name}.tmp behind")
+    endif()
+    if(NOT name STREQUAL "stats.txt" AND EXISTS "${prefix}.${name}")
+      message(FATAL_ERROR "failed run left ${prefix}.${name} behind")
+    endif()
+  endforeach()
 
-file(REMOVE_RECURSE "${prefix}.stats.txt")
-run_focus_asm(0)
-foreach(name ${outputs})
-  if(NOT EXISTS "${prefix}.${name}" OR IS_DIRECTORY "${prefix}.${name}")
-    message(FATAL_ERROR "successful run did not write ${prefix}.${name}")
-  endif()
-  if(EXISTS "${prefix}.${name}.tmp")
-    message(FATAL_ERROR "successful run left ${prefix}.${name}.tmp behind")
-  endif()
-endforeach()
+  file(REMOVE_RECURSE "${prefix}.stats.txt")
+  run_focus_asm(0)
+  foreach(name ${outputs})
+    if(NOT EXISTS "${prefix}.${name}" OR IS_DIRECTORY "${prefix}.${name}")
+      message(FATAL_ERROR "successful run did not write ${prefix}.${name}")
+    endif()
+    if(EXISTS "${prefix}.${name}.tmp")
+      message(FATAL_ERROR "successful run left ${prefix}.${name}.tmp behind")
+    endif()
+  endforeach()
+endif()

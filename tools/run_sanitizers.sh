@@ -19,17 +19,23 @@
 # subset-pair driver against find_overlaps_serial across rank counts and
 # both protocols, with empty, never-firing and crash-at-every-op plans: the
 # per-rank reference index released after its last pair, the merge freeing
-# record vectors, the symmetric publish from the WAL entry in place), the
+# record vectors, the publish from the phase-log entry in place), the
 # protocol-equivalence suite (master vs symmetric simplify/traverse across
-# rank counts: the owner-computes simplify and the shared-WAL rotating
-# coordinator), the
-# fault-injection suite (label `fault`: crash-at-every-op recovery sweeps
-# over every FT driver — preprocess, overlap, partition, simplify,
-# traverse, variants, including symmetric-coordinator rotation —
-# plus mixed-fault stress of the runtime's timeout/CRC detection paths, the
-# FaultEnv malformed-knob tests, and the empty-plan check that partition,
-# traverse and variants run their recovering driver, which is therefore
-# also the driver every default fault-free run takes through them), and
+# rank counts: the owner-computes simplify and the recovering engine), the
+# fault-injection suite (label `fault`: every FT driver — preprocess,
+# overlap, partition, simplify, traverse, variants — runs both protocols
+# through the one engine in src/mpr/ft_phase.hpp, so the phase log's mutex
+# is exercised under master as well as symmetric; crash-at-every-op
+# recovery sweeps including symmetric-coordinator rotation, the recovering
+# RunStats goldens of both protocols, the coordinator-loss tests (a rank-0
+# crash under master at every op it reaches, every rank crashed under
+# symmetric: a typed error, never a default result), the out-of-range-id
+# and hostile-count MessageHardening cases, plus mixed-fault stress of the
+# runtime's timeout/CRC detection paths, the FaultEnv malformed-knob tests,
+# and the empty-plan check that partition, traverse and variants run their
+# recovering driver, which is therefore also the driver every default
+# fault-free run takes through them), the CLI coordinator-loss probe
+# (`focus_asm.faults.no_coordinator_survives`), and
 # the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
 # sweeps through the full assembler across both protocols), the
 # stage-cache suite (svc_test: EnvSnapshot capture/strict parsing, the
@@ -62,6 +68,13 @@
 #
 #   CXXFLAGS='-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS' \
 #     tools/run_sanitizers.sh asan-ubsan -R 'Contiguity|Hybrid|Digraph|AsmBuild|Pipeline'
+#
+# The recovering engine's legs (both protocols):
+#
+#   tools/run_sanitizers.sh thread -L 'fault|soak'
+#   tools/run_sanitizers.sh thread \
+#     -R 'DistProtocol|DistParallel|MessageHardening|ScanRecords|focus_asm.faults'
+#   (and the same two under the strict asan-ubsan configuration above)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

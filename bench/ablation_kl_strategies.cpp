@@ -3,9 +3,9 @@
 // The paper motivates the sorted-array + diagonal-scanning pair search
 // (O(n² log n)) over the naive all-pairs search (O(n³)), plus the
 // 50-idle-swap early stop. This ablation measures the heap diagonal scan,
-// the chunked bounded scan (the pool-parallel strategy, forced serial and
-// pooled via KlConfig::pair_chunk_min_nodes = 0), and the naive all-pairs
-// search, plus the effect of the idle cutoff on work and cut quality. All
+// the chunked bounded scan (forced via KlConfig::pair_chunk_min_nodes = 0),
+// and the naive all-pairs search, plus the effect of the idle cutoff on
+// work and cut quality. All
 // strategies select the same total-order argmax pair every swap, so cuts
 // must agree exactly; only work and wall time differ.
 #include "bench_common.hpp"
@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "partition/ggg.hpp"
 #include "partition/kl.hpp"
 #include "partition/partition.hpp"
@@ -49,15 +48,12 @@ int main() {
   const std::vector<int> widths{8, 26, 14, 16, 12};
   print_row({"n", "Strategy", "Cut", "Work units", "Wall (ms)"}, widths);
 
-  ThreadPool pool(4);
-
   for (const std::size_t n : {64, 128, 256, 512, 2048}) {
     const auto g = random_graph(0xab1 + n, n, 3 * n);
 
     struct Variant {
       const char* name;
       partition::KlConfig cfg;
-      bool pooled;
     };
     partition::KlConfig heap;
     heap.pair_chunk_min_nodes = SIZE_MAX;  // never switch to chunks
@@ -70,11 +66,10 @@ int main() {
     no_idle_stop.idle_swap_limit = 100000;  // effectively disabled
 
     const Variant variants[] = {
-        {"heap diagonal-scan (paper)", heap, false},
-        {"chunked bounded scan", chunked, false},
-        {"chunked, pool width 4", chunked, true},
-        {"naive all-pairs", naive, false},
-        {"heap, no idle stop", no_idle_stop, false},
+        {"heap diagonal-scan (paper)", heap},
+        {"chunked bounded scan", chunked},
+        {"naive all-pairs", naive},
+        {"heap, no idle stop", no_idle_stop},
     };
 
     for (const auto& variant : variants) {
@@ -82,8 +77,8 @@ int main() {
       auto part = partition::greedy_graph_growing(g, rng);
       double work = 0.0;
       Timer timer;
-      const Weight cut = partition::kl_bisection_refine(
-          g, part, variant.cfg, &work, variant.pooled ? &pool : nullptr);
+      const Weight cut =
+          partition::kl_bisection_refine(g, part, variant.cfg, &work);
       print_row({std::to_string(n), variant.name, std::to_string(cut),
                  fmt(work, 0), fmt(timer.seconds() * 1e3, 1)},
                 widths);
@@ -97,8 +92,7 @@ int main() {
       "naive search\n(the gap grows with n, reflecting O(n^2 log n) vs "
       "O(n^3)); the chunked scan\ncharges work comparable to the heap scan "
       "(both prune via the sorted-D bound,\nwith different charging: per "
-      "evaluated pair vs per heap operation) and is\nthe one the pool can "
-      "split across workers; disabling the idle cutoff adds\nwork without "
-      "improving the cut.\n");
+      "evaluated pair vs per heap operation);\ndisabling the idle cutoff "
+      "adds work without improving the cut.\n");
   return 0;
 }

@@ -12,9 +12,8 @@ namespace {
 /// Pool-affine slot of the current thread: workers record (their pool, their
 /// slot id); every external caller — and any thread entering a *different*
 /// pool than the one it works for — resolves to slot 0 of the entered pool.
-/// Nested parallel_for/fork_join calls issued from inside a task of the same
-/// pool then push and pop on the worker's own deque (LIFO), keeping
-/// recursive spawns cache-local until someone steals them. Keying the slot
+/// A nested parallel_for issued from inside a task of the same pool then
+/// drains from the worker's own deque first (LIFO). Keying the slot
 /// by pool identity is what makes several ThreadPools safe in one process
 /// (two concurrent assemblies each run their own pools): a worker of pool A
 /// that enters pool B must not index B's deques with A's slot id, which can
@@ -158,62 +157,6 @@ void ThreadPool::parallel_for(
     }
   }
   if (batch.eptr) std::rethrow_exception(batch.eptr);
-}
-
-void ThreadPool::fork_join(const std::function<void()>& left,
-                           const std::function<void()>& right) {
-  if (threads_ == 1) {
-    left();
-    right();
-    return;
-  }
-
-  struct Fork {
-    std::atomic<bool> done{false};
-    std::mutex eptr_mu;
-    std::exception_ptr eptr;
-  } fork;
-
-  const unsigned self = t_ctx.pool == this ? t_ctx.slot : 0;
-  {
-    std::lock_guard<std::mutex> lk(deques_[self]->mu);
-    deques_[self]->tasks.push_back([&fork, &right] {
-      try {
-        right();
-      } catch (...) {
-        std::lock_guard<std::mutex> eptr_lk(fork.eptr_mu);
-        fork.eptr = std::current_exception();
-      }
-      fork.done.store(true, std::memory_order_release);
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    unclaimed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wake_cv_.notify_one();
-
-  std::exception_ptr left_eptr;
-  try {
-    left();
-  } catch (...) {
-    left_eptr = std::current_exception();
-  }
-
-  // Help-first join: `right` is either still in a deque (our LIFO pop finds
-  // it first), running elsewhere (we execute unrelated tasks meanwhile), or
-  // done. The caller never sleeps while work it depends on is pending.
-  std::function<void()> task;
-  while (!fork.done.load(std::memory_order_acquire)) {
-    if (try_acquire(self, task)) {
-      task();
-      task = nullptr;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  if (left_eptr) std::rethrow_exception(left_eptr);
-  if (fork.eptr) std::rethrow_exception(fork.eptr);
 }
 
 }  // namespace focus

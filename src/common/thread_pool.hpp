@@ -119,19 +119,6 @@ class ThreadPool {
     return acc;
   }
 
-  /// Binary fork-join: runs `left` and `right`, potentially concurrently, and
-  /// returns when both have finished. `right` is pushed onto the calling
-  /// participant's deque (so an idle thread can steal it) while `left` runs
-  /// inline; if `right` has not been stolen by then the caller pops it back
-  /// (LIFO) and runs it too. Safe to call recursively from inside pool tasks:
-  /// while waiting for a stolen `right`, the caller *helps* — it executes any
-  /// other queued task instead of blocking, so a tree of nested fork_join
-  /// calls (e.g. recursive bisection) can never deadlock on pool width.
-  /// threads == 1 degrades to `left(); right();` inline. Exceptions from
-  /// either side are rethrown here (left's first).
-  void fork_join(const std::function<void()>& left,
-                 const std::function<void()>& right);
-
  private:
   struct Deque {
     std::mutex mu;

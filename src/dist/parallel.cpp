@@ -704,13 +704,7 @@ void traverse_coordinate(mpr::Comm& comm, PhaseLog& log, const AsmGraph& g,
     ft_commit(comm, log, std::move(entry));
   }
 
-  mpr::Message payload;
-  {
-    std::lock_guard<std::mutex> lock(log.mu);
-    payload = log.entries.front().payload;
-  }
-  Subpaths all = unpack_subpaths(payload);
-  FOCUS_CHECK(payload.fully_consumed(), "trailing bytes in sub-path log");
+  Subpaths all = mpr::ft_read_entry(log, 0, "sub-path log", unpack_subpaths);
   double join_work = 0.0;
   *paths = join_subpaths(g, std::move(all), &join_work);
   comm.charge(join_work);
@@ -836,16 +830,13 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
                     ft_overlap_merge(comm, std::move(recs)));
                 ft_commit(comm, log, std::move(entry));
               }
-              // Publish from the durable record, in place — identical
-              // whether this rank merged the pairs itself or inherited the
-              // committed entry (a successor may re-read an entry its
-              // predecessor already published).
-              std::lock_guard<std::mutex> lock(log.mu);
-              mpr::Message& payload = log.entries.front().payload;
-              payload.rewind();
-              out.overlaps = payload.unpack_vector<align::Overlap>();
-              FOCUS_CHECK(payload.fully_consumed(),
-                          "trailing bytes in overlap log");
+              // Publish from the durable record — identical whether this
+              // rank merged the pairs itself or inherited the committed
+              // entry.
+              out.overlaps = mpr::ft_read_entry(
+                  log, 0, "overlap log", [](mpr::Message& m) {
+                    return m.unpack_vector<align::Overlap>();
+                  });
             });
       });
   return out;

@@ -1,7 +1,6 @@
 #include "dist/variants.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <numeric>
 
 #include "align/banded_nw.hpp"
@@ -222,15 +221,9 @@ ParallelVariantResult find_variants_parallel(
           }
           // Publish from the durable record — identical whether this rank
           // merged the records itself or inherited them.
-          mpr::Message payload;
-          {
-            std::lock_guard<std::mutex> lock(log.mu);
-            payload = log.entries.front().payload;
-          }
-          auto merged = payload.unpack_vector<Variant>();
-          FOCUS_CHECK(payload.fully_consumed(),
-                      "trailing bytes in variant log");
-          out.variants = std::move(merged);
+          out.variants = mpr::ft_read_entry(
+              log, 0, "variant log",
+              [](mpr::Message& m) { return m.unpack_vector<Variant>(); });
         };
         mpr::ft_drive(comm, log, fault, scan_and_pack, coordinate);
       });

@@ -1,7 +1,6 @@
 #include "io/preprocess.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/dna.hpp"
 #include "mpr/ft_phase.hpp"
@@ -71,45 +70,6 @@ bool trim_read(Read& read, const PreprocessConfig& config) {
   return read.seq.size() >= config.min_length && !read.seq.empty();
 }
 
-ReadSet preprocess(const ReadSet& input, const PreprocessConfig& config,
-                   PreprocessStats* stats) {
-  PreprocessStats local;
-  local.input_reads = input.size();
-
-  ReadSet out;
-  out.reserve(input.size() * (config.add_reverse_complements ? 2 : 1));
-  for (ReadId i = 0; i < input.size(); ++i) {
-    Read r = input[i];
-    const std::uint64_t before = r.seq.size();
-    if (!trim_read(r, config)) {
-      ++local.dropped_short;
-      continue;
-    }
-    local.bases_trimmed += before - r.seq.size();
-    r.origin = i;
-    r.reverse = false;
-    const std::string fwd_seq = r.seq;
-    const std::string fwd_name = r.name;
-    const std::string fwd_qual = r.qual;
-    out.add(std::move(r));
-    if (config.add_reverse_complements) {
-      Read rc;
-      rc.name = fwd_name + "/rc";
-      rc.seq = dna::reverse_complement(fwd_seq);
-      // Base i of the RC read is base n-1-i of the forward read, so its
-      // quality string is the forward one reversed; dropping it would strip
-      // FASTQ reads of their qualities on the RC strand.
-      rc.qual.assign(fwd_qual.rbegin(), fwd_qual.rend());
-      rc.origin = i;
-      rc.reverse = true;
-      out.add(std::move(rc));
-    }
-  }
-  local.output_reads = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 namespace {
 
 /// Input reads per fault-tolerant preprocess partition. Fixed so the block
@@ -117,24 +77,27 @@ namespace {
 /// function of the read count, independent of rank count and faults.
 constexpr std::size_t kFtReadBlock = 64;
 
-/// Per-block scan record: the trimmed (and RC-augmented) reads of one input
-/// block plus the block's drop/trim counters. Blocks concatenated in
-/// ascending id order reproduce the serial preprocess() output exactly.
+/// The trimmed (and RC-augmented) reads of one contiguous range of input
+/// reads plus the range's drop/trim counters. Blocks concatenated in
+/// ascending range order reproduce the serial preprocess() output exactly.
 struct PreprocessBlock {
   std::vector<Read> reads;
   std::uint64_t dropped = 0;
   std::uint64_t trimmed = 0;
 };
 
-PreprocessBlock preprocess_block(const ReadSet& input,
+/// Preprocesses input reads [begin, end): each survivor carries origin =
+/// its input index and is followed by its reverse complement. `work` (if
+/// non-null) is charged one unit per input base.
+PreprocessBlock preprocess_range(const ReadSet& input,
                                  const PreprocessConfig& config,
-                                 std::uint32_t p, double* work) {
+                                 std::size_t begin, std::size_t end,
+                                 double* work) {
   PreprocessBlock block;
-  const std::size_t begin = static_cast<std::size_t>(p) * kFtReadBlock;
-  const std::size_t end = std::min(input.size(), begin + kFtReadBlock);
+  block.reads.reserve((end - begin) * (config.add_reverse_complements ? 2 : 1));
   for (std::size_t i = begin; i < end; ++i) {
     Read r = input[static_cast<ReadId>(i)];
-    *work += static_cast<double>(r.seq.size());
+    if (work != nullptr) *work += static_cast<double>(r.seq.size());
     const std::uint64_t before = r.seq.size();
     if (!trim_read(r, config)) {
       ++block.dropped;
@@ -143,15 +106,16 @@ PreprocessBlock preprocess_block(const ReadSet& input,
     block.trimmed += before - r.seq.size();
     r.origin = static_cast<ReadId>(i);
     r.reverse = false;
-    const std::string fwd_seq = r.seq;
-    const std::string fwd_name = r.name;
-    const std::string fwd_qual = r.qual;
     block.reads.push_back(std::move(r));
     if (config.add_reverse_complements) {
+      const Read& fwd = block.reads.back();
       Read rc;
-      rc.name = fwd_name + "/rc";
-      rc.seq = dna::reverse_complement(fwd_seq);
-      rc.qual.assign(fwd_qual.rbegin(), fwd_qual.rend());
+      rc.name = fwd.name + "/rc";
+      rc.seq = dna::reverse_complement(fwd.seq);
+      // Base i of the RC read is base n-1-i of the forward read, so its
+      // quality string is the forward one reversed; dropping it would strip
+      // FASTQ reads of their qualities on the RC strand.
+      rc.qual.assign(fwd.qual.rbegin(), fwd.qual.rend());
       rc.origin = static_cast<ReadId>(i);
       rc.reverse = true;
       block.reads.push_back(std::move(rc));
@@ -160,6 +124,8 @@ PreprocessBlock preprocess_block(const ReadSet& input,
   return block;
 }
 
+/// Wire and log codec of one block. Both the recovering driver's records and
+/// the fault-free gather frames use it.
 void pack_block(const PreprocessBlock& block, mpr::Message& m) {
   m.pack(static_cast<std::uint64_t>(block.reads.size()));
   for (const Read& r : block.reads) {
@@ -173,12 +139,13 @@ void pack_block(const PreprocessBlock& block, mpr::Message& m) {
   m.pack(block.trimmed);
 }
 
-PreprocessBlock unpack_block(mpr::Message& m) {
+/// Decodes one block. A block never holds more reads than twice its input
+/// range (every survivor plus its complement), so the sender's range bounds
+/// `max_reads`: hostile counts are rejected before the read loop allocates.
+PreprocessBlock unpack_block(mpr::Message& m, std::uint64_t max_reads) {
   PreprocessBlock block;
   const auto count = m.unpack<std::uint64_t>();
-  // A block record can never exceed its input block (×2 with complements) —
-  // reject hostile counts before the read loop starts allocating.
-  FOCUS_CHECK(count <= 2 * kFtReadBlock,
+  FOCUS_CHECK(count <= max_reads,
               "preprocess block record count exceeds block size");
   block.reads.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -195,23 +162,27 @@ PreprocessBlock unpack_block(mpr::Message& m) {
   return block;
 }
 
-/// Concatenate collected blocks (ascending id order) into the final result.
-/// Overwrites rather than appends: under the symmetric protocol a successor
-/// coordinator re-assembles from the log after a predecessor may already
-/// have partially published.
-void assemble_blocks(const ReadSet& input, std::vector<PreprocessBlock> recs,
-                     ParallelPreprocessResult* result) {
-  ReadSet reads;
-  PreprocessStats stats;
-  stats.input_reads = input.size();
-  for (auto& block : recs) {
-    for (auto& r : block.reads) reads.add(std::move(r));
-    stats.dropped_short += static_cast<std::size_t>(block.dropped);
-    stats.bases_trimmed += block.trimmed;
+/// Concatenates blocks (ascending range order) into the final reads and
+/// stats. Overwrites rather than appends: under the symmetric protocol a
+/// successor coordinator re-assembles from the log after a predecessor may
+/// already have partially published.
+void assemble_blocks(std::size_t input_reads,
+                     std::vector<PreprocessBlock> blocks, ReadSet* reads,
+                     PreprocessStats* stats) {
+  std::size_t total = 0;
+  for (const auto& block : blocks) total += block.reads.size();
+  std::vector<Read> all;
+  all.reserve(total);
+  PreprocessStats s;
+  s.input_reads = input_reads;
+  for (auto& block : blocks) {
+    for (auto& r : block.reads) all.push_back(std::move(r));
+    s.dropped_short += static_cast<std::size_t>(block.dropped);
+    s.bases_trimmed += block.trimmed;
   }
-  stats.output_reads = reads.size();
-  result->reads = std::move(reads);
-  result->stats = stats;
+  s.output_reads = all.size();
+  *reads = ReadSet(std::move(all));
+  *stats = s;
 }
 
 ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
@@ -225,13 +196,18 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
   ParallelPreprocessResult result;
 
   const auto scan_one = [&](std::uint32_t p, double* work) {
-    return preprocess_block(input, config, p, work);
+    const std::size_t begin = static_cast<std::size_t>(p) * kFtReadBlock;
+    return preprocess_range(input, config, begin,
+                            std::min(input.size(), begin + kFtReadBlock),
+                            work);
   };
-  const auto unpack_one = [](mpr::Message& m) { return unpack_block(m); };
+  const auto unpack_one = [](mpr::Message& m) {
+    return unpack_block(m, 2 * kFtReadBlock);
+  };
   const auto scan_and_pack = [&](std::uint32_t phase, std::uint32_t p,
                                  mpr::Message& frame, double* work) {
     FOCUS_CHECK(phase == 0, "unknown preprocess phase in scan command");
-    pack_block(preprocess_block(input, config, p, work), frame);
+    pack_block(scan_one(p, work), frame);
   };
 
   result.run = mpr::ft_execute(
@@ -250,22 +226,20 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
           // Assemble from the durable record — identical whether this rank
           // collected the blocks itself or inherited them from a crashed
           // predecessor.
-          mpr::Message payload;
-          {
-            std::lock_guard<std::mutex> lock(log.mu);
-            payload = log.entries.front().payload;
-          }
-          const auto count = payload.unpack<std::uint32_t>();
-          FOCUS_CHECK(count == nparts,
-                      "preprocess log holds the wrong block count");
-          std::vector<PreprocessBlock> recs;
-          recs.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            recs.push_back(unpack_block(payload));
-          }
-          FOCUS_CHECK(payload.fully_consumed(),
-                      "trailing bytes in preprocess log");
-          assemble_blocks(input, std::move(recs), &result);
+          auto recs = mpr::ft_read_entry(
+              log, 0, "preprocess log", [&](mpr::Message& m) {
+                const auto count = m.unpack<std::uint32_t>();
+                FOCUS_CHECK(count == nparts,
+                            "preprocess log holds the wrong block count");
+                std::vector<PreprocessBlock> blocks;
+                blocks.reserve(count);
+                for (std::uint32_t i = 0; i < count; ++i) {
+                  blocks.push_back(unpack_one(m));
+                }
+                return blocks;
+              });
+          assemble_blocks(input.size(), std::move(recs), &result.reads,
+                          &result.stats);
         };
         mpr::ft_drive(comm, log, fault, scan_and_pack, coordinate);
       });
@@ -273,6 +247,17 @@ ParallelPreprocessResult preprocess_parallel_ft(const ReadSet& input,
 }
 
 }  // namespace
+
+ReadSet preprocess(const ReadSet& input, const PreprocessConfig& config,
+                   PreprocessStats* stats) {
+  std::vector<PreprocessBlock> blocks;
+  blocks.push_back(preprocess_range(input, config, 0, input.size(), nullptr));
+  ReadSet out;
+  PreprocessStats local;
+  assemble_blocks(input.size(), std::move(blocks), &out, &local);
+  if (stats != nullptr) *stats = local;
+  return out;
+}
 
 ParallelPreprocessResult preprocess_parallel(
     const ReadSet& input, const PreprocessConfig& config, int nranks,
@@ -283,81 +268,35 @@ ParallelPreprocessResult preprocess_parallel(
     return preprocess_parallel_ft(input, config, nranks, cost, fault_plan,
                                   fault, symmetric);
   }
+  // Rank r preprocesses the contiguous chunk [n*r/p, n*(r+1)/p).
+  const std::size_t n = input.size();
+  const auto p = static_cast<std::size_t>(nranks);
+  const auto chunk_begin = [&](std::size_t r) { return n * r / p; };
   ParallelPreprocessResult result;
   result.run = mpr::Runtime::execute(
       nranks,
       [&](mpr::Comm& comm) {
-        // Contiguous chunk of input reads for this rank.
-        const std::size_t n = input.size();
-        const auto p = static_cast<std::size_t>(comm.size());
         const auto me = static_cast<std::size_t>(comm.rank());
-        const std::size_t begin = n * me / p;
-        const std::size_t end = n * (me + 1) / p;
-
-        ReadSet local;
-        PreprocessStats local_stats;
-        local_stats.input_reads = end - begin;
         double bases = 0.0;
-        for (std::size_t i = begin; i < end; ++i) {
-          Read r = input[static_cast<ReadId>(i)];
-          bases += static_cast<double>(r.seq.size());
-          const std::uint64_t before = r.seq.size();
-          if (!trim_read(r, config)) {
-            ++local_stats.dropped_short;
-            continue;
-          }
-          local_stats.bases_trimmed += before - r.seq.size();
-          r.origin = static_cast<ReadId>(i);
-          r.reverse = false;
-          const std::string fwd_seq = r.seq;
-          const std::string fwd_name = r.name;
-          const std::string fwd_qual = r.qual;
-          local.add(std::move(r));
-          if (config.add_reverse_complements) {
-            Read rc;
-            rc.name = fwd_name + "/rc";
-            rc.seq = dna::reverse_complement(fwd_seq);
-            rc.qual.assign(fwd_qual.rbegin(), fwd_qual.rend());
-            rc.origin = static_cast<ReadId>(i);
-            rc.reverse = true;
-            local.add(std::move(rc));
-          }
-        }
-        local_stats.output_reads = local.size();
+        mpr::Message msg;
+        pack_block(preprocess_range(input, config, chunk_begin(me),
+                                    chunk_begin(me + 1), &bases),
+                   msg);
         comm.charge(bases);
 
-        // Ship the chunk to rank 0 (reads serialized field by field).
-        mpr::Message msg;
-        msg.pack(static_cast<std::uint64_t>(local.size()));
-        for (const Read& r : local) {
-          msg.pack_string(r.name);
-          msg.pack_string(r.seq);
-          msg.pack_string(r.qual);
-          msg.pack(r.origin);
-          msg.pack(static_cast<std::uint8_t>(r.reverse ? 1 : 0));
-        }
-        msg.pack(static_cast<std::uint64_t>(local_stats.dropped_short));
-        msg.pack(static_cast<std::uint64_t>(local_stats.bases_trimmed));
+        // Rank 0 gathers the chunks in rank order.
         auto gathered = comm.gather(std::move(msg), 0);
         if (comm.rank() == 0) {
-          result.stats.input_reads = input.size();
-          for (auto& m : gathered) {
-            const auto count = m.unpack<std::uint64_t>();
-            for (std::uint64_t i = 0; i < count; ++i) {
-              Read r;
-              r.name = m.unpack_string();
-              r.seq = m.unpack_string();
-              r.qual = m.unpack_string();
-              r.origin = m.unpack<ReadId>();
-              r.reverse = m.unpack<std::uint8_t>() != 0;
-              result.reads.add(std::move(r));
-            }
-            result.stats.dropped_short +=
-                static_cast<std::size_t>(m.unpack<std::uint64_t>());
-            result.stats.bases_trimmed += m.unpack<std::uint64_t>();
-            FOCUS_CHECK(m.fully_consumed(), "trailing bytes in gathered frame");
+          std::vector<PreprocessBlock> blocks;
+          blocks.reserve(gathered.size());
+          for (std::size_t r = 0; r < gathered.size(); ++r) {
+            blocks.push_back(unpack_block(
+                gathered[r], 2 * (chunk_begin(r + 1) - chunk_begin(r))));
+            FOCUS_CHECK(gathered[r].fully_consumed(),
+                        "trailing bytes in gathered frame");
+            gathered[r] = mpr::Message();  // release the frame once decoded
           }
-          result.stats.output_reads = result.reads.size();
+          assemble_blocks(n, std::move(blocks), &result.reads, &result.stats);
         }
         comm.barrier();
       },

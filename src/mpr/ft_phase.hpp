@@ -42,6 +42,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -164,6 +165,25 @@ inline void ft_commit(Comm& comm, PhaseLog& log, PhaseLog::Entry entry) {
     comm.advance_vtime(static_cast<double>(nlive - 1) *
                        comm.cost().message_cost(bytes));
   }
+}
+
+/// Decodes committed entry `i` in place and returns what `decode` returns.
+/// Under the log's lock the entry's payload is rewound (a successor may
+/// re-read an entry its predecessor already read), handed to
+/// `decode(Message&)`, and checked to be fully consumed; `what` names the
+/// entry in that error. Coordinators publish from the durable record this
+/// way, so no copy of the entry is made; reading charges nothing.
+template <typename Decode>
+auto ft_read_entry(PhaseLog& log, std::size_t i, const char* what,
+                   const Decode& decode) {
+  std::lock_guard<std::mutex> lock(log.mu);
+  FOCUS_CHECK(i < log.entries.size(), "phase log entry is not committed");
+  Message& payload = log.entries[i].payload;
+  payload.rewind();
+  auto out = decode(payload);
+  FOCUS_CHECK(payload.fully_consumed(),
+              std::string("trailing bytes in ") + what);
+  return out;
 }
 
 /// One scan-and-collect phase, run by whichever rank currently coordinates.

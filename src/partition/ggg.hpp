@@ -9,15 +9,14 @@
 // seed starts the other side. Growing ends when either side reaches half the
 // graph's node weight; leftover nodes go to the lighter side.
 //
-// Serial by design: every absorption changes the frontier gains the next
-// absorption reads, so the growth loop is a sequential dependence chain with
-// no scoring pass worth pooling. It only ever runs on the coarsest graph of
-// a region (a few hundred nodes), so the parallel partitioner (mlpart.hpp)
-// parallelizes *around* it instead: sibling regions overlap via fork_join,
-// and within one region `PartitionerConfig::trials` independently seeded
-// GGG+KL growths run concurrently on the pool (each trial's Rng derives
-// purely from (seed, region, trial); the best coarsest cut wins with ties
-// broken toward the smaller trial index).
+// A sequential dependence chain: every absorption changes the frontier
+// gains the next absorption reads. It only ever runs on the coarsest graph
+// of a region (a few hundred nodes); the parallel partitioner (mlpart.hpp)
+// runs the regions of a bisection step on separate ranks, and within one
+// region `PartitionerConfig::trials` independently seeded GGG+KL growths run
+// in trial order (each trial's Rng derives purely from (seed, region,
+// trial); the best coarsest cut wins with ties broken toward the smaller
+// trial index).
 #pragma once
 
 #include <vector>

@@ -41,8 +41,7 @@ struct BestPair {
 // break toward the larger D-sum, then the smaller side-0 index, then the
 // smaller side-1 index. The side arrays are sorted by the total order
 // (D desc, node id asc), so the key is a pure function of (graph, part) —
-// independent of the strategy, the chunking, the pool width, and the
-// standard library.
+// independent of the strategy, the chunking, and the standard library.
 //
 // Why index order and not plain node-id order: gain == D-sum for every
 // zero-weight (non-adjacent) pair, so when the winning gain lands on an
@@ -123,22 +122,21 @@ BestPair diagonal_scan_best_pair(const Graph& g,
 }
 
 /// Side-0 rows per chunk of the chunked pair search. The decomposition is a
-/// pure function of the row count, so per-chunk work merges identically at
-/// every pool width (the charges are whole pair counts — exact in a double).
+/// pure function of the row count.
 constexpr std::size_t kPairChunkRows = 64;
 
-// Chunked bounded scan — the pool-parallel diagonal strategy. Each chunk of
-// side-0 rows scans side-1 in D order and stops a row (or the whole chunk,
-// since rows are sorted by D descending) as soon as the D-sum can no longer
-// beat or tie the chunk-local best, which is seeded with the top D-sum pair
-// so pruning is active from the first row. Chunk-local pruning never drops
-// a global winner: a pruned pair has gain <= dsum <= local best gain, and
-// on equality it ties the local best's gain at an equal-or-smaller D-sum
-// and a later (i, j) — strictly below it in the total order. The per-chunk
-// winners and work counts merge in chunk order.
+// Chunked bounded scan. Each chunk of side-0 rows scans side-1 in D order
+// and stops a row (or the whole chunk, since rows are sorted by D
+// descending) as soon as the D-sum can no longer beat or tie the
+// chunk-local best, which is seeded with the top D-sum pair so pruning is
+// active from the first row. Chunk-local pruning never drops a global
+// winner: a pruned pair has gain <= dsum <= local best gain, and on
+// equality it ties the local best's gain at an equal-or-smaller D-sum and a
+// later (i, j) — strictly below it in the total order. The chunk winners
+// are reduced in chunk order; the work charge is one unit per evaluated
+// pair (whole counts, exact in a double).
 BestPair chunked_best_pair(const Graph& g, const std::vector<NodeD>& side0,
-                           const std::vector<NodeD>& side1, double* work,
-                           double* pooled_work, ThreadPool* pool) {
+                           const std::vector<NodeD>& side1, double* work) {
   BestPair seed;
   seed.found = true;
   seed.a = side0[0].node;
@@ -149,105 +147,57 @@ BestPair chunked_best_pair(const Graph& g, const std::vector<NodeD>& side0,
   seed.j = 0;
   if (work != nullptr) *work += 1.0;
 
-  struct ChunkResult {
-    BestPair best;
-    double work = 0.0;
-  };
-  const auto scan_chunk = [&](std::size_t begin, std::size_t end) {
-    ChunkResult r;
-    r.best = seed;
+  BestPair best = seed;
+  double evaluated = 0.0;
+  for (std::size_t begin = 0; begin < side0.size(); begin += kPairChunkRows) {
+    const std::size_t end = std::min(side0.size(), begin + kPairChunkRows);
+    BestPair local = seed;
     for (std::size_t i = begin; i < end; ++i) {
       const NodeD& a = side0[i];
-      if (a.d + side1[0].d <= r.best.gain) break;  // rows sorted by D desc
+      if (a.d + side1[0].d <= local.gain) break;  // rows sorted by D desc
       for (std::size_t j = 0; j < side1.size(); ++j) {
         const NodeD& b = side1[j];
         const Weight dsum = a.d + b.d;
-        if (dsum <= r.best.gain) break;
-        r.work += 1.0;
+        if (dsum <= local.gain) break;
+        evaluated += 1.0;
         const Weight gain = dsum - 2 * g.edge_weight(a.node, b.node);
-        if (improves(r.best, gain, dsum, i, j)) {
-          r.best.a = a.node;
-          r.best.b = b.node;
-          r.best.gain = gain;
-          r.best.dsum = dsum;
-          r.best.i = i;
-          r.best.j = j;
+        if (improves(local, gain, dsum, i, j)) {
+          local.a = a.node;
+          local.b = b.node;
+          local.gain = gain;
+          local.dsum = dsum;
+          local.i = i;
+          local.j = j;
         }
       }
     }
-    return r;
-  };
-  const auto merge = [](ChunkResult acc, ChunkResult chunk) {
-    if (improves(acc.best, chunk.best.gain, chunk.best.dsum, chunk.best.i,
-                 chunk.best.j)) {
-      acc.best = chunk.best;
-    }
-    acc.work += chunk.work;
-    return acc;
-  };
-
-  ChunkResult init;
-  init.best = seed;
-  ChunkResult total;
-  if (pool != nullptr && pool->thread_count() > 1) {
-    total = pool->parallel_reduce(side0.size(), kPairChunkRows,
-                                  std::move(init), scan_chunk, merge);
-  } else {
-    total = std::move(init);
-    for (std::size_t begin = 0; begin < side0.size();
-         begin += kPairChunkRows) {
-      total = merge(std::move(total),
-                    scan_chunk(begin, std::min(side0.size(),
-                                               begin + kPairChunkRows)));
-    }
+    if (improves(best, local.gain, local.dsum, local.i, local.j)) best = local;
   }
-  if (work != nullptr) *work += total.work;
-  if (pooled_work != nullptr) *pooled_work += total.work;
-  return total.best;
+  if (work != nullptr) *work += evaluated;
+  return best;
 }
 
 // Naive fallback: examine every unlocked pair (O(n^2) per swap). Kept for
-// the ablation bench; chunk-parallel on a pool, with the chunk winners and
-// the (integer-valued) work counts merged in chunk order so the result and
-// the accounting equal the serial scan's at every width.
+// the ablation bench.
 BestPair naive_best_pair(const Graph& g, const std::vector<NodeD>& side0,
-                         const std::vector<NodeD>& side1, double* work,
-                         ThreadPool* pool) {
-  const auto scan_row_range = [&](std::size_t begin, std::size_t end) {
-    BestPair best;
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeD& a = side0[i];
-      for (std::size_t j = 0; j < side1.size(); ++j) {
-        const NodeD& b = side1[j];
-        const Weight dsum = a.d + b.d;
-        const Weight gain = dsum - 2 * g.edge_weight(a.node, b.node);
-        if (improves(best, gain, dsum, i, j)) {
-          best.found = true;
-          best.a = a.node;
-          best.b = b.node;
-          best.gain = gain;
-          best.dsum = dsum;
-          best.i = i;
-          best.j = j;
-        }
+                         const std::vector<NodeD>& side1, double* work) {
+  BestPair best;
+  for (std::size_t i = 0; i < side0.size(); ++i) {
+    const NodeD& a = side0[i];
+    for (std::size_t j = 0; j < side1.size(); ++j) {
+      const NodeD& b = side1[j];
+      const Weight dsum = a.d + b.d;
+      const Weight gain = dsum - 2 * g.edge_weight(a.node, b.node);
+      if (improves(best, gain, dsum, i, j)) {
+        best.found = true;
+        best.a = a.node;
+        best.b = b.node;
+        best.gain = gain;
+        best.dsum = dsum;
+        best.i = i;
+        best.j = j;
       }
     }
-    return best;
-  };
-  BestPair best;
-  if (pool != nullptr && pool->thread_count() > 1 &&
-      side0.size() >= 2 * kPairChunkRows) {
-    best = pool->parallel_reduce(
-        side0.size(), kPairChunkRows, BestPair{},
-        scan_row_range, [](BestPair acc, BestPair chunk) {
-          if (chunk.found &&
-              improves(acc, chunk.gain, chunk.dsum, chunk.i, chunk.j)) {
-            acc = chunk;
-          }
-          return acc;
-        });
-  } else {
-    best = scan_row_range(0, side0.size());
   }
   if (work != nullptr) {
     *work += static_cast<double>(side0.size()) *
@@ -256,14 +206,10 @@ BestPair naive_best_pair(const Graph& g, const std::vector<NodeD>& side0,
   return best;
 }
 
-/// Below this the D-value sweep is cheaper than waking the pool.
-constexpr std::size_t kParallelKlMinNodes = 512;
-
 }  // namespace
 
 Weight kl_bisection_refine(const Graph& g, std::vector<PartId>& part,
-                           const KlConfig& config, double* work,
-                           ThreadPool* pool, double* pooled_work) {
+                           const KlConfig& config, double* work) {
   const std::size_t n = g.node_count();
   FOCUS_CHECK(part.size() == n, "partition size mismatch");
   for (const PartId p : part) {
@@ -272,9 +218,6 @@ Weight kl_bisection_refine(const Graph& g, std::vector<PartId>& part,
 
   Weight cut = edge_cut(g, part);
   if (work != nullptr) *work += static_cast<double>(g.edge_count());
-
-  const bool pooled =
-      pool != nullptr && pool->thread_count() > 1 && n >= kParallelKlMinNodes;
 
   std::vector<Weight> d(n);
   std::vector<bool> locked(n);
@@ -293,32 +236,9 @@ Weight kl_bisection_refine(const Graph& g, std::vector<PartId>& part,
   };
 
   for (std::size_t pass = 0; pass < config.max_passes; ++pass) {
-    // D-value initialization: parallel scoring into per-node slots (each
-    // d[v] is a pure function of the pass-entry partition, so the sweep
-    // order cannot matter); work is charged in the serial index order
-    // afterwards so the float accumulation matches the serial path exactly.
-    if (pooled) {
-      pool->parallel_for(n, 512, [&](std::size_t b, std::size_t e) {
-        for (std::size_t v = b; v < e; ++v) d[v] = d_of(static_cast<NodeId>(v));
-      });
-      if (work != nullptr) {
-        for (NodeId v = 0; v < n; ++v) {
-          *work += static_cast<double>(g.degree(v));
-        }
-      }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        d[v] = d_of(v);
-        if (work != nullptr) *work += static_cast<double>(g.degree(v));
-      }
-    }
-    // Pool-parallelizable share of this pass, for the bench's speedup model.
-    // Gated on the instance size alone (not the pool width) so the figure is
-    // identical at every width.
-    if (pooled_work != nullptr && n >= kParallelKlMinNodes) {
-      for (NodeId v = 0; v < n; ++v) {
-        *pooled_work += static_cast<double>(g.degree(v));
-      }
+    for (NodeId v = 0; v < n; ++v) {
+      d[v] = d_of(v);
+      if (work != nullptr) *work += static_cast<double>(g.degree(v));
     }
     std::fill(locked.begin(), locked.end(), false);
 
@@ -347,16 +267,14 @@ Weight kl_bisection_refine(const Graph& g, std::vector<PartId>& part,
         *work += total * std::log2(total + 2.0);
       }
 
-      // Strategy dispatch. The chunked-vs-heap choice compares the
-      // unlocked-node count against the config threshold — a pure function
-      // of (graph, part, config) — so every width takes the same branch and
-      // charges the same work.
+      // Strategy dispatch: the chunked-vs-heap choice compares the
+      // unlocked-node count against the config threshold.
       BestPair best;
       if (!config.diagonal_scanning) {
-        best = naive_best_pair(g, side0, side1, work, pool);
+        best = naive_best_pair(g, side0, side1, work);
       } else if (!side0.empty() && !side1.empty() &&
                  side0.size() + side1.size() >= config.pair_chunk_min_nodes) {
-        best = chunked_best_pair(g, side0, side1, work, pooled_work, pool);
+        best = chunked_best_pair(g, side0, side1, work);
       } else {
         best = diagonal_scan_best_pair(g, side0, side1, work);
       }

@@ -26,18 +26,14 @@
 //    into fixed chunks; each chunk scans side-1 in D order with the same
 //    cannot-win cutoff against a chunk-local best seeded from the
 //    top D-sum pair, and the per-chunk winners are reduced in chunk order.
-//    Chunks run on the ThreadPool when one is supplied — this is the
-//    per-swap hot loop of large refinement levels — and inline, in chunk
-//    order, otherwise; either way the result and the work accounting are
-//    byte-identical because the strategy choice and the chunk decomposition
-//    depend only on the unlocked-node count, never the pool width.
-//  * naive all-pairs (O(n³)-style, kept for the ablation benchmark), also
-//    chunk-parallel on a pool.
+//    The strategy choice and the chunk decomposition depend only on the
+//    unlocked-node count, so they are part of the refinement's definition
+//    (and its work accounting), not a tuning knob of the host.
+//  * naive all-pairs (O(n³)-style, kept for the ablation benchmark).
 #pragma once
 
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
 
@@ -53,16 +49,13 @@ struct KlConfig {
   /// full pair scan per swap — kept for the ablation benchmark.
   bool diagonal_scanning = true;
   /// Unlocked-node count (both sides together) at or above which the
-  /// diagonal pair search switches from the serial heap scan to the chunked
-  /// bounded scan, whose chunks run on the pool. The threshold compares
-  /// against problem size only — never the pool width — so the strategy
-  /// choice, the selected pairs, and the work accounting are identical at
-  /// every width. Chunk-local pruning is weaker than the heap's global
+  /// diagonal pair search switches from the heap scan to the chunked
+  /// bounded scan. The threshold compares against problem size only, so the
+  /// selected pairs and the work accounting are a pure function of (graph,
+  /// part, config). Chunk-local pruning is weaker than the heap's global
   /// bound (each chunk re-scans side 1 until its own cutoff fires), so
-  /// chunking trades more total work for divisible work; the default keeps
-  /// the heap scan on small and mid-size instances — including the Fig. 4
-  /// hybrid graph sets, whose work profile it would otherwise skew — and
-  /// chunks only where the extra evaluations amortize across workers.
+  /// chunking charges more total work; the default keeps the heap scan on
+  /// small and mid-size instances, including the Fig. 4 hybrid graph sets.
   /// 0 forces chunking everywhere (used by tests and the ablation bench);
   /// SIZE_MAX restores the pure heap scan.
   std::size_t pair_chunk_min_nodes = 4096;
@@ -70,24 +63,8 @@ struct KlConfig {
 
 /// Refines a bisection (part ids 0/1) in place; returns the final edge cut.
 /// `work` accumulates work units for virtual-time accounting.
-///
-/// With a pool, the per-pass D-value initialization (the O(E) scoring sweep)
-/// runs as a parallel scoring pass into per-node slots and the per-swap pair
-/// search runs chunk-parallel once the unlocked-node count reaches
-/// `pair_chunk_min_nodes`; the swap commits stay sequential. D values are
-/// pure functions of (graph, part) and every reduction merges in chunk
-/// order, so the refinement — and the accumulated `work` — are bit-identical
-/// at every pool width, including pool == nullptr.
-///
-/// `pooled_work` (if non-null) additionally accumulates the subset of `work`
-/// spent in pool-parallelizable loops (the D-value sweeps of instances with
-/// >= 512 nodes and the chunked pair-search chunks). It is a pure function
-/// of (graph, part, config) — the same at every width — and feeds the Fig. 4
-/// bench's intra-bisection speedup model.
 Weight kl_bisection_refine(const graph::Graph& g, std::vector<PartId>& part,
                            const KlConfig& config = {},
-                           double* work = nullptr,
-                           ThreadPool* pool = nullptr,
-                           double* pooled_work = nullptr);
+                           double* work = nullptr);
 
 }  // namespace focus::partition

@@ -20,31 +20,23 @@ struct MoveRecord {
   PartId to;
 };
 
-/// Below this the seeding sweep is cheaper than waking the pool.
-constexpr std::size_t kParallelKwayMinNodes = 512;
-
 }  // namespace
 
 Weight kway_kl_refine(const Graph& g, std::vector<PartId>& part, PartId parts,
-                      const KwayConfig& config, double* work,
-                      ThreadPool* pool) {
+                      const KwayConfig& config, double* work) {
   const std::size_t n = g.node_count();
   FOCUS_CHECK(part.size() == n, "partition size mismatch");
   FOCUS_CHECK(parts >= 1, "parts must be positive");
   FOCUS_CHECK(is_complete(part, parts), "k-way refine needs a complete partition");
   if (parts == 1 || n == 0) return 0;
 
-  Weight cut = edge_cut(g, part, pool);
+  Weight cut = edge_cut(g, part);
   if (work != nullptr) *work += static_cast<double>(g.edge_count());
-
-  const bool pooled =
-      pool != nullptr && pool->thread_count() > 1 && n >= kParallelKwayMinNodes;
 
   std::vector<Weight> part_weight = part_node_weights(g, part, parts);
 
   // External cost and gain(v) = E(v) − I(v) under the current partition.
-  // Work-free: callers charge g.degree(v) themselves so the parallel scoring
-  // pass can reuse these without perturbing the work sequence.
+  // Work-free: callers charge g.degree(v) themselves.
   auto external_of = [&](NodeId v) {
     Weight e = 0;
     for (const Edge& edge : g.neighbors(v)) {
@@ -66,42 +58,16 @@ Weight kway_kl_refine(const Graph& g, std::vector<PartId>& part, PartId parts,
 
   std::vector<bool> locked(n);
   std::unordered_map<PartId, Weight> to_part;
-  std::vector<Weight> external_score;
-  std::vector<Weight> gain_score;
-  if (pooled) {
-    external_score.resize(n);
-    gain_score.resize(n);
-  }
 
   for (std::size_t pass = 0; pass < config.max_passes; ++pass) {
     IndexedMaxHeap<Weight> queue(n);
     std::fill(locked.begin(), locked.end(), false);
-    if (pooled) {
-      // Parallel scoring into per-node slots, then a sequential commit loop
-      // that seeds the heap and charges work in node order — the same heap
-      // state and work sequence as the serial branch below.
-      pool->parallel_for(n, 512, [&](std::size_t b, std::size_t e) {
-        for (std::size_t v = b; v < e; ++v) {
-          const auto node = static_cast<NodeId>(v);
-          external_score[v] = external_of(node);
-          gain_score[v] = external_score[v] > 0 ? gain_of(node) : 0;
-        }
-      });
-      for (NodeId v = 0; v < n; ++v) {
+    for (NodeId v = 0; v < n; ++v) {
+      const Weight external = external_of(v);
+      if (work != nullptr) *work += static_cast<double>(g.degree(v));
+      if (external > 0) {
         if (work != nullptr) *work += static_cast<double>(g.degree(v));
-        if (external_score[v] > 0) {
-          if (work != nullptr) *work += static_cast<double>(g.degree(v));
-          queue.push(v, gain_score[v]);
-        }
-      }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const Weight external = external_of(v);
-        if (work != nullptr) *work += static_cast<double>(g.degree(v));
-        if (external > 0) {
-          if (work != nullptr) *work += static_cast<double>(g.degree(v));
-          queue.push(v, gain_of(v));
-        }
+        queue.push(v, gain_of(v));
       }
     }
 
@@ -194,7 +160,7 @@ Weight kway_kl_refine(const Graph& g, std::vector<PartId>& part, PartId parts,
     if (best_sum <= 0) break;
     cut -= best_sum;
   }
-  FOCUS_ASSERT(cut == edge_cut(g, part, pool), "tracked k-way cut diverged");
+  FOCUS_ASSERT(cut == edge_cut(g, part), "tracked k-way cut diverged");
   return cut;
 }
 

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
 
@@ -25,15 +24,9 @@ struct KwayConfig {
 };
 
 /// Refines a k-way partitioning in place; returns the final edge cut.
-///
-/// With a pool, the per-pass queue seeding (external cost + gain for every
-/// node, an O(E) sweep) runs as a parallel scoring pass into per-node slots;
-/// the heap is then seeded by a sequential commit loop in node order, so the
-/// queue contents — and the accumulated `work` — are bit-identical at every
-/// pool width. The move loop itself is inherently sequential (each move
-/// changes the gains it reads) and stays serial.
+/// `work` accumulates work units for virtual-time accounting.
 Weight kway_kl_refine(const graph::Graph& g, std::vector<PartId>& part,
                       PartId parts, const KwayConfig& config = {},
-                      double* work = nullptr, ThreadPool* pool = nullptr);
+                      double* work = nullptr);
 
 }  // namespace focus::partition

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -17,11 +16,6 @@ using graph::GraphBuilder;
 using graph::GraphHierarchy;
 
 namespace {
-
-/// Below these, the pooled variants of the projection / lift loops cost more
-/// than they save (same rationale as coarsen's kParallelHemMinNodes).
-constexpr std::size_t kParallelProjectMinNodes = 512;
-constexpr std::size_t kParallelLiftMinNodes = 512;
 
 // Induced subgraph over `region`; local ids follow region order.
 Graph induced_subgraph(const Graph& g, const std::vector<NodeId>& region,
@@ -57,9 +51,7 @@ std::vector<std::uint8_t> bisect_region(const Graph& g,
                                         const std::vector<NodeId>& region,
                                         const PartitionerConfig& config,
                                         std::uint64_t region_seed,
-                                        Weight region_weight, double* work,
-                                        ThreadPool* pool,
-                                        BisectRegionAccounting* acct) {
+                                        Weight region_weight, double* work) {
   std::vector<std::uint8_t> side(region.size(), 0);
   if (region.size() < 2) return side;
 
@@ -87,75 +79,35 @@ std::vector<std::uint8_t> bisect_region(const Graph& g,
   // Multi-trial initial bisection on the coarsest graph (Karypis & Kumar:
   // grow several randomly seeded bisections, keep the best). Trial t draws
   // its Rng purely from (seed, region, t); the winner is the total-order
-  // argmin of (coarsest cut, trial), so the choice is independent of
-  // evaluation order. Trials run concurrently on the pool — each charges a
-  // private work slot, merged in trial order — which turns the serial root
-  // bisection into pool-wide work. trials == 1 keeps the original direct
-  // charging so the single-trial accounting stays bit-identical to the
-  // pre-trials partitioner.
-  double* pooled_work = acct != nullptr ? &acct->pooled_work : nullptr;
+  // argmin of (coarsest cut, trial). A single trial charges `work` directly;
+  // several trials each charge a private slot added in trial order, so the
+  // single-trial accounting stays bit-identical to the pre-trials
+  // partitioner.
   const std::size_t trials = std::max<unsigned>(config.trials, 1);
   std::vector<PartId> part;
-  if (trials == 1) {
-    Rng rng(mix_seed(region_seed, 0x600d, 0x5eed));
-    part = greedy_graph_growing(mini.coarsest(), rng, config.ggg, work);
-    kl_bisection_refine(mini.coarsest(), part, config.kl, work, pool,
-                        pooled_work);
-  } else {
-    struct Trial {
-      std::vector<PartId> part;
-      Weight cut = 0;
-      double work = 0.0;
-    };
-    std::vector<Trial> runs(trials);
-    const auto run_trial = [&](std::size_t t) {
-      // Trial KL instances stay single-threaded: the trials themselves are
-      // the parallelism here, and their pooled-eligible work is already
-      // covered by the per-trial slots (no double counting in acct).
-      Rng rng(mix_seed(region_seed, 0x600d, 0x5eed + t));
-      Trial& r = runs[t];
-      r.part = greedy_graph_growing(mini.coarsest(), rng, config.ggg, &r.work);
-      r.cut = kl_bisection_refine(mini.coarsest(), r.part, config.kl, &r.work,
-                                  nullptr);
-    };
-    if (pool != nullptr && pool->thread_count() > 1) {
-      pool->parallel_for(trials, 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t t = b; t < e; ++t) run_trial(t);
-      });
-    } else {
-      for (std::size_t t = 0; t < trials; ++t) run_trial(t);
+  Weight best_cut = 0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    Rng rng(mix_seed(region_seed, 0x600d, 0x5eed + t));
+    double trial_work = 0.0;
+    double* charge = trials == 1 ? work : &trial_work;
+    std::vector<PartId> grown =
+        greedy_graph_growing(mini.coarsest(), rng, config.ggg, charge);
+    const Weight cut =
+        kl_bisection_refine(mini.coarsest(), grown, config.kl, charge);
+    if (trials > 1 && work != nullptr) *work += trial_work;
+    if (t == 0 || cut < best_cut) {  // ties keep the earliest trial
+      part = std::move(grown);
+      best_cut = cut;
     }
-    std::size_t winner = 0;
-    for (std::size_t t = 1; t < trials; ++t) {
-      if (runs[t].cut < runs[winner].cut) winner = t;  // ties keep earliest
-    }
-    if (acct != nullptr) acct->trial_work.resize(trials);
-    for (std::size_t t = 0; t < trials; ++t) {
-      if (work != nullptr) *work += runs[t].work;
-      if (acct != nullptr) acct->trial_work[t] = runs[t].work;
-    }
-    part = std::move(runs[winner].part);
   }
 
-  // Project and refine down to the region's finest level. Each fine node
-  // reads only its own parent's label, so the projection is a parallel
-  // scoring pass with disjoint writes.
+  // Project and refine down to the region's finest level.
   for (std::size_t l = mini.depth() - 1; l-- > 0;) {
     const auto& parent = mini.parent[l];
     std::vector<PartId> fine(mini.levels[l].node_count());
-    if (pool != nullptr && pool->thread_count() > 1 &&
-        fine.size() >= kParallelProjectMinNodes) {
-      pool->parallel_for(fine.size(), 2048, [&](std::size_t b, std::size_t e) {
-        for (std::size_t v = b; v < e; ++v) fine[v] = part[parent[v]];
-      });
-    } else {
-      for (NodeId v = 0; v < fine.size(); ++v) {
-        fine[v] = part[parent[v]];
-      }
-    }
+    for (NodeId v = 0; v < fine.size(); ++v) fine[v] = part[parent[v]];
     part = std::move(fine);
-    kl_bisection_refine(mini.levels[l], part, config.kl, work, pool,
-                        pooled_work);
+    kl_bisection_refine(mini.levels[l], part, config.kl, work);
   }
 
   for (std::size_t i = 0; i < region.size(); ++i) {
@@ -166,44 +118,32 @@ std::vector<std::uint8_t> bisect_region(const Graph& g,
 
 std::vector<std::vector<PartId>> lift_partition(const GraphHierarchy& h,
                                                 const std::vector<PartId>& finest,
-                                                PartId parts, ThreadPool* pool) {
+                                                PartId parts) {
   const std::size_t depth = h.depth();
   std::vector<std::vector<PartId>> levels(depth);
   levels[0] = finest;
   for (std::size_t l = 1; l < depth; ++l) {
     const std::size_t n = h.levels[l].node_count();
-    // Majority node-weight vote of the children's parts. The tally scatters
-    // into per-parent buckets and stays serial; the winner selection reads
-    // one bucket and writes one slot per coarse node, so it parallelizes.
+    // Majority node-weight vote of the children's parts.
     std::vector<std::unordered_map<PartId, Weight>> votes(n);
     const Graph& fine = h.levels[l - 1];
     for (NodeId v = 0; v < fine.node_count(); ++v) {
       votes[h.parent[l - 1][v]][levels[l - 1][v]] += fine.node_weight(v);
     }
     levels[l].assign(n, kNoPart);
-    const auto pick_winners = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
-        FOCUS_ASSERT(!votes[v].empty(), "coarse node with no children");
-        PartId best = kNoPart;
-        Weight best_weight = -1;
-        for (PartId p = 0; p < parts; ++p) {
-          const auto it = votes[v].find(p);
-          if (it == votes[v].end()) continue;
-          if (it->second > best_weight) {
-            best = p;
-            best_weight = it->second;
-          }
+    for (std::size_t v = 0; v < n; ++v) {
+      FOCUS_ASSERT(!votes[v].empty(), "coarse node with no children");
+      PartId best = kNoPart;
+      Weight best_weight = -1;
+      for (PartId p = 0; p < parts; ++p) {
+        const auto it = votes[v].find(p);
+        if (it == votes[v].end()) continue;
+        if (it->second > best_weight) {
+          best = p;
+          best_weight = it->second;
         }
-        levels[l][v] = best;
       }
-    };
-    if (pool != nullptr && pool->thread_count() > 1 &&
-        n >= kParallelLiftMinNodes) {
-      pool->parallel_for(n, 512, [&](std::size_t b, std::size_t e) {
-        pick_winners(b, e);
-      });
-    } else {
-      pick_winners(0, n);
+      levels[l][v] = best;
     }
   }
   return levels;
@@ -216,22 +156,10 @@ void check_k(PartId k) {
               "partition count must be a power of two (recursive bisection)");
 }
 
-// Shared state of one recursion-tree walk (bisect_subtree).
-struct BisectTreeCtx {
-  const Graph* g;
-  const PartitionerConfig* config;
-  PartId k;
-  std::vector<PartId>* part;                    // final labels; disjoint writes
-  std::vector<std::vector<double>>* step_work;  // [step][label] work slots
-  // [step][label] intra-bisection accounting slots (per-trial / pooled work).
-  std::vector<std::vector<std::vector<double>>>* step_trial_work;
-  std::vector<std::vector<double>>* step_pooled_work;
-  ThreadPool* pool;                             // nullptr => serial
-};
-
-// Recursion-tree driver used by partition_hierarchy. Equivalence with the
-// mpr driver's wave model (step_regions / apply_sides below), by induction
-// over steps:
+// Recursion-tree walk of partition_hierarchy: bisects `region` and
+// recurses into both halves, writing final labels into `part`. Equivalence
+// with the mpr driver's wave model (step_regions / apply_sides below), by
+// induction over steps:
 //  * a node's wave label after step s equals the label its recursion-tree
 //    region carries at depth s (the root starts at label 0; a side-1 node
 //    gains `label + 2^s`, exactly the wave's relabeling `r + current_parts`
@@ -240,25 +168,18 @@ struct BisectTreeCtx {
 //    recursion's splits preserve ascending order from an ascending root, so
 //    region node lists are identical;
 //  * seeds are mix_seed(seed, step, label) on both sides.
-// Hence every bisect_region call sees identical inputs, and since sibling
-// subtrees touch disjoint node sets and disjoint work slots, the two halves
-// of each split can run concurrently (fork_join) without changing a byte.
-void bisect_subtree(const BisectTreeCtx& ctx, std::vector<NodeId>& region,
-                    Weight region_weight, std::size_t step, PartId label) {
-  if ((static_cast<PartId>(1) << step) >= ctx.k) {
-    for (const NodeId v : region) (*ctx.part)[v] = label;
+// Hence every bisect_region call sees identical inputs.
+void bisect_subtree(const Graph& g, const PartitionerConfig& config, PartId k,
+                    std::vector<NodeId>& region, Weight region_weight,
+                    std::size_t step, PartId label, std::vector<PartId>& part) {
+  if ((static_cast<PartId>(1) << step) >= k) {
+    for (const NodeId v : region) part[v] = label;
     return;
   }
-  double* work = &(*ctx.step_work)[step][static_cast<std::size_t>(label)];
-  BisectRegionAccounting acct;
   const std::vector<std::uint8_t> side = bisect_region(
-      *ctx.g, region, *ctx.config,
-      mix_seed(ctx.config->seed, step, static_cast<std::uint64_t>(label)),
-      region_weight, work, ctx.pool, &acct);
-  (*ctx.step_trial_work)[step][static_cast<std::size_t>(label)] =
-      std::move(acct.trial_work);
-  (*ctx.step_pooled_work)[step][static_cast<std::size_t>(label)] =
-      acct.pooled_work;
+      g, region, config,
+      mix_seed(config.seed, step, static_cast<std::uint64_t>(label)),
+      region_weight, nullptr);
 
   // Split, totalling the child weights here so the children inherit their
   // node-weight accounting from the split point.
@@ -270,26 +191,20 @@ void bisect_subtree(const BisectTreeCtx& ctx, std::vector<NodeId>& region,
     const NodeId v = region[i];
     if (side[i] != 0) {
       child1.push_back(v);
-      w1 += ctx.g->node_weight(v);
+      w1 += g.node_weight(v);
     } else {
       child0.push_back(v);
-      w0 += ctx.g->node_weight(v);
+      w0 += g.node_weight(v);
     }
   }
   FOCUS_ASSERT(w0 + w1 == region_weight, "split halves do not sum to region");
   region.clear();
   region.shrink_to_fit();  // drop the parent list before recursing
 
-  const PartId label1 =
-      static_cast<PartId>(label + (static_cast<PartId>(1) << step));
-  if (ctx.pool != nullptr && ctx.pool->thread_count() > 1) {
-    ctx.pool->fork_join(
-        [&] { bisect_subtree(ctx, child0, w0, step + 1, label); },
-        [&] { bisect_subtree(ctx, child1, w1, step + 1, label1); });
-  } else {
-    bisect_subtree(ctx, child0, w0, step + 1, label);
-    bisect_subtree(ctx, child1, w1, step + 1, label1);
-  }
+  bisect_subtree(g, config, k, child0, w0, step + 1, label, part);
+  bisect_subtree(g, config, k, child1, w1, step + 1,
+                 static_cast<PartId>(label + (static_cast<PartId>(1) << step)),
+                 part);
 }
 
 }  // namespace
@@ -299,75 +214,26 @@ HierarchyPartitioning partition_hierarchy(const GraphHierarchy& h, PartId k,
   check_k(k);
   const Graph& finest = h.finest();
 
-  std::size_t steps = 0;
-  while ((static_cast<PartId>(1) << steps) < k) ++steps;
-
-  const unsigned threads = resolve_thread_count(config.threads);
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
-
-  HierarchyPartitioning result;
-  result.parts = k;
-  result.step_work.resize(steps);
-  result.step_trial_work.resize(steps);
-  result.step_pooled_work.resize(steps);
-  for (std::size_t s = 0; s < steps; ++s) {
-    const std::size_t regions = static_cast<std::size_t>(1) << s;
-    result.step_work[s].assign(regions, 0.0);
-    result.step_trial_work[s].assign(regions, {});
-    result.step_pooled_work[s].assign(regions, 0.0);
-  }
-
-  // Phase 1: recursive bisection over the recursion tree; sibling subtrees
-  // run concurrently on the pool.
+  // Phase 1: recursive bisection over the recursion tree.
   std::vector<PartId> part(finest.node_count(), 0);
-  {
-    std::vector<NodeId> root(finest.node_count());
-    std::iota(root.begin(), root.end(), NodeId{0});
-    const BisectTreeCtx ctx{&finest,
-                            &config,
-                            k,
-                            &part,
-                            &result.step_work,
-                            &result.step_trial_work,
-                            &result.step_pooled_work,
-                            pool};
-    bisect_subtree(ctx, root, finest.total_node_weight(), 0, 0);
-  }
+  std::vector<NodeId> root(finest.node_count());
+  std::iota(root.begin(), root.end(), NodeId{0});
+  bisect_subtree(finest, config, k, root, finest.total_node_weight(), 0, 0,
+                 part);
 
   // Phase 2: lift to all hierarchy levels.
-  result.levels = lift_partition(h, part, k, pool);
+  HierarchyPartitioning result;
+  result.parts = k;
+  result.levels = lift_partition(h, part, k);
 
-  // Phase 3: per-level global k-way refinement. Levels are independent
-  // (disjoint part vectors, disjoint work slots), so they run concurrently;
-  // each refinement also uses the pool internally for its scoring sweeps.
-  result.kway_work.assign(h.depth(), 0.0);
+  // Phase 3: per-level global k-way refinement.
   if (config.kway_refinement) {
-    const auto refine_level = [&](std::size_t l) {
-      kway_kl_refine(h.levels[l], result.levels[l], k, config.kway,
-                     &result.kway_work[l], pool);
-    };
-    if (pool != nullptr && pool->thread_count() > 1 && h.depth() > 1) {
-      pool->parallel_for(h.depth(), 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t l = b; l < e; ++l) refine_level(l);
-      });
-    } else {
-      for (std::size_t l = 0; l < h.depth(); ++l) refine_level(l);
+    for (std::size_t l = 0; l < h.depth(); ++l) {
+      kway_kl_refine(h.levels[l], result.levels[l], k, config.kway);
     }
   }
 
-  result.finest_cut = edge_cut(finest, result.levels[0], pool);
-  // Fixed-order reduction of the work grid: identical at every pool width.
-  double total = 0.0;
-  for (const auto& step : result.step_work) {
-    for (const double w : step) total += w;
-  }
-  for (const double w : result.kway_work) total += w;
-  result.work = total;
+  result.finest_cut = edge_cut(finest, result.levels[0]);
   return result;
 }
 
@@ -389,9 +255,8 @@ namespace {
 //    carry the lifted level labels; records are the refined labels.
 // Seeds are mix_seed(seed, phase, region) — identical to the serial
 // driver's (step, label) — so the partitioning, recovered or not, is
-// byte-identical to partition_hierarchy's. Region bodies stay
-// single-threaded (no host pool): rank-level concurrency is what this driver
-// measures, and a pool under every virtual rank would oversubscribe the host.
+// byte-identical to partition_hierarchy's. Region bodies are
+// single-threaded: rank-level concurrency is what this driver measures.
 
 std::uint32_t bisection_steps(PartId k) {
   std::uint32_t s = 0;
@@ -510,8 +375,7 @@ ParallelPartitionResult partition_hierarchy_parallel(
                     "scan command carried no state for its region");
         frame.pack_vector(bisect_region(
             finest, it->second.nodes, config,
-            mix_seed(config.seed, phase, p), it->second.weight, work,
-            /*pool=*/nullptr));
+            mix_seed(config.seed, phase, p), it->second.weight, work));
       } else {
         const auto it = state.levels.find(FtScanState::key(phase, p));
         FOCUS_CHECK(it != state.levels.end(),
@@ -527,8 +391,7 @@ ParallelPartitionResult partition_hierarchy_parallel(
   const auto bisect_scan_one = [&](const StepRegions& regs, std::uint32_t s) {
     return [&, s](std::uint32_t p, double* work) {
       return bisect_region(finest, regs.regions[p], config,
-                           mix_seed(config.seed, s, p), regs.weights[p], work,
-                           /*pool=*/nullptr);
+                           mix_seed(config.seed, s, p), regs.weights[p], work);
     };
   };
   const auto bisect_pack_state = [&](const StepRegions& regs) {
@@ -587,15 +450,13 @@ ParallelPartitionResult partition_hierarchy_parallel(
                     step_regions(finest, part, current_parts);
                 std::vector<std::vector<std::uint8_t>> sides;
                 if (s < done) {
-                  mpr::Message payload;
-                  {
-                    std::lock_guard<std::mutex> lock(log.mu);
-                    payload = log.entries[s].payload;
-                  }
-                  sides.resize(static_cast<std::size_t>(current_parts));
-                  for (auto& side : sides) side = unpack_side(payload);
-                  FOCUS_CHECK(payload.fully_consumed(),
-                              "trailing bytes in bisection log entry");
+                  sides = mpr::ft_read_entry(
+                      log, s, "bisection log entry", [&](mpr::Message& m) {
+                        std::vector<std::vector<std::uint8_t>> v(
+                            static_cast<std::size_t>(current_parts));
+                        for (auto& side : v) side = unpack_side(m);
+                        return v;
+                      });
                 } else {
                   sides = mpr::ft_collect<std::vector<std::uint8_t>>(
                       comm, log, static_cast<std::uint32_t>(current_parts),
@@ -637,17 +498,16 @@ ParallelPartitionResult partition_hierarchy_parallel(
                 }
                 // Publish from the durable record — identical whether this
                 // rank refined the levels itself or inherited them.
-                mpr::Message payload;
-                {
-                  std::lock_guard<std::mutex> lock(log.mu);
-                  payload = log.entries[nsteps].payload;
-                }
-                for (std::uint32_t l = 0; l < depth; ++l) {
-                  levels[l] = payload.unpack_vector<PartId>();
-                  validate_level(l, levels[l]);
-                }
-                FOCUS_CHECK(payload.fully_consumed(),
-                            "trailing bytes in refinement log entry");
+                levels = mpr::ft_read_entry(
+                    log, nsteps, "refinement log entry",
+                    [&](mpr::Message& m) {
+                      std::vector<std::vector<PartId>> refined(depth);
+                      for (std::uint32_t l = 0; l < depth; ++l) {
+                        refined[l] = m.unpack_vector<PartId>();
+                        validate_level(l, refined[l]);
+                      }
+                      return refined;
+                    });
               }
 
               out.partitioning.levels = std::move(levels);

@@ -6,38 +6,14 @@
 
 namespace focus::partition {
 
-namespace {
-
-/// Below this, chunked scoring costs more than it saves.
-constexpr std::size_t kParallelMetricMinNodes = 2048;
-constexpr std::size_t kMetricGrain = 1024;
-
-}  // namespace
-
-Weight edge_cut(const Graph& g, const std::vector<PartId>& part,
-                ThreadPool* pool) {
+Weight edge_cut(const Graph& g, const std::vector<PartId>& part) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
-  const std::size_t n = g.node_count();
-  const auto chunk_cut = [&](std::size_t begin, std::size_t end) {
-    Weight cut = 0;
-    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      for (const graph::Edge& e : g.neighbors(v)) {
-        if (e.to > v && part[e.to] != part[v]) cut += e.weight;
-      }
-    }
-    return cut;
-  };
-  if (pool == nullptr || pool->thread_count() <= 1 ||
-      n < kParallelMetricMinNodes) {
-    return chunk_cut(0, n);
-  }
-  const std::size_t chunks = (n + kMetricGrain - 1) / kMetricGrain;
-  std::vector<Weight> partial(chunks, 0);
-  pool->parallel_for(n, kMetricGrain, [&](std::size_t b, std::size_t e) {
-    partial[b / kMetricGrain] = chunk_cut(b, e);
-  });
   Weight cut = 0;
-  for (const Weight w : partial) cut += w;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (const graph::Edge& e : g.neighbors(v)) {
+      if (e.to > v && part[e.to] != part[v]) cut += e.weight;
+    }
+  }
   return cut;
 }
 

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
 
@@ -16,11 +15,8 @@ namespace focus::partition {
 
 using graph::Graph;
 
-/// Total weight of edges crossing between parts. With a pool, per-chunk
-/// partial sums are reduced in chunk order — integer addition, so the result
-/// is exactly the serial one at every pool width.
-Weight edge_cut(const Graph& g, const std::vector<PartId>& part,
-                ThreadPool* pool = nullptr);
+/// Total weight of edges crossing between parts.
+Weight edge_cut(const Graph& g, const std::vector<PartId>& part);
 
 /// Per-part sums of node weights.
 std::vector<Weight> part_node_weights(const Graph& g,

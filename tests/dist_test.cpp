@@ -641,5 +641,17 @@ TEST(DistParallelTiming, SymmetricProtocolStillScalesDespiteWalCharge) {
   EXPECT_GT(t1 / t8, 1.5);
 }
 
+TEST(PartitionNodeLists, IdenticalAcrossWidths) {
+  Rng rng(777);
+  const PartId nparts = 14;
+  std::vector<PartId> part(10'000);
+  for (auto& p : part) p = static_cast<PartId>(rng.next_below(nparts));
+  const auto reference = partition_node_lists(part, nparts, 1);
+  for (const unsigned width : {2u, 4u, 8u}) {
+    SCOPED_TRACE(width);
+    EXPECT_EQ(partition_node_lists(part, nparts, width), reference);
+  }
+}
+
 }  // namespace
 }  // namespace focus::dist

@@ -741,6 +741,45 @@ TEST(PreprocessFault, EmptyPlanMatchesSerialReference) {
   }
 }
 
+// The fault-free gather (one contiguous chunk per rank, gathered to rank 0)
+// at 1, 3 and 8 ranks: reads equal to the serial pass, and RunStats pinned
+// bit for bit, since its frames share the recovering driver's block codec.
+TEST(PreprocessRunStats, FaultFreeGatherMatchesGoldens) {
+  struct Golden {
+    int ranks;
+    std::uint64_t messages, bytes;
+    double makespan;
+  };
+  const std::vector<Golden> goldens = {
+      {1, 0, 0, 0x1.4727dcbddb984p-12},
+      {3, 2, 96376, 0x1.6954b5ed6adaap-13},
+      {8, 7, 126787, 0x1.58c48112a8e8dp-14},
+  };
+  const auto want = io::preprocess(preprocess_fault_raw_reads(), {});
+  std::size_t row = 0;
+  for (const int nranks : {1, 3, 8}) {
+    const auto got = run_preprocess_driver(nranks);
+    const std::string context = "ranks " + std::to_string(nranks);
+    expect_same_reads(got.reads, want, context);
+    EXPECT_EQ(got.run.retries, 0u) << context;
+    EXPECT_EQ(got.run.ranks_failed, 0) << context;
+    std::ostringstream is;
+    is << std::hexfloat << "{" << nranks << ", " << got.run.messages << ", "
+       << got.run.bytes << ", " << got.run.makespan << "}";
+    if (row >= goldens.size()) {
+      ADD_FAILURE() << "missing row " << is.str();
+    } else {
+      const Golden& gold = goldens[row];
+      EXPECT_TRUE(gold.ranks == nranks && gold.messages == got.run.messages &&
+                  gold.bytes == got.run.bytes &&
+                  gold.makespan == got.run.makespan)
+          << "row " << row << " is " << is.str();
+    }
+    ++row;
+  }
+  EXPECT_EQ(row, goldens.size());
+}
+
 // Crash a single worker at every op position it can reach during stage 1;
 // the recovered read set and stats must be exactly the fault-free ones.
 TEST(PreprocessFault, CrashAtEveryWorkerOpRecoversExactReads) {

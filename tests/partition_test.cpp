@@ -4,15 +4,21 @@
 
 #include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "align/overlapper.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/coarsen.hpp"
+#include "graph/hybrid.hpp"
+#include "io/preprocess.hpp"
 #include "partition/ggg.hpp"
 #include "partition/kl.hpp"
 #include "partition/kway.hpp"
 #include "partition/mlpart.hpp"
 #include "partition/partition.hpp"
+#include "sim/datasets.hpp"
 
 namespace focus::partition {
 namespace {
@@ -462,18 +468,88 @@ TEST(MlPart, MultiTrialBisectionValidAndSingleTrialUnchanged) {
   EXPECT_EQ(a.levels, b.levels);  // deterministic for the seed
   EXPECT_TRUE(is_complete(a.levels[0], 8));
   EXPECT_EQ(a.finest_cut, edge_cut(g, a.levels[0]));
+}
 
-  // Accounting shape: one per-trial work slot per trial for every region
-  // large enough to bisect (tiny regions skip the initial bisection).
-  ASSERT_EQ(a.step_trial_work.size(), a.step_work.size());
-  ASSERT_FALSE(a.step_trial_work.empty());
-  EXPECT_EQ(a.step_trial_work[0][0].size(), 4u);
-  for (std::size_t s = 0; s < a.step_trial_work.size(); ++s) {
-    ASSERT_EQ(a.step_trial_work[s].size(), a.step_work[s].size());
-    for (const auto& slots : a.step_trial_work[s]) {
-      EXPECT_TRUE(slots.empty() || slots.size() == 4u);
+// The recursion-tree walk and the mpr wave driver are two schedules of the
+// same bisection tree, so they must agree level for level.
+void expect_drivers_agree(const graph::GraphHierarchy& h, PartId k,
+                          const PartitionerConfig& cfg, int nranks) {
+  const auto serial = partition_hierarchy(h, k, cfg);
+  const auto mpr = partition_hierarchy_parallel(h, k, cfg, nranks);
+  ASSERT_EQ(mpr.partitioning.levels.size(), serial.levels.size());
+  for (std::size_t l = 0; l < serial.levels.size(); ++l) {
+    EXPECT_EQ(mpr.partitioning.levels[l], serial.levels[l]) << "level " << l;
+  }
+  EXPECT_EQ(mpr.partitioning.finest_cut, serial.finest_cut);
+}
+
+TEST(MlPartDrivers, SerialDriverMatchesMprDriver) {
+  const Graph g = random_graph(92, 300, 700);
+  expect_drivers_agree(hierarchy_of(g), 8, PartitionerConfig{}, 3);
+}
+
+TEST(MlPartDrivers, TrialsSerialDriverMatchesMprDriver) {
+  // Multi-trial selection is a pure function of (seed, region, trial) with a
+  // total-order winner, so both drivers must pick the same trial everywhere.
+  const Graph g = random_graph(94, 300, 700);
+  PartitionerConfig cfg;
+  cfg.trials = 3;
+  expect_drivers_agree(hierarchy_of(g), 8, cfg, 3);
+}
+
+TEST(MlPartStress, FiftyRandomGraphsBalanced) {
+  Rng master(0xf0c05);
+  double balance_sum = 0.0;
+  for (int trial = 0; trial < 50; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = 64 + master.next_below(400);
+    const std::size_t extra = n + master.next_below(2 * n);
+    const auto k = static_cast<PartId>(2 << master.next_below(3));  // 2/4/8
+    const Graph g = random_graph(master.next_u64(), n, extra);
+    const auto h = hierarchy_of(g);
+
+    PartitionerConfig cfg;
+    cfg.seed = master.next_u64();
+    // Unused draw: it keeps the seed set whose balance is quoted below.
+    (void)master.next_below(8);
+    const auto run = partition_hierarchy(h, k, cfg);
+
+    // Balance: 1.03 is the partitioner's *per-decision* rejection bound (GGG
+    // side alternation, k-way move admission), not a global guarantee — on
+    // these adversarial random graphs (random heavy edge weights, no planted
+    // structure) log2(k) compounding bisections drift further. Measured over
+    // this fixed seed set: max 1.43, mean 1.10 (cf. BalanceIsReasonable
+    // < 1.6 on the same family). Assert that envelope;
+    // BalanceBoundHoldsOnUniformBlobs asserts the 1.03 bound itself on a
+    // well-conditioned workload.
+    const double balance = node_balance(g, run.levels[0], k);
+    balance_sum += balance;
+    EXPECT_LT(balance, 1.5) << "n=" << n << " k=" << k;
+  }
+  EXPECT_LT(balance_sum / 50.0, 1.15);
+}
+
+TEST(MlPart, BalanceBoundHoldsOnUniformBlobs) {
+  // Four equal-size cliques joined by light bridges: the partitioner should
+  // recover them, and on this well-conditioned input the finest partition
+  // meets the 1.03 imbalance bound the growing/refinement stages target.
+  constexpr std::size_t kBlob = 24;
+  GraphBuilder b(4 * kBlob);
+  for (std::size_t blob = 0; blob < 4; ++blob) {
+    const auto base = static_cast<NodeId>(blob * kBlob);
+    for (NodeId i = 0; i < kBlob; ++i) {
+      for (NodeId j = i + 1; j < kBlob; ++j) {
+        b.add_edge(base + i, base + j, 20);
+      }
     }
   }
+  for (std::size_t blob = 0; blob + 1 < 4; ++blob) {
+    b.add_edge(static_cast<NodeId>(blob * kBlob),
+               static_cast<NodeId>((blob + 1) * kBlob), 1);
+  }
+  const Graph g = b.build();
+  const auto run = partition_hierarchy(hierarchy_of(g), 4, PartitionerConfig{});
+  EXPECT_LE(node_balance(g, run.levels[0], 4), 1.03);
 }
 
 TEST(MlPart, SingleNodeGraphAllParts) {
@@ -485,6 +561,181 @@ TEST(MlPart, SingleNodeGraphAllParts) {
   const auto result = partition_hierarchy(h, 2, cfg);
   EXPECT_TRUE(is_complete(result.levels[0], 2));
   EXPECT_EQ(result.finest_cut, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden partitions of the D1-D3 hybrid graph sets
+// ---------------------------------------------------------------------------
+
+// The hybrid graph set of dataset `d` at scale 0.25, built with the
+// benchmark's §VI-A overlap and coarsening knobs.
+graph::GraphHierarchy golden_hybrid(int d) {
+  align::OverlapperConfig overlap;
+  overlap.k = 14;
+  overlap.min_kmer_hits = 3;
+  overlap.min_overlap = 50;
+  overlap.min_identity = 0.90;
+  overlap.subsets = 4;
+  graph::CoarsenConfig coarsen;
+  coarsen.min_nodes = 48;
+  coarsen.max_levels = 10;
+  const auto ds = sim::make_dataset(d, /*scale=*/0.25);
+  const io::ReadSet reads = io::preprocess(ds.data.reads, {});
+  const auto overlaps = align::find_overlaps(reads, overlap);
+  std::vector<std::uint32_t> lengths;
+  for (const auto& r : reads) {
+    lengths.push_back(static_cast<std::uint32_t>(r.seq.size()));
+  }
+  return graph::build_hybrid(
+             graph::build_multilevel(
+                 graph::build_overlap_graph(reads.size(), overlaps), coarsen),
+             graph::build_read_digraph(reads.size(), overlaps),
+             std::move(lengths))
+      .hierarchy;
+}
+
+// FNV-1a over the level count, each level's size and every label.
+std::uint64_t level_digest(const std::vector<std::vector<PartId>>& levels) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(levels.size());
+  for (const auto& level : levels) {
+    mix(level.size());
+    for (const PartId p : level) mix(static_cast<std::uint32_t>(p));
+  }
+  return h;
+}
+
+struct SerialGolden {
+  PartId k;
+  std::uint64_t digest;
+  Weight finest_cut;
+};
+
+// The mpr driver under the symmetric protocol (the assembler's default) with
+// the default cost model and no faults.
+struct MprGolden {
+  PartId k;
+  int ranks;
+  double makespan;
+  std::uint64_t messages, bytes;
+};
+
+std::string serial_row(PartId k, const HierarchyPartitioning& p) {
+  std::ostringstream out;
+  out << "{" << k << ", 0x" << std::hex << level_digest(p.levels) << std::dec
+      << "ULL, " << p.finest_cut << "}";
+  return out.str();
+}
+
+std::string mpr_row(PartId k, int ranks, const mpr::RunStats& s) {
+  std::ostringstream out;
+  out << "{" << k << ", " << ranks << ", " << std::hexfloat << s.makespan
+      << std::defaultfloat << ", " << s.messages << ", " << s.bytes << "}";
+  return out.str();
+}
+
+// Pins the serial driver's levels and cut, and the mpr driver's RunStats, on
+// one dataset at k = 2, 16, 64 and ranks 1, 3, 8. The mpr partition must
+// also equal the serial one. A failure prints the row the code produced.
+// k = 2 cuts nothing because each dataset's hybrid graph splits into
+// separate components.
+void expect_partition_goldens(int d, const std::vector<SerialGolden>& serial,
+                              const std::vector<MprGolden>& mpr) {
+  const graph::GraphHierarchy h = golden_hybrid(d);
+  const PartitionerConfig cfg;
+  std::size_t srow = 0, mrow = 0;
+  for (const PartId k : {2, 16, 64}) {
+    const auto got = partition_hierarchy(h, k, cfg);
+    if (srow >= serial.size()) {
+      ADD_FAILURE() << "D" << d << " missing serial row " << serial_row(k, got);
+    } else {
+      const SerialGolden& gold = serial[srow];
+      EXPECT_TRUE(gold.k == k && gold.digest == level_digest(got.levels) &&
+                  gold.finest_cut == got.finest_cut)
+          << "D" << d << " serial row " << srow << " is "
+          << serial_row(k, got);
+    }
+    ++srow;
+    for (const int ranks : {1, 3, 8}) {
+      const auto run = partition_hierarchy_parallel(h, k, cfg, ranks, {}, {},
+                                                    {}, /*symmetric=*/true);
+      EXPECT_EQ(run.partitioning.levels, got.levels)
+          << "D" << d << " k " << k << " ranks " << ranks;
+      EXPECT_EQ(run.partitioning.finest_cut, got.finest_cut);
+      if (mrow >= mpr.size()) {
+        ADD_FAILURE() << "D" << d << " missing mpr row "
+                      << mpr_row(k, ranks, run.stats);
+      } else {
+        const MprGolden& gold = mpr[mrow];
+        EXPECT_TRUE(gold.k == k && gold.ranks == ranks &&
+                    gold.makespan == run.stats.makespan &&
+                    gold.messages == run.stats.messages &&
+                    gold.bytes == run.stats.bytes)
+            << "D" << d << " mpr row " << mrow << " is "
+            << mpr_row(k, ranks, run.stats);
+      }
+      ++mrow;
+    }
+  }
+  EXPECT_EQ(srow, serial.size());
+  EXPECT_EQ(mrow, mpr.size());
+}
+
+TEST(PartitionGolden, D1) {
+  expect_partition_goldens(
+      1,
+      {{2, 0x39acc49d728aa27ULL, 0},
+       {16, 0x6bb5b99ec25e9c9dULL, 395663},
+       {64, 0x4cb46624581424d1ULL, 1292672}},
+      {{2, 1, 0x1.899590b0dffc8p-9, 0, 0},
+       {2, 3, 0x1.842dea25e8b46p-9, 10, 12272},
+       {2, 8, 0x1.95fb24b462929p-9, 35, 16580},
+       {16, 1, 0x1.7b480a5ec8b0cp-7, 0, 0},
+       {16, 3, 0x1.f04c742c9d692p-8, 22, 16248},
+       {16, 8, 0x1.ee60f57a16da4p-8, 77, 21932},
+       {64, 1, 0x1.c466f1ea0c10fp-7, 0, 0},
+       {64, 3, 0x1.1319153e623f1p-7, 30, 19890},
+       {64, 8, 0x1.11b07a83a34bap-7, 105, 27236}});
+}
+
+TEST(PartitionGolden, D2) {
+  expect_partition_goldens(
+      2,
+      {{2, 0x4501c59bbc304f55ULL, 0},
+       {16, 0xb6efc342b1433fe5ULL, 631836},
+       {64, 0xaa7617fa7fd695d7ULL, 2066970}},
+      {{2, 1, 0x1.966108dbd6454p-9, 0, 0},
+       {2, 3, 0x1.8e5e74c6a4c97p-9, 10, 12360},
+       {2, 8, 0x1.9fc422cb5a657p-9, 35, 16708},
+       {16, 1, 0x1.6724347c94772p-7, 0, 0},
+       {16, 3, 0x1.cebf34e08615ep-8, 22, 16116},
+       {16, 8, 0x1.c4fc00f21cce3p-8, 77, 22235},
+       {64, 1, 0x1.cf980605c8207p-7, 0, 0},
+       {64, 3, 0x1.0ff661be7c88dp-7, 30, 19953},
+       {64, 8, 0x1.0176964a88d09p-7, 105, 27719}});
+}
+
+TEST(PartitionGolden, D3) {
+  expect_partition_goldens(
+      3,
+      {{2, 0x886609d226d7038fULL, 0},
+       {16, 0x20a65acd659017c3ULL, 684091},
+       {64, 0xf7f89f3ecb887f8fULL, 2484943}},
+      {{2, 1, 0x1.b3e2ed2946ea4p-9, 0, 0},
+       {2, 3, 0x1.ac2cb7c5036bp-9, 10, 11984},
+       {2, 8, 0x1.bd6f88d88f6c5p-9, 35, 16324},
+       {16, 1, 0x1.a3f38821fcfbbp-7, 0, 0},
+       {16, 3, 0x1.3d7fb52aa1d16p-7, 22, 15405},
+       {16, 8, 0x1.38a0aad5052d3p-7, 77, 21196},
+       {64, 1, 0x1.ccd4188451d79p-7, 0, 0},
+       {64, 3, 0x1.52172c404c68ap-7, 30, 19222},
+       {64, 8, 0x1.4b18ae8929776p-7, 105, 26590}});
 }
 
 }  // namespace

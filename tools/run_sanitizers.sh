@@ -12,9 +12,11 @@
 # equivalence suite (banded_nw_simd_test: the AVX2 anti-diagonal kernel vs
 # the scalar oracle, field for field; its unaligned 16-byte loads over the
 # padded sequence copies in AlignScratch are what ASan checks), the
-# partitioner determinism suite (fork_join recursion, pooled KL/k-way
-# scoring, concurrent multi-trial initial bisections, the chunked KL pair
-# search, byte-identical partitions across thread widths), the stage-2
+# partitioner suite (partition_test: the single-threaded recursion-tree
+# driver against the mpr wave driver with one and three trials, the chunked
+# KL pair search against the heap and naive scans, and the PartitionGolden
+# levels, cuts and mpr RunStats on D1-D3; dist_test's node-list gather
+# across pool widths), the stage-2
 # oracle suite (overlap_dist_test: find_overlaps_parallel and the recovering
 # subset-pair driver against find_overlaps_serial across rank counts and
 # both protocols, with empty, never-firing and crash-at-every-op plans: the
@@ -62,6 +64,12 @@
 #   tools/run_sanitizers.sh asan-ubsan -R Seed     # equivalence, ASan+UBSan
 #   tools/run_sanitizers.sh asan-ubsan -R 'BandedNw|Seed'  # NW kernels too
 #   tools/run_sanitizers.sh thread -L fault        # fault suite under TSan
+#
+# The partitioner legs (partition_test, the node-list gather, the pool and
+# the bench_partition_smoke gate; ctest names tests by gtest suite):
+#
+#   tools/run_sanitizers.sh thread -R \
+#     '^(Ggg|Kl|Kway|Metrics|MlPart|PartitionGolden|RankCounts/MlPartParallel|PartitionNodeLists|ThreadPool|Widths/ThreadPoolWidths)|bench_partition_smoke'
 #
 # Stricter ASan+UBSan leg (any UB report fails its test; libstdc++ bounds
 # checks on): configure a fresh build-asan-ubsan/ with

@@ -5,12 +5,15 @@
 //
 // Reports, on the D1 simulated dataset (FOCUS_BENCH_SCALE /
 // FOCUS_BENCH_COVERAGE apply in full mode):
-//   * allocations per banded_global_align() / banded_score_only() call after
-//     warmup, counted by a global operator-new override — must be zero;
+//   * allocations per banded_global_align() / banded_score_only() call and
+//     per query_overlaps_into() query (both seed backends) after warmup,
+//     counted by a global operator-new override — must be zero;
 //   * single-thread end-to-end overlap detection for both seed backends
 //     (reads/s and verified-overlaps/s), with the hash-vs-suffix-array
 //     speedup — the suffix-array path is the pre-overhaul kernel;
-//   * the hashed backend on the work-stealing pool at 1/2/4/8 threads;
+//   * the hashed backend through the rank driver at one rank
+//     (find_overlaps_parallel) on stage 2's host pool at 1/2/4/8 threads,
+//     with RunStats checked bit-identical across the widths;
 //   * modeled overlap-stage scaling at 1/2/4/8 mpr ranks: virtual-time
 //     makespans of the all-pairs pair-striping driver vs the recovering
 //     driver (dist::overlap_parallel) on the same subset pairs under a plan
@@ -157,6 +160,33 @@ AllocProbe probe_kernel_allocations() {
   return probe;
 }
 
+// Zero-allocation proof for the seed-and-verify loop: warm the calling
+// thread's scratch by querying every read of subset 0 against subset 0's
+// index, then count allocations across a second pass over the same queries
+// (records go to a vector that already has room for them). Returns the
+// allocations of the second pass.
+std::uint64_t probe_query_allocations(const io::ReadSet& reads,
+                                      const align::OverlapperConfig& cfg,
+                                      std::uint64_t& queries) {
+  const auto subsets = io::split_into_subsets(reads.size(), cfg.subsets);
+  const align::RefIndex index(reads, subsets[0], cfg);
+  align::AlignScratch& scratch = align::tls_align_scratch();
+  std::vector<align::Overlap> out;
+  for (const ReadId q : subsets[0]) {
+    align::query_overlaps_into(reads, index, q, cfg, scratch, out);
+  }
+  const std::size_t warm = out.size();
+  out.clear();
+  const auto before = g_allocations.load();
+  for (const ReadId q : subsets[0]) {
+    align::query_overlaps_into(reads, index, q, cfg, scratch, out);
+  }
+  const std::uint64_t allocs = g_allocations.load() - before;
+  if (out.size() != warm) std::abort();
+  queries = subsets[0].size();
+  return allocs;
+}
+
 struct BackendRun {
   double seconds = 0.0;
   double reads_per_s = 0.0;
@@ -168,7 +198,7 @@ BackendRun timed_run(const io::ReadSet& reads, align::OverlapperConfig cfg,
   BackendRun out;
   out.seconds = best_of(repeats, [&] {
     Timer t;
-    const auto found = align::find_overlaps(reads, cfg);
+    const auto found = align::find_overlaps_parallel(reads, cfg, 1).overlaps;
     if (found.size() != overlap_count) std::abort();
     return t.seconds();
   });
@@ -212,30 +242,43 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
 
-  // 1 — zero-allocation proof.
+  // 1 — zero-allocation proofs: the NW kernel, then the query loop on both
+  // seed backends (this thread's scratch, one rank, no pool).
   const AllocProbe probe = probe_kernel_allocations();
+  std::uint64_t probe_queries = 0;
+  std::uint64_t query_allocs = probe_query_allocations(reads, cfg,
+                                                       probe_queries);
+  cfg.seed_backend = align::SeedBackend::kKmerHash;
+  query_allocs += probe_query_allocations(reads, cfg, probe_queries);
+  probe_queries *= 2;
 
-  // 2 — backend comparison at one thread.
+  // 2 — backend comparison at one thread: the rank driver at one rank on a
+  // width-1 pool.
   cfg.seed_backend = align::SeedBackend::kSuffixArray;
   {
-    const auto check = align::find_overlaps(reads, cfg);
-    all_identical &= same_overlaps(check, reference);
+    const auto check = align::find_overlaps_parallel(reads, cfg, 1);
+    all_identical &= same_overlaps(check.overlaps, reference);
   }
   const BackendRun sa_run = timed_run(reads, cfg, repeats, reference.size());
   cfg.seed_backend = align::SeedBackend::kKmerHash;
   {
-    const auto check = align::find_overlaps(reads, cfg);
-    all_identical &= same_overlaps(check, reference);
+    const auto check = align::find_overlaps_parallel(reads, cfg, 1);
+    all_identical &= same_overlaps(check.overlaps, reference);
   }
   const BackendRun hash_run = timed_run(reads, cfg, repeats, reference.size());
   const double kernel_speedup = sa_run.seconds / hash_run.seconds;
 
-  // 3 — hashed backend across pool widths.
+  // 3 — hashed backend on stage 2's host pool: the rank driver at one rank,
+  // across pool widths. Overlaps and RunStats must not depend on the width.
   std::vector<BackendRun> pool_runs;
+  mpr::RunStats width_one;
   for (const unsigned width : kWidths) {
     cfg.threads = width;
-    const auto check = align::find_overlaps(reads, cfg);
-    all_identical &= same_overlaps(check, reference);
+    const auto check = align::find_overlaps_parallel(reads, cfg, 1);
+    all_identical &= same_overlaps(check.overlaps, reference);
+    if (width == 1) width_one = check.stats;
+    all_identical &= check.stats.makespan == width_one.makespan &&
+                     check.stats.rank_vtime == width_one.rank_vtime;
     pool_runs.push_back(timed_run(reads, cfg, repeats, reference.size()));
   }
 
@@ -299,8 +342,8 @@ int main(int argc, char** argv) {
                      pooled.depth() == serial_hierarchy.depth();
   }
 
-  const bool zero_alloc =
-      probe.full_pass_allocs == 0 && probe.score_pass_allocs == 0;
+  const bool zero_alloc = probe.full_pass_allocs == 0 &&
+                          probe.score_pass_allocs == 0 && query_allocs == 0;
 
   std::printf("\nalignment kernel (D1, %zu reads, %zu overlaps)\n",
               reads.size(), reference.size());
@@ -310,6 +353,9 @@ int main(int argc, char** argv) {
   std::printf("  allocations per banded_score_only after warmup:   %.4f\n",
               static_cast<double>(probe.score_pass_allocs) /
                   static_cast<double>(probe.calls));
+  std::printf("  allocations per query_overlaps_into after warmup: %.4f\n",
+              static_cast<double>(query_allocs) /
+                  static_cast<double>(probe_queries));
   std::printf("  %-22s %10s %12s %16s\n", "kernel", "seconds", "reads/s",
               "overlaps/s");
   std::printf("  %-22s %10.3f %12.0f %16.0f\n", "suffix-array (pre-PR)",
@@ -317,7 +363,7 @@ int main(int argc, char** argv) {
   std::printf("  %-22s %10.3f %12.0f %16.0f\n", "kmer-hash (this PR)",
               hash_run.seconds, hash_run.reads_per_s, hash_run.overlaps_per_s);
   std::printf("  single-thread speedup: %.2fx\n", kernel_speedup);
-  std::printf("  kmer-hash on pool:\n");
+  std::printf("  kmer-hash, rank driver at 1 rank on the stage-2 pool:\n");
   for (std::size_t w = 0; w < pool_runs.size(); ++w) {
     std::printf("    %u threads: %10.3f s %12.0f reads/s\n", kWidths[w],
                 pool_runs[w].seconds, pool_runs[w].reads_per_s);
@@ -354,7 +400,8 @@ int main(int argc, char** argv) {
                std::thread::hardware_concurrency());
   std::fprintf(f,
                "  \"provenance\": {\"measured\": [\"allocs_per_full_pass\", "
-               "\"allocs_per_score_pass\", \"suffix_array\", "
+               "\"allocs_per_score_pass\", \"allocs_per_query\", "
+               "\"suffix_array\", "
                "\"kmer_hash\", \"single_thread_speedup\", "
                "\"kmer_hash_pool\", \"coarsen_hem\"], \"modeled\": "
                "[\"modeled_overlap_scaling\"]},\n");
@@ -371,6 +418,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"allocs_per_score_pass\": %.6f,\n",
                static_cast<double>(probe.score_pass_allocs) /
                    static_cast<double>(probe.calls));
+  std::fprintf(f, "  \"allocs_per_query\": %.6f,\n",
+               static_cast<double>(query_allocs) /
+                   static_cast<double>(probe_queries));
   std::fprintf(f,
                "  \"suffix_array\": {\"seconds\": %.6f, \"reads_per_s\": %.1f,"
                " \"overlaps_per_s\": %.1f},\n",

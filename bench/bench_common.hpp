@@ -86,10 +86,10 @@ inline DatasetBundle prepare_dataset(int index) {
   std::fprintf(stderr, "[prepare D%d] aligning %zu reads (%u threads)\n",
                index, b.reads.size(),
                resolve_thread_count(cfg.overlap.threads));
-  // Pooled aligner: byte-identical to find_overlaps_serial, but uses the
-  // work-stealing pool (FOCUS_THREADS wide) so bundle preparation scales
+  // The rank driver at one rank: byte-identical to find_overlaps_serial,
+  // but its host pool (FOCUS_THREADS wide) lets bundle preparation scale
   // with the host.
-  b.overlaps = align::find_overlaps(b.reads, cfg.overlap);
+  b.overlaps = align::find_overlaps_parallel(b.reads, cfg.overlap, 1).overlaps;
 
   std::fprintf(stderr, "[prepare D%d] building graphs (%zu overlaps)\n", index,
                b.overlaps.size());

@@ -173,7 +173,8 @@ void BM_ThreadPoolDispatch(benchmark::State& state) {
 BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_FindOverlapsPool(benchmark::State& state) {
-  // The §II-B hot path end to end on the work-stealing pool.
+  // The §II-B hot path end to end: the rank driver at one rank on a stage-2
+  // pool of the given width.
   Rng rng(14);
   const auto genome = random_dna(15, 40000);
   io::ReadSet reads;
@@ -186,7 +187,8 @@ void BM_FindOverlapsPool(benchmark::State& state) {
   cfg.k = 14;
   cfg.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(align::find_overlaps(reads, cfg).size());
+    benchmark::DoNotOptimize(
+        align::find_overlaps_parallel(reads, cfg, 1).overlaps.size());
   }
 }
 BENCHMARK(BM_FindOverlapsPool)->Arg(1)->Arg(2)->Arg(4)

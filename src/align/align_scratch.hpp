@@ -1,32 +1,52 @@
 // Thread-local scratch arena for the alignment hot path.
 //
 // Every buffer the seed-and-verify loop needs — banded-NW DP rows, the move
-// matrix, per-member seed-diagonal lists, candidate lists, and the packed
-// query — lives here, grows monotonically, and is reused across calls. After
-// warmup (once each buffer has reached the largest size the workload
-// demands), neither banded_global_align() nor the query loop performs any
-// heap allocation; bench/bench_align verifies the zero-allocation property
-// with a counting operator new.
+// matrix, the seed-hit counters, probe ranges, candidates and diagonals, and
+// the packed query — lives here, grows monotonically, and is reused across
+// calls. After warmup (once each buffer has reached the largest size the
+// workload demands), neither banded_global_align() nor the query loop
+// performs any heap allocation; bench/bench_align verifies the
+// zero-allocation property of both with a counting operator new.
 //
-// One arena exists per thread (work-stealing pool workers and mpr rank
-// threads each get their own), so no synchronization is needed and TSan
-// stays clean. Scratch contents never influence results: every user fully
-// overwrites or clears the ranges it reads.
+// One arena exists per thread (stage-2 pool workers and mpr rank threads
+// each get their own), so no synchronization is needed and TSan stays clean.
+// Scratch contents never influence results: every user fully overwrites or
+// clears the ranges it reads.
 //
-// Arenas warm to the largest workload their thread has seen and are freed
-// when the thread exits. Pool workers and mpr rank threads are per-call, so
-// a finished stage releases theirs.
+// The seed buffers are bounded by one query's hits (probes × the repeat
+// mask), not by the reference subset; only the hit counters hold one
+// 4-byte entry per reference member. Arenas are freed when their thread
+// exits: mpr rank threads are per-call, and the stage-2 pool's workers
+// (align::stage2_pool) live as long as the process, keeping these few
+// buffers warm between calls.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/packed_seq.hpp"
 #include "common/types.hpp"
 
 namespace focus::align {
+
+/// One unmasked seed probe: the query offset and the half-open range of its
+/// hits in the backend's hit list (posting indices of the hashed index,
+/// suffix-array indices of the suffix array).
+struct SeedProbe {
+  std::uint32_t qpos;
+  std::uint32_t first;
+  std::uint32_t last;
+};
+
+/// A reference member with at least min_kmer_hits seed hits, and its slice
+/// [begin, end) of AlignScratch::diags.
+struct SeedCandidate {
+  ReadId id;
+  std::uint32_t member;
+  std::uint32_t begin;
+  std::uint32_t end;
+};
 
 struct AlignScratch {
   // Banded-NW rows (score-only and full pass, scalar kernel), the move
@@ -38,13 +58,15 @@ struct AlignScratch {
   std::vector<std::uint8_t> nw_moves;
   std::vector<char> nw_seqs;
 
-  // Seed-hit collection: diagonal lists indexed by reference member index,
-  // the member indices touched by the current query (whose lists are
-  // non-empty), and the candidate (ReadId, member) pairs that reached
-  // min_kmer_hits.
-  std::vector<std::vector<std::int64_t>> member_diags;
+  // Count-then-gather seeding (overlapper.cpp): per-member hit counters,
+  // all zero between queries and reset through `touched` (the members the
+  // current query hit); the current query's unmasked probes; its candidates
+  // in ReadId order; and their seed diagonals, one slice per candidate.
+  std::vector<std::uint32_t> member_hits;
   std::vector<std::uint32_t> touched;
-  std::vector<std::pair<ReadId, std::uint32_t>> candidates;
+  std::vector<SeedProbe> probes;
+  std::vector<SeedCandidate> candidates;
+  std::vector<std::int64_t> diags;
 
   // 2-bit packed copy of the current query read.
   dna::PackedSeq query_packed;

@@ -1,9 +1,13 @@
 #include "align/overlapper.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -11,6 +15,7 @@
 #include "common/dna.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/heap.hpp"
 #include "common/thread_pool.hpp"
 #include "io/preprocess.hpp"
 
@@ -44,6 +49,9 @@ RefIndex::RefIndex(const io::ReadSet& reads, std::vector<ReadId> members,
     : members_(std::move(members)),
       backend_(config.seed_backend),
       seed_k_(config.k) {
+  std::uint64_t text_bytes = 0;
+  for (const ReadId id : members_) text_bytes += reads[id].seq.size() + 1;
+  checked_u32_extent(text_bytes, "reference text bytes");
   starts_.reserve(members_.size());
   std::uint32_t offset = 0;
   for (const ReadId id : members_) {
@@ -96,7 +104,8 @@ namespace {
 
 // Finds the densest diagonal cluster within `tolerance` and returns its
 // median diagonal, or nullopt if the best cluster is smaller than min_hits.
-std::optional<std::int64_t> consensus_diagonal(std::vector<std::int64_t>& diags,
+// Sorts `diags` in place.
+std::optional<std::int64_t> consensus_diagonal(std::span<std::int64_t> diags,
                                                std::size_t min_hits,
                                                std::int64_t tolerance) {
   if (diags.size() < min_hits) return std::nullopt;
@@ -114,9 +123,8 @@ std::optional<std::int64_t> consensus_diagonal(std::vector<std::int64_t>& diags,
   return diags[best_begin + best_len / 2];
 }
 
-// Classifies and verifies the overlap implied by a diagonal; returns nullopt
-// if the overlap region is too short or fails verification thresholds.
-//
+}  // namespace
+
 // Verification is two-pass: a score-only banded pass (two DP rows, no
 // traceback) always runs; the full pass with the move matrix runs only when
 // the score's conservative column/identity bounds could still meet the
@@ -193,18 +201,6 @@ std::optional<Overlap> verify_overlap(const io::ReadSet& reads, ReadId q,
   return o;
 }
 
-// Appends `diag` to member m's diagonal list, registering m as touched on
-// first contact. Lists are empty between queries (reset below), so emptiness
-// doubles as the "not yet touched" flag.
-inline void push_hit(AlignScratch& scratch, std::uint32_t m,
-                     std::int64_t diag) {
-  auto& diags = scratch.member_diags[m];
-  if (diags.empty()) scratch.touched.push_back(m);
-  diags.push_back(diag);
-}
-
-}  // namespace
-
 void query_overlaps_into(const io::ReadSet& reads, const RefIndex& index,
                          ReadId query_id, const OverlapperConfig& config,
                          AlignScratch& scratch, std::vector<Overlap>& out,
@@ -212,19 +208,25 @@ void query_overlaps_into(const io::ReadSet& reads, const RefIndex& index,
   const std::string& qs = reads[query_id].seq;
   if (qs.size() < config.k) return;
 
-  const std::size_t member_count = index.members().size();
-  if (scratch.member_diags.size() < member_count) {
-    scratch.member_diags.resize(member_count);
-  }
+  const std::vector<ReadId>& members = index.members();
+  std::vector<std::uint32_t>& hits = scratch.member_hits;
+  if (hits.size() < members.size()) hits.resize(members.size(), 0);
   scratch.touched.clear();
+  scratch.probes.clear();
   scratch.candidates.clear();
 
-  // Collect seed diagonals per reference member. Both backends produce the
+  // Pass 1: count each member's seed hits (the query's own read excluded)
+  // and record every unmasked probe's hit range. Both backends produce the
   // same (member -> diagonal multiset) mapping — the suffix array enumerates
   // hits in suffix rank order, the hash index in (member, pos) order, and
   // consensus_diagonal() sorts — so everything downstream is
   // backend-independent.
-  if (index.backend() == SeedBackend::kSuffixArray) {
+  const auto count_hit = [&](std::uint32_t m) {
+    if (hits[m]++ == 0) scratch.touched.push_back(m);
+    if (work != nullptr) *work += 1.0;
+  };
+  const bool suffix_array = index.backend() == SeedBackend::kSuffixArray;
+  if (suffix_array) {
     const double log_n =
         std::log2(static_cast<double>(index.sa().size()) + 2.0);
     for (std::size_t qpos = 0; qpos + config.k <= qs.size(); ++qpos) {
@@ -237,19 +239,19 @@ void query_overlaps_into(const io::ReadSet& reads, const RefIndex& index,
       if (occurrences == 0 || occurrences > config.max_kmer_occurrences) {
         continue;  // absent, or repeat-masked
       }
+      scratch.probes.push_back({static_cast<std::uint32_t>(qpos),
+                                static_cast<std::uint32_t>(lo),
+                                static_cast<std::uint32_t>(hi)});
       for (std::size_t i = lo; i < hi; ++i) {
-        const auto [m, rpos] = index.resolve_member(index.sa().at(i));
-        if (index.members()[m] == query_id) continue;
-        push_hit(scratch, m,
-                 static_cast<std::int64_t>(qpos) -
-                     static_cast<std::int64_t>(rpos));
-        if (work != nullptr) *work += 1.0;
+        const std::uint32_t m = index.resolve_member(index.sa().at(i)).first;
+        if (members[m] != query_id) count_hit(m);
       }
     }
   } else {
     const KmerIndex& ki = index.kmers();
     FOCUS_CHECK(ki.k() == config.k,
                 "k-mer index seed length does not match query config");
+    const KmerIndex::Posting* const base = ki.postings().data();
     scratch.query_packed.assign(qs);
     std::uint64_t key;
     for (std::size_t qpos = 0; qpos + config.k <= qs.size(); ++qpos) {
@@ -261,39 +263,76 @@ void query_overlaps_into(const io::ReadSet& reads, const RefIndex& index,
       if (occurrences == 0 || occurrences > config.max_kmer_occurrences) {
         continue;  // absent, or repeat-masked
       }
+      scratch.probes.push_back({static_cast<std::uint32_t>(qpos),
+                                static_cast<std::uint32_t>(first - base),
+                                static_cast<std::uint32_t>(last - base)});
       for (const KmerIndex::Posting* p = first; p != last; ++p) {
-        if (index.members()[p->member] == query_id) continue;
-        push_hit(scratch, p->member,
-                 static_cast<std::int64_t>(qpos) -
-                     static_cast<std::int64_t>(p->pos));
-        if (work != nullptr) *work += 1.0;
+        if (members[p->member] != query_id) count_hit(p->member);
       }
     }
   }
 
-  // Order candidates by read id for deterministic output.
+  // Candidates in ReadId order (deterministic output). Each gets the next
+  // slice of the flat diagonal array, and its counter becomes the slice's
+  // write cursor, biased by one so that zero still means "skip": pass 2
+  // skips the hits of non-candidates and of the query's own read.
   for (const std::uint32_t m : scratch.touched) {
-    if (scratch.member_diags[m].size() >= config.min_kmer_hits) {
-      scratch.candidates.emplace_back(index.members()[m], m);
+    if (hits[m] >= config.min_kmer_hits) {
+      scratch.candidates.push_back({members[m], m, 0, 0});
+    } else {
+      hits[m] = 0;
     }
   }
-  std::sort(scratch.candidates.begin(), scratch.candidates.end());
+  std::sort(scratch.candidates.begin(), scratch.candidates.end(),
+            [](const SeedCandidate& a, const SeedCandidate& b) {
+              return a.id != b.id ? a.id < b.id : a.member < b.member;
+            });
+  std::uint32_t offset = 0;
+  for (SeedCandidate& c : scratch.candidates) {
+    c.begin = offset;
+    offset += hits[c.member];
+    c.end = offset;
+    hits[c.member] = c.begin + 1;
+  }
 
-  for (const auto& [ref_id, m] : scratch.candidates) {
-    auto& diags = scratch.member_diags[m];
-    const auto diagonal = consensus_diagonal(diags, config.min_kmer_hits,
-                                             config.diagonal_tolerance);
+  // Pass 2: re-walk the recorded ranges and scatter each candidate hit's
+  // diagonal into its slice.
+  scratch.diags.resize(offset);
+  const auto scatter = [&](std::uint32_t m, std::uint32_t qpos,
+                           std::uint32_t rpos) {
+    const std::uint32_t cursor = hits[m];
+    if (cursor == 0) return;
+    scratch.diags[cursor - 1] =
+        static_cast<std::int64_t>(qpos) - static_cast<std::int64_t>(rpos);
+    hits[m] = cursor + 1;
+  };
+  if (suffix_array) {
+    for (const SeedProbe& probe : scratch.probes) {
+      for (std::uint32_t i = probe.first; i < probe.last; ++i) {
+        const auto [m, rpos] = index.resolve_member(index.sa().at(i));
+        scatter(m, probe.qpos, rpos);
+      }
+    }
+  } else {
+    const KmerIndex::Posting* const base = index.kmers().postings().data();
+    for (const SeedProbe& probe : scratch.probes) {
+      for (std::uint32_t i = probe.first; i < probe.last; ++i) {
+        scatter(base[i].member, probe.qpos, base[i].pos);
+      }
+    }
+  }
+  for (const SeedCandidate& c : scratch.candidates) hits[c.member] = 0;
+
+  for (const SeedCandidate& c : scratch.candidates) {
+    const auto diagonal = consensus_diagonal(
+        std::span(scratch.diags).subspan(c.begin, c.end - c.begin),
+        config.min_kmer_hits, config.diagonal_tolerance);
     if (diagonal) {
-      if (auto o = verify_overlap(reads, query_id, ref_id, *diagonal, config,
+      if (auto o = verify_overlap(reads, query_id, c.id, *diagonal, config,
                                   work)) {
         out.push_back(*o);
       }
     }
-  }
-
-  // Reset for the next query; capacities are retained.
-  for (const std::uint32_t m : scratch.touched) {
-    scratch.member_diags[m].clear();
   }
 }
 
@@ -328,22 +367,6 @@ std::vector<Overlap> dedupe_overlaps(std::vector<Overlap> overlaps) {
   return overlaps;
 }
 
-namespace {
-
-// Processes one subset pair against a prebuilt index of subset j.
-void process_pair(const io::ReadSet& reads,
-                  const std::vector<std::vector<ReadId>>& subsets,
-                  std::size_t i, const RefIndex& index_j,
-                  const OverlapperConfig& config, double* work,
-                  std::vector<Overlap>& out) {
-  AlignScratch& scratch = tls_align_scratch();
-  for (const ReadId q : subsets[i]) {
-    query_overlaps_into(reads, index_j, q, config, scratch, out, work);
-  }
-}
-
-}  // namespace
-
 void check_overlapper_config(const OverlapperConfig& config) {
   FOCUS_CHECK(config.subsets > 0, "subset count must be positive");
   FOCUS_CHECK(config.k >= 8 && config.k <= 32, "seed k must be in [8, 32]");
@@ -355,95 +378,17 @@ std::vector<Overlap> find_overlaps_serial(const io::ReadSet& reads,
   check_overlapper_config(config);
   const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
 
+  AlignScratch& scratch = tls_align_scratch();
   std::vector<Overlap> all;
   for (std::size_t j = 0; j < subsets.size(); ++j) {
     if (subsets[j].empty()) continue;
     RefIndex index(reads, subsets[j], config);
     if (work != nullptr) *work += index.build_work();
     for (std::size_t i = 0; i <= j; ++i) {
-      process_pair(reads, subsets, i, index, config, work, all);
-    }
-  }
-  return dedupe_overlaps(std::move(all));
-}
-
-namespace {
-
-/// Queries per pool task. Fixed (never derived from the thread count) so the
-/// task decomposition — and therefore the order work units are summed in —
-/// is identical for every pool width.
-constexpr std::size_t kQueriesPerTask = 16;
-
-}  // namespace
-
-std::vector<Overlap> find_overlaps(const io::ReadSet& reads,
-                                   const OverlapperConfig& config,
-                                   double* work) {
-  const unsigned threads = resolve_thread_count(config.threads);
-  if (threads <= 1) return find_overlaps_serial(reads, config, work);
-
-  check_overlapper_config(config);
-  const auto subsets = io::split_into_subsets(reads.size(), config.subsets);
-
-  ThreadPool pool(threads);
-
-  // Index every non-empty reference subset exactly once, in parallel.
-  std::vector<std::unique_ptr<RefIndex>> indexes(subsets.size());
-  pool.parallel_for(subsets.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t j = b; j < e; ++j) {
-      if (!subsets[j].empty()) {
-        indexes[j] = std::make_unique<RefIndex>(reads, subsets[j], config);
+      for (const ReadId q : subsets[i]) {
+        query_overlaps_into(reads, index, q, config, scratch, all, work);
       }
     }
-  });
-
-  // Flatten the (i, j) subset pairs into per-query-chunk tasks, enumerated
-  // in the serial driver's traversal order (j outer, i inner, reads in
-  // subset order). Chunking below the pair level keeps the pool busy even
-  // when there are fewer pairs than threads.
-  struct QueryTask {
-    std::size_t i, j;
-    std::size_t q_begin, q_end;  // range within subsets[i]
-  };
-  std::vector<QueryTask> tasks;
-  for (std::size_t j = 0; j < subsets.size(); ++j) {
-    if (subsets[j].empty()) continue;
-    for (std::size_t i = 0; i <= j; ++i) {
-      for (std::size_t q = 0; q < subsets[i].size(); q += kQueriesPerTask) {
-        tasks.push_back(
-            {i, j, q, std::min(subsets[i].size(), q + kQueriesPerTask)});
-      }
-    }
-  }
-
-  struct TaskResult {
-    std::vector<Overlap> overlaps;
-    double work = 0.0;
-  };
-  auto results = pool.parallel_transform<TaskResult>(
-      tasks.size(), 1, [&](std::size_t t) {
-        const QueryTask& task = tasks[t];
-        TaskResult r;
-        double* task_work = work != nullptr ? &r.work : nullptr;
-        AlignScratch& scratch = tls_align_scratch();
-        for (std::size_t q = task.q_begin; q < task.q_end; ++q) {
-          query_overlaps_into(reads, *indexes[task.j], subsets[task.i][q],
-                              config, scratch, r.overlaps, task_work);
-        }
-        return r;
-      });
-
-  // Deterministic merge: index build work in j order, then task results in
-  // task order (== the serial traversal order).
-  std::vector<Overlap> all;
-  if (work != nullptr) {
-    for (const auto& index : indexes) {
-      if (index) *work += index->build_work();
-    }
-  }
-  for (auto& r : results) {
-    all.insert(all.end(), r.overlaps.begin(), r.overlaps.end());
-    if (work != nullptr) *work += r.work;
   }
   return dedupe_overlaps(std::move(all));
 }
@@ -457,29 +402,79 @@ std::vector<SubsetPair> subset_pairs(std::size_t subsets) {
   return pairs;
 }
 
+ThreadPool& stage2_pool(unsigned threads) {
+  static std::mutex mu;
+  static std::map<unsigned, std::unique_ptr<ThreadPool>> pools;
+  const unsigned width = resolve_thread_count(threads);
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = pools[width];
+  if (!pool) pool = std::make_unique<ThreadPool>(width);
+  return *pool;
+}
+
+SubsetIndexes build_subset_indexes(
+    const io::ReadSet& reads, const std::vector<std::vector<ReadId>>& subsets,
+    const OverlapperConfig& config, ThreadPool& pool) {
+  SubsetIndexes indexes(subsets.size());
+  pool.parallel_for(subsets.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t j = b; j < e; ++j) {
+      if (!subsets[j].empty()) {
+        indexes[j] = std::make_unique<const RefIndex>(reads, subsets[j],
+                                                      config);
+      }
+    }
+  });
+  return indexes;
+}
+
 PairScanner::PairScanner(const io::ReadSet& reads,
                          const std::vector<std::vector<ReadId>>& subsets,
                          const std::vector<SubsetPair>& pairs,
-                         const OverlapperConfig& config, std::size_t stride)
+                         const SubsetIndexes& indexes,
+                         const OverlapperConfig& config, std::size_t stride,
+                         ThreadPool& pool)
     : reads_(reads),
       subsets_(subsets),
       pairs_(pairs),
+      indexes_(indexes),
       config_(config),
-      stride_(stride) {}
+      stride_(stride),
+      pool_(pool) {}
 
 void PairScanner::scan(std::size_t p, std::vector<Overlap>& out,
                        double* work) {
   const auto [i, j] = pairs_[p];
   if (subsets_[j].empty()) return;
-  if (!index_ || index_j_ != j) {
-    index_.reset();
-    index_.emplace(reads_, subsets_[j], config_);
-    index_j_ = j;
-    *work += index_->build_work();
+  const RefIndex& index = *indexes_[j];
+  if (held_j_ != j) {
+    *work += index.build_work();
+    held_j_ = j;
   }
-  process_pair(reads_, subsets_, i, *index_, config_, work, out);
+
+  struct Block {
+    std::vector<Overlap> overlaps;
+    double work = 0.0;
+  };
+  const std::vector<ReadId>& queries = subsets_[i];
+  const std::size_t blocks =
+      (queries.size() + kQueriesPerTask - 1) / kQueriesPerTask;
+  auto done = pool_.parallel_transform<Block>(blocks, 1, [&](std::size_t b) {
+    Block block;
+    AlignScratch& scratch = tls_align_scratch();
+    const std::size_t end = std::min(queries.size(), (b + 1) * kQueriesPerTask);
+    for (std::size_t q = b * kQueriesPerTask; q < end; ++q) {
+      query_overlaps_into(reads_, index, queries[q], config_, scratch,
+                          block.overlaps, &block.work);
+    }
+    return block;
+  });
+  for (const Block& block : done) {
+    out.insert(out.end(), block.overlaps.begin(), block.overlaps.end());
+    *work += block.work;
+  }
+
   const std::size_t next = p + stride_;
-  if (next >= pairs_.size() || pairs_[next].j != j) index_.reset();
+  if (next >= pairs_.size() || pairs_[next].j != j) held_j_.reset();
 }
 
 ParallelOverlapResult find_overlaps_parallel(const io::ReadSet& reads,
@@ -491,36 +486,50 @@ ParallelOverlapResult find_overlaps_parallel(const io::ReadSet& reads,
   const auto pairs = subset_pairs(subsets.size());
 
   ParallelOverlapResult result;
-  result.stats = mpr::Runtime::execute(
-      nranks,
-      [&](mpr::Comm& comm) {
-        const auto stride = static_cast<std::size_t>(comm.size());
-        PairScanner scanner(reads, subsets, pairs, config, stride);
-        std::vector<Overlap> mine;
-        double work = 0.0;
-        for (auto p = static_cast<std::size_t>(comm.rank()); p < pairs.size();
-             p += stride) {
-          scanner.scan(p, mine, &work);
-        }
-        comm.charge(work);
+  release_free_heap();
+  {
+    ThreadPool& pool = stage2_pool(config.threads);
+    SubsetIndexes indexes = build_subset_indexes(reads, subsets, config, pool);
+    // Pairs left to scan per reference subset: the rank that scans an
+    // index's last pair frees it.
+    std::vector<std::atomic<std::size_t>> pending(subsets.size());
+    for (const SubsetPair& pair : pairs) ++pending[pair.j];
 
-        // Gather at rank 0.
-        mpr::Message local;
-        local.pack_vector(mine);
-        auto gathered = comm.gather(std::move(local), 0);
-        if (comm.rank() == 0) {
-          std::vector<Overlap> all;
-          for (auto& msg : gathered) {
-            auto part = msg.unpack_vector<Overlap>();
-            FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in gathered frame");
-            all.insert(all.end(), part.begin(), part.end());
+    result.stats = mpr::Runtime::execute(
+        nranks,
+        [&](mpr::Comm& comm) {
+          const auto stride = static_cast<std::size_t>(comm.size());
+          PairScanner scanner(reads, subsets, pairs, indexes, config, stride,
+                              pool);
+          std::vector<Overlap> mine;
+          double work = 0.0;
+          for (auto p = static_cast<std::size_t>(comm.rank());
+               p < pairs.size(); p += stride) {
+            scanner.scan(p, mine, &work);
+            if (--pending[pairs[p].j] == 0) indexes[pairs[p].j].reset();
           }
-          comm.charge(static_cast<double>(all.size()) *
-                      std::log2(static_cast<double>(all.size()) + 2.0));
-          result.overlaps = dedupe_overlaps(std::move(all));
-        }
-      },
-      cost);
+          comm.charge(work);
+
+          // Gather at rank 0.
+          mpr::Message local;
+          local.pack_vector(mine);
+          auto gathered = comm.gather(std::move(local), 0);
+          if (comm.rank() == 0) {
+            std::vector<Overlap> all;
+            for (auto& msg : gathered) {
+              auto part = msg.unpack_vector<Overlap>();
+              FOCUS_CHECK(msg.fully_consumed(),
+                          "trailing bytes in gathered frame");
+              all.insert(all.end(), part.begin(), part.end());
+            }
+            comm.charge(static_cast<double>(all.size()) *
+                        std::log2(static_cast<double>(all.size()) + 2.0));
+            result.overlaps = dedupe_overlaps(std::move(all));
+          }
+        },
+        cost);
+  }
+  release_free_heap();
   return result;
 }
 

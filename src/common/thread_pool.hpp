@@ -3,8 +3,8 @@
 // Focus has two parallelism layers (see DESIGN.md, "Execution model"):
 // the mpr runtime simulates *cluster* ranks in deterministic virtual time,
 // while this pool provides real *host* parallelism for the compute-bound
-// loops (subset-pair overlap detection, per-query seed-and-verify,
-// heavy-edge-matching candidate scoring).
+// loops (stage 2's index builds and query blocks under the rank driver,
+// heavy-edge-matching candidate scoring, the node-list gather).
 //
 // Design:
 //  * One task deque per participant (the calling thread occupies slot 0,
@@ -27,11 +27,20 @@
 // EnvSnapshot: 0 = auto, 1..256 = width, anything else throws), else
 // hardware concurrency.
 //
-// Multi-pool safety: several pools may coexist in one process (two
-// concurrent assemblies each run one transient pool per parallel stage).
+// Multi-pool safety: several pools may coexist in one process (stage 2 keeps
+// one per width for the life of the process; other stages run transient
+// ones).
 // The worker-slot thread_local is keyed by pool identity, so a thread
 // entering a pool it does not work for participates as an external caller
 // (slot 0) instead of indexing a foreign deque array.
+//
+// Several external callers on one pool are supported: stage 2 shares one
+// pool among all rank threads of a call, and each calls parallel_for at
+// will. Every call tracks its own batch (a pending-chunk count and the
+// first exception), so it returns once its own chunks have run, and an
+// exception reaches only the caller whose chunk threw. A waiting caller may
+// run other callers' chunks; each chunk writes only its own caller's
+// results, so that changes who computes them, never what they are.
 #pragma once
 
 #include <atomic>

@@ -21,14 +21,15 @@
 // must reproduce the exact AssemblyResult a fresh run would produce, stats
 // included. Keying on the envelope keeps that property at the cost of some
 // hit rate; determinism outranks reuse. Pool widths are not keyed: the
-// assembler's stage-2 drivers never read `overlap.threads`, and the
-// coarsened hierarchy and its vtime do not depend on `coarsen.threads`.
+// stage-2 drivers' overlaps and RunStats are bit-identical at every
+// `overlap.threads` width, and the coarsened hierarchy and its vtime do not
+// depend on `coarsen.threads`.
 //
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
-// postings) are transients of the stage — rebuilt per reference subset on
-// each rank that needs one, never materialized whole. What the cache
-// stores is the stage's deterministic product, the deduped overlap set,
-// which is what every repeat run actually needs.
+// postings) are transients of the stage — built once per reference subset
+// per call and freed before it returns. What the cache stores is the
+// stage's deterministic product, the deduped overlap set, which is what
+// every repeat run actually needs.
 #pragma once
 
 #include <memory>

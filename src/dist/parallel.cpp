@@ -8,6 +8,7 @@
 #include "align/banded_nw.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/heap.hpp"
 #include "common/thread_pool.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/ft_phase.hpp"
@@ -756,7 +757,9 @@ namespace {
 // own unit: partition p is subset pair p (align::subset_pairs), so
 // ft_assign's fault-free owner p % size is the rank find_overlaps_parallel
 // scans the pair on, and each rank's align::PairScanner charges the same
-// work in the same order.
+// work in the same order. Like find_overlaps_parallel it builds every index
+// once on one pool shared by the ranks, but keeps all of them for the whole
+// call: a replay may scan any pair on any survivor.
 // ---------------------------------------------------------------------------
 
 std::vector<align::Overlap> scan_pair(align::PairScanner& scanner,
@@ -803,42 +806,50 @@ ParallelOverlapResult overlap_parallel(const io::ReadSet& reads,
   const auto nparts = static_cast<PartId>(pairs.size());
 
   ParallelOverlapResult out;
-  out.run = mpr::ft_execute(
-      nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
-      [&](mpr::Comm& comm, PhaseLog& log) {
-        align::PairScanner scanner(reads, subsets, pairs, config,
-                                   static_cast<std::size_t>(nranks));
-        ft_drive(
-            comm, log, fault,
-            [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
-                double* work) {
-              FOCUS_CHECK(phase == 0, "unknown overlap phase in scan command");
-              frame.pack_vector(scan_pair(scanner, p, work));
-            },
-            [&](std::uint32_t phase_start) {
-              if (phase_start == 0) {
-                auto recs = ft_collect<std::vector<align::Overlap>>(
-                    comm, log, nparts, 0, fault,
-                    [&](std::uint32_t p, double* work) {
-                      return scan_pair(scanner, p, work);
-                    },
-                    [](mpr::Message& m) {
+  release_free_heap();
+  {
+    ThreadPool& pool = align::stage2_pool(config.threads);
+    const align::SubsetIndexes indexes =
+        align::build_subset_indexes(reads, subsets, config, pool);
+    out.run = mpr::ft_execute(
+        nranks, dist.protocol == DistProtocol::kSymmetric, cost, fault_plan,
+        [&](mpr::Comm& comm, PhaseLog& log) {
+          align::PairScanner scanner(reads, subsets, pairs, indexes, config,
+                                     static_cast<std::size_t>(nranks), pool);
+          ft_drive(
+              comm, log, fault,
+              [&](std::uint32_t phase, std::uint32_t p, mpr::Message& frame,
+                  double* work) {
+                FOCUS_CHECK(phase == 0,
+                            "unknown overlap phase in scan command");
+                frame.pack_vector(scan_pair(scanner, p, work));
+              },
+              [&](std::uint32_t phase_start) {
+                if (phase_start == 0) {
+                  auto recs = ft_collect<std::vector<align::Overlap>>(
+                      comm, log, nparts, 0, fault,
+                      [&](std::uint32_t p, double* work) {
+                        return scan_pair(scanner, p, work);
+                      },
+                      [](mpr::Message& m) {
+                        return m.unpack_vector<align::Overlap>();
+                      });
+                  PhaseLog::Entry entry;
+                  entry.payload.pack_vector(
+                      ft_overlap_merge(comm, std::move(recs)));
+                  ft_commit(comm, log, std::move(entry));
+                }
+                // Publish from the durable record — identical whether this
+                // rank merged the pairs itself or inherited the committed
+                // entry.
+                out.overlaps = mpr::ft_read_entry(
+                    log, 0, "overlap log", [](mpr::Message& m) {
                       return m.unpack_vector<align::Overlap>();
                     });
-                PhaseLog::Entry entry;
-                entry.payload.pack_vector(
-                    ft_overlap_merge(comm, std::move(recs)));
-                ft_commit(comm, log, std::move(entry));
-              }
-              // Publish from the durable record — identical whether this
-              // rank merged the pairs itself or inherited the committed
-              // entry.
-              out.overlaps = mpr::ft_read_entry(
-                  log, 0, "overlap log", [](mpr::Message& m) {
-                    return m.unpack_vector<align::Overlap>();
-                  });
-            });
-      });
+              });
+        });
+  }
+  release_free_heap();
   return out;
 }
 

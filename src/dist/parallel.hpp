@@ -138,10 +138,11 @@ struct ParallelOverlapResult {
 /// plan runs align::find_overlaps_parallel, so its overlaps and RunStats are
 /// exactly that driver's. A non-empty plan runs the recovering driver on the
 /// same unit: partition p is subset pair p in find_overlaps_parallel's
-/// j-major order, owned by rank p % nranks while that rank lives. Each rank
-/// holds one reference index at a time and frees it after its last pair
-/// that uses it; a pair replayed on a survivor rebuilds its index, and the
-/// scan is pure in (reads, config, p), so a recovered run returns
+/// j-major order, owned by rank p % nranks while that rank lives. Every
+/// subset's index is built once per call on one pool of config.threads
+/// workers and kept until the call ends, so a pair replayed on a survivor
+/// finds its index; the replay is charged the build its rank would pay, and
+/// the scan is pure in (reads, config, p), so a recovered run returns
 /// find_overlaps_serial's bytes (tests/overlap_dist_test.cpp,
 /// tests/mpr_fault_test.cpp). `dist` picks the recovery wire protocol:
 /// master (the coordinator is fixed at rank 0, whose death throws) or

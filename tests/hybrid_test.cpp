@@ -346,7 +346,8 @@ TEST(ContiguityOracle, RealClustersMatchReferenceOnD1ToD3) {
   for (int d = 1; d <= 3; ++d) {
     const auto ds = sim::make_dataset(d, /*scale=*/0.25);
     const io::ReadSet reads = io::preprocess(ds.data.reads, {});
-    const auto overlaps = align::find_overlaps(reads, overlap);
+    const auto overlaps =
+        align::find_overlaps_parallel(reads, overlap, 1).overlaps;
     const auto ml =
         build_multilevel(build_overlap_graph(reads.size(), overlaps), coarsen);
     const Digraph rg = build_read_digraph(reads.size(), overlaps);

@@ -12,8 +12,10 @@
 // Heavy grid variants are labelled perf-smoke in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -140,10 +142,15 @@ TEST(DistributedOverlapHeavy, GridRanksThreadsDatasetsByteIdentical) {
     OverlapperConfig cfg;
     const auto want = find_overlaps_serial(reads, cfg);
 
-    // Pooled widths agree with the serial oracle.
+    // Every pool width agrees with the serial oracle, RunStats included.
+    mpr::RunStats width_one;
     for (const unsigned threads : {1u, 2u, 4u}) {
       cfg.threads = threads;
-      EXPECT_TRUE(identical(find_overlaps(reads, cfg), want))
+      const auto got = find_overlaps_parallel(reads, cfg, 1);
+      EXPECT_TRUE(identical(got.overlaps, want))
+          << "dataset " << ds << " threads " << threads;
+      if (threads == 1) width_one = got.stats;
+      EXPECT_EQ(got.stats.rank_vtime, width_one.rank_vtime)
           << "dataset " << ds << " threads " << threads;
     }
 
@@ -221,6 +228,119 @@ TEST(DistributedOverlapHeavy, CrashAtEveryOpRecoversSerialBytes) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stage-2 goldens: find_overlaps_parallel's records and RunStats on D1-D3
+// ---------------------------------------------------------------------------
+
+// FNV-1a over every field of every record, in order.
+std::uint64_t overlap_digest(const std::vector<Overlap>& overlaps) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(overlaps.size());
+  for (const Overlap& o : overlaps) {
+    mix(o.query);
+    mix(o.ref);
+    mix(o.length);
+    mix(std::bit_cast<std::uint32_t>(o.identity));
+    mix(static_cast<std::uint64_t>(o.kind));
+  }
+  return h;
+}
+
+struct Stage2Row {
+  int ranks;
+  std::uint64_t digest;
+  double makespan;
+  std::uint64_t messages, bytes;
+};
+
+std::string stage2_row(int ranks, std::uint64_t digest,
+                       const mpr::RunStats& s) {
+  std::ostringstream out;
+  out << "{" << ranks << ", 0x" << std::hex << digest << std::dec << "ULL, "
+      << std::hexfloat << s.makespan << std::defaultfloat << ", "
+      << s.messages << ", " << s.bytes << "}";
+  return out.str();
+}
+
+// Pins find_overlaps_parallel on dataset `d` at scale 0.25 with the
+// benchmark's §VI-A overlap knobs: the records' digest and the RunStats at
+// ranks 1, 3, 4, 8. Every row must hold at pool width 1 and 4, and the
+// per-rank clocks must not depend on the width. A failure prints the row the
+// code produced.
+void expect_stage2_goldens(int d, const std::vector<Stage2Row>& goldens) {
+  const auto ds = sim::make_dataset(d, /*scale=*/0.25);
+  const io::ReadSet reads = io::preprocess(ds.data.reads, {});
+  OverlapperConfig cfg;
+  cfg.k = 14;
+  cfg.min_kmer_hits = 3;
+  cfg.min_overlap = 50;
+  cfg.min_identity = 0.90;
+  cfg.subsets = 4;
+  std::size_t row = 0;
+  for (const int ranks : {1, 3, 4, 8}) {
+    std::vector<double> rank_vtime;
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.threads = threads;
+      const auto got = find_overlaps_parallel(reads, cfg, ranks);
+      const std::uint64_t digest = overlap_digest(got.overlaps);
+      const std::string ctx = "D" + std::to_string(d) + " ranks " +
+                              std::to_string(ranks) + " threads " +
+                              std::to_string(threads) + " is " +
+                              stage2_row(ranks, digest, got.stats);
+      if (row >= goldens.size()) {
+        ADD_FAILURE() << "missing row: " << ctx;
+        continue;
+      }
+      const Stage2Row& gold = goldens[row];
+      EXPECT_TRUE(gold.ranks == ranks && gold.digest == digest &&
+                  gold.makespan == got.stats.makespan &&
+                  gold.messages == got.stats.messages &&
+                  gold.bytes == got.stats.bytes)
+          << ctx;
+      if (rank_vtime.empty()) {
+        rank_vtime = got.stats.rank_vtime;
+      } else {
+        EXPECT_EQ(got.stats.rank_vtime, rank_vtime) << ctx;
+      }
+    }
+    ++row;
+  }
+  EXPECT_EQ(row, goldens.size());
+}
+
+TEST(Stage2Golden, D1) {
+  expect_stage2_goldens(
+      1,
+      {{1, 0x6faa01c3cdc91c41ULL, 0x1.7fdf40fec6a6p+2, 0, 0},
+       {3, 0x6faa01c3cdc91c41ULL, 0x1.3046ec437d9a2p+1, 2, 2369836},
+       {4, 0x6faa01c3cdc91c41ULL, 0x1.dd5501a5d86f2p+0, 3, 2667384},
+       {8, 0x6faa01c3cdc91c41ULL, 0x1.3b8baa03fb7acp+0, 7, 3082396}});
+}
+
+TEST(Stage2Golden, D2) {
+  expect_stage2_goldens(
+      2,
+      {{1, 0x3b22167661a00754ULL, 0x1.af5ea822ddd36p+2, 0, 0},
+       {3, 0x3b22167661a00754ULL, 0x1.63ae4c9356ee8p+1, 2, 2496476},
+       {4, 0x3b22167661a00754ULL, 0x1.0cc32b729fe9dp+1, 3, 2902864},
+       {8, 0x3b22167661a00754ULL, 0x1.6beb5e1b52e1ap+0, 7, 3318616}});
+}
+
+TEST(Stage2Golden, D3) {
+  expect_stage2_goldens(
+      3,
+      {{1, 0x75e734bea13d352dULL, 0x1.b6ef802a88643p+2, 0, 0},
+       {3, 0x75e734bea13d352dULL, 0x1.6520be8f8ba7fp+1, 2, 2518416},
+       {4, 0x75e734bea13d352dULL, 0x1.0f271022d13f7p+1, 3, 2927684},
+       {8, 0x75e734bea13d352dULL, 0x1.71e873e4da067p+0, 7, 3350476}});
 }
 
 // ---------------------------------------------------------------------------
@@ -324,7 +444,7 @@ TEST(DistributedOverlap, EveryEntryPointRejectsSeedLengthOutsideItsRange) {
     SCOPED_TRACE("k=" + std::to_string(k));
     EXPECT_THROW(find_overlaps_serial(reads, cfg), Error);
     cfg.threads = 2;
-    EXPECT_THROW(find_overlaps(reads, cfg), Error);
+    EXPECT_THROW(find_overlaps_parallel(reads, cfg, 1), Error);
     EXPECT_THROW(find_overlaps_parallel(reads, cfg, 2), Error);
     for (const auto protocol : kProtocols) {
       EXPECT_THROW(dist::overlap_parallel(reads, cfg, 2, {}, {}, {},

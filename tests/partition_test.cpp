@@ -581,7 +581,8 @@ graph::GraphHierarchy golden_hybrid(int d) {
   coarsen.max_levels = 10;
   const auto ds = sim::make_dataset(d, /*scale=*/0.25);
   const io::ReadSet reads = io::preprocess(ds.data.reads, {});
-  const auto overlaps = align::find_overlaps(reads, overlap);
+  const auto overlaps =
+      align::find_overlaps_parallel(reads, overlap, 1).overlaps;
   std::vector<std::uint32_t> lengths;
   for (const auto& r : reads) {
     lengths.push_back(static_cast<std::uint32_t>(r.seq.size()));

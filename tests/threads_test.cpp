@@ -1,7 +1,7 @@
 // Tests for the shared-memory work-stealing pool and for the determinism
-// contract of everything built on it: pooled overlap detection, parallel
-// heavy-edge-matching scoring, and the full pipeline must produce
-// byte-identical results at every thread count.
+// contract of everything built on it: stage 2 on its host pool under the
+// rank driver, parallel heavy-edge-matching scoring, and the full pipeline
+// must produce byte-identical results at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/overlapper.hpp"
@@ -114,6 +115,47 @@ TEST_P(ThreadPoolWidths, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(ran.load(), 64);
 }
 
+// Several raw threads drive one pool at once, as the rank threads of a
+// stage-2 call do: each caller gets exactly its own results back, and an
+// exception thrown in one caller's batch is rethrown to that caller alone.
+TEST(ThreadPool, ConcurrentExternalCallersGetTheirOwnResults) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 6;
+  constexpr int kRounds = 25;
+  constexpr int kThrower = 2;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<int> caught(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::uint64_t tag =
+            static_cast<std::uint64_t>(c) * 1000000 + round * 1000;
+        const std::size_t n = 500 + static_cast<std::size_t>(97 * c);
+        try {
+          const auto out = pool.parallel_transform<std::uint64_t>(
+              n, 3, [&](std::size_t i) {
+                if (c == kThrower && round % 5 == 0 && i == n / 2) {
+                  throw std::runtime_error("caller " + std::to_string(c));
+                }
+                return tag + i;
+              });
+          for (std::size_t i = 0; i < n; ++i) {
+            if (out[i] != tag + i) ++wrong[c];
+          }
+        } catch (const std::runtime_error& e) {
+          if (e.what() == "caller " + std::to_string(c)) ++caught[c];
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong[c], 0) << "caller " << c;
+    EXPECT_EQ(caught[c], c == kThrower ? kRounds / 5 : 0) << "caller " << c;
+  }
+}
+
 TEST_P(ThreadPoolWidths, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(GetParam());
   std::vector<std::uint64_t> sums(8, 0);
@@ -205,34 +247,38 @@ graph::Graph random_graph(std::uint64_t seed, std::size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Determinism regression: pooled overlap detection
+// Determinism regression: stage 2 on the host pool
 // ---------------------------------------------------------------------------
 
+// The rank driver's stage-2 pool: at 1 and 3 ranks, every pool width returns
+// the serial driver's overlaps and the width-1 RunStats bit for bit. Block
+// sums are added in block order, a decomposition fixed by the query count,
+// so the per-rank work cannot depend on the width.
 TEST(OverlapDeterminism, PooledMatchesSerialAtEveryThreadCount) {
   const io::ReadSet reads = simulated_reads(3000, 10.0, 77);
   align::OverlapperConfig cfg;
   cfg.k = 14;
   cfg.subsets = 4;
 
-  double serial_work = 0.0;
   cfg.threads = 1;
-  const auto serial = align::find_overlaps_serial(reads, cfg, &serial_work);
+  const auto serial = align::find_overlaps_serial(reads, cfg);
   ASSERT_GT(serial.size(), 0u);
-  ASSERT_GT(serial_work, 0.0);
 
-  double pooled_work_prev = 0.0;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cfg.threads = threads;
-    double pooled_work = 0.0;
-    const auto pooled = align::find_overlaps(reads, cfg, &pooled_work);
-    EXPECT_TRUE(same_overlaps(serial, pooled));
-    ASSERT_GT(pooled_work, 0.0);
-    // Work units are summed in a thread-count-independent order, so they are
-    // bitwise identical across pool widths (> 1; the serial fallback orders
-    // index-build work differently, which float addition notices).
-    if (threads > 2) EXPECT_EQ(pooled_work, pooled_work_prev);
-    pooled_work_prev = pooled_work;
+  for (const int ranks : {1, 3}) {
+    mpr::RunStats width_one;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                   " threads=" + std::to_string(threads));
+      cfg.threads = threads;
+      const auto pooled = align::find_overlaps_parallel(reads, cfg, ranks);
+      EXPECT_TRUE(same_overlaps(serial, pooled.overlaps));
+      ASSERT_GT(pooled.stats.makespan, 0.0);
+      if (threads == 1) width_one = pooled.stats;
+      EXPECT_EQ(pooled.stats.makespan, width_one.makespan);
+      EXPECT_EQ(pooled.stats.rank_vtime, width_one.rank_vtime);
+      EXPECT_EQ(pooled.stats.messages, width_one.messages);
+      EXPECT_EQ(pooled.stats.bytes, width_one.bytes);
+    }
   }
 }
 
@@ -246,7 +292,8 @@ TEST(OverlapDeterminism, SingleSubsetAndMoreSubsetsThanReads) {
     cfg.threads = 1;
     const auto serial = align::find_overlaps_serial(reads, cfg);
     cfg.threads = 4;
-    EXPECT_TRUE(same_overlaps(serial, align::find_overlaps(reads, cfg)));
+    EXPECT_TRUE(same_overlaps(
+        serial, align::find_overlaps_parallel(reads, cfg, 1).overlaps));
   }
 }
 
@@ -389,7 +436,7 @@ TEST(OverlapStress, FiftyRandomReadSetsMatchSerialReference) {
     cfg.threads = 1;
     const auto serial = align::find_overlaps_serial(reads, cfg);
     cfg.threads = thread_choices[static_cast<std::size_t>(trial) % 4];
-    const auto pooled = align::find_overlaps(reads, cfg);
+    const auto pooled = align::find_overlaps_parallel(reads, cfg, 1).overlaps;
     ASSERT_TRUE(same_overlaps(serial, pooled));
   }
 }

@@ -19,9 +19,17 @@
 # across pool widths), the stage-2
 # oracle suite (overlap_dist_test: find_overlaps_parallel and the recovering
 # subset-pair driver against find_overlaps_serial across rank counts and
-# both protocols, with empty, never-firing and crash-at-every-op plans: the
-# per-rank reference index released after its last pair, the merge freeing
-# record vectors, the publish from the phase-log entry in place), the
+# both protocols, with empty, never-firing and crash-at-every-op plans: one
+# host pool shared by every rank thread of a call, the subset indexes built
+# once on it and freed after their last pair by whichever rank scans it,
+# 16-query blocks scanned by pool workers and by waiting rank threads, the
+# merge freeing record vectors, the publish from the phase-log entry in
+# place; the Stage2Golden RunStats at pool widths 1 and 4), the
+# seed-kernel oracles (seed_equiv_test: the counting KmerIndex build
+# against a sort-built index, count-then-gather seeding against
+# per-member diagonal lists on both backends), the thread-pool suite
+# (threads_test: several raw threads calling parallel_for on one pool at
+# once, each getting its own results and exceptions), the
 # protocol-equivalence suite (master vs symmetric simplify/traverse across
 # rank counts: the owner-computes simplify and the recovering engine), the
 # fault-injection suite (label `fault`: every FT driver — preprocess,
@@ -76,6 +84,16 @@
 #
 #   CXXFLAGS='-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS' \
 #     tools/run_sanitizers.sh asan-ubsan -R 'Contiguity|Hybrid|Digraph|AsmBuild|Pipeline'
+#
+# The stage-2 legs (the shared host pool under the rank driver). Build a
+# tree with this script (any ctest filter will do, e.g. -R ThreadPool), then
+# run the suites' binaries in it, under TSan and under the strict ASan+UBSan
+# configuration below:
+#
+#   for t in align_test seed_equiv_test overlap_dist_test threads_test \
+#            concurrent_jobs_test; do build-tsan/tests/$t || exit 1; done
+#   build-tsan/tests/mpr_fault_test \
+#     --gtest_filter='OverlapFault*:RecoveringRunStats*'
 #
 # The recovering engine's legs (both protocols):
 #

@@ -19,16 +19,13 @@
 //     driver (dist::overlap_parallel) on the same subset pairs under a plan
 //     whose only crash point never fires, in both wire protocols. These come
 //     from the vtime task model, not the host's cores, and every driver's
-//     output is identity-checked against the reference first;
-//   * heavy-edge-matching coarsening (build_multilevel) serial vs the pool
-//     at 1/2/4/8 threads, on the overlap graph of the reference overlaps.
+//     output is identity-checked against the reference first.
 // Every timed run is checked byte-identical against its serial reference
-// (the suffix-array overlap set, the serial coarsening hierarchy) before its
-// timing is reported. The json's "provenance" object labels each field as
-// measured (host wall clock or counter) or modeled (virtual time). Exit
-// status is nonzero if any equivalence or zero-allocation check fails, so
-// the smoke invocation doubles as a ctest (label: perf-smoke). Default
-// output: BENCH_align.json.
+// (the suffix-array overlap set) before its timing is reported. The json's
+// "provenance" object labels each field as measured (host wall clock or
+// counter) or modeled (virtual time). Exit status is nonzero if any
+// equivalence or zero-allocation check fails, so the smoke invocation
+// doubles as a ctest (label: perf-smoke). Default output: BENCH_align.json.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -45,8 +42,6 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "dist/parallel.hpp"
-#include "graph/coarsen.hpp"
-#include "graph/graph.hpp"
 #include "io/preprocess.hpp"
 #include "sim/datasets.hpp"
 #include "sim/genome.hpp"
@@ -318,30 +313,6 @@ int main(int argc, char** argv) {
     modeled_runs.push_back(m);
   }
 
-  // 5 — heavy-edge-matching coarsening, serial vs the pool. Graphs below
-  // the pooled-matching size threshold run serially at every width.
-  const graph::Graph g0 = graph::build_overlap_graph(reads.size(), reference);
-  graph::CoarsenConfig ccfg = bench::bench_config().coarsen;
-  ccfg.threads = 1;
-  graph::GraphHierarchy serial_hierarchy;
-  const double coarsen_serial_seconds = best_of(repeats, [&] {
-    Timer t;
-    serial_hierarchy = graph::build_multilevel(g0, ccfg);
-    return t.seconds();
-  });
-  std::vector<double> coarsen_pool_seconds;
-  for (const unsigned width : kWidths) {
-    ccfg.threads = width;
-    graph::GraphHierarchy pooled;
-    coarsen_pool_seconds.push_back(best_of(repeats, [&] {
-      Timer t;
-      pooled = graph::build_multilevel(g0, ccfg);
-      return t.seconds();
-    }));
-    all_identical &= pooled.parent == serial_hierarchy.parent &&
-                     pooled.depth() == serial_hierarchy.depth();
-  }
-
   const bool zero_alloc = probe.full_pass_allocs == 0 &&
                           probe.score_pass_allocs == 0 && query_allocs == 0;
 
@@ -378,13 +349,6 @@ int main(int argc, char** argv) {
                 m.recovering_master_makespan,
                 m.recovering_symmetric_makespan);
   }
-  std::printf("  HEM coarsening (%zu levels): serial %.3f s\n",
-              serial_hierarchy.depth(), coarsen_serial_seconds);
-  for (std::size_t w = 0; w < coarsen_pool_seconds.size(); ++w) {
-    std::printf("    %u threads: %10.3f s %9.2fx\n", kWidths[w],
-                coarsen_pool_seconds[w],
-                coarsen_serial_seconds / coarsen_pool_seconds[w]);
-  }
   std::printf("  output identical across backends/widths/drivers: %s\n",
               all_identical ? "yes" : "NO (BUG)");
 
@@ -403,7 +367,7 @@ int main(int argc, char** argv) {
                "\"allocs_per_score_pass\", \"allocs_per_query\", "
                "\"suffix_array\", "
                "\"kmer_hash\", \"single_thread_speedup\", "
-               "\"kmer_hash_pool\", \"coarsen_hem\"], \"modeled\": "
+               "\"kmer_hash_pool\"], \"modeled\": "
                "[\"modeled_overlap_scaling\"]},\n");
   std::fprintf(f, "  \"dataset\": \"D1\",\n");
   std::fprintf(f, "  \"scale\": %.3f,\n", scale);
@@ -439,19 +403,6 @@ int main(int argc, char** argv) {
                  w + 1 < pool_runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"coarsen_hem\": {\"levels\": %zu, "
-               "\"serial_seconds\": %.6f, \"pool\": [\n",
-               serial_hierarchy.depth(), coarsen_serial_seconds);
-  for (std::size_t w = 0; w < coarsen_pool_seconds.size(); ++w) {
-    std::fprintf(f,
-                 "    {\"threads\": %u, \"seconds\": %.6f, "
-                 "\"speedup\": %.3f}%s\n",
-                 kWidths[w], coarsen_pool_seconds[w],
-                 coarsen_serial_seconds / coarsen_pool_seconds[w],
-                 w + 1 < coarsen_pool_seconds.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"modeled_overlap_scaling\": [\n");
   for (std::size_t w = 0; w < modeled_runs.size(); ++w) {
     const auto& m = modeled_runs[w];

@@ -194,16 +194,6 @@ void BM_FindOverlapsPool(benchmark::State& state) {
 BENCHMARK(BM_FindOverlapsPool)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_HeavyEdgeMatchingPool(benchmark::State& state) {
-  const auto g = random_graph(16, 20000, 60000);
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
-  Rng rng(17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::heavy_edge_matching(g, rng, 0, &pool));
-  }
-}
-BENCHMARK(BM_HeavyEdgeMatchingPool)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_HeavyEdgeMatching(benchmark::State& state) {
   const auto g = random_graph(7, static_cast<std::size_t>(state.range(0)),
                               3 * static_cast<std::size_t>(state.range(0)));
@@ -341,17 +331,6 @@ void BM_MprPingPong(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MprPingPong)->Arg(64)->Arg(65536);
-
-void BM_MprAllreduce(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const auto stats = mpr::Runtime::execute(ranks, [](mpr::Comm& comm) {
-      benchmark::DoNotOptimize(comm.allreduce_sum(comm.rank()));
-    });
-    benchmark::DoNotOptimize(stats.makespan);
-  }
-}
-BENCHMARK(BM_MprAllreduce)->Arg(2)->Arg(8)->Arg(16);
 
 }  // namespace
 

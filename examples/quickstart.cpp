@@ -10,7 +10,6 @@
 
 #include "common/dna.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/assembler.hpp"
 #include "sim/community.hpp"
 #include "sim/sequencer.hpp"
@@ -43,17 +42,15 @@ int main(int argc, char** argv) {
               sim_reads.reads.size(), sc.read_length, coverage, genome_len);
 
   // 2. Configure and run the assembler. The virtual mpr ranks model the
-  // paper's cluster; the work-stealing pool (threads = 0 -> FOCUS_THREADS or
-  // hardware width) provides real wall-clock parallelism, with byte-identical
-  // output at any width.
+  // paper's cluster; stage 2's work-stealing pool (overlap.threads = 0 ->
+  // FOCUS_THREADS or hardware width) provides real wall-clock parallelism,
+  // with byte-identical output at any width.
   core::FocusConfig config;
   config.partitions = 8;   // hybrid graph partitions (k)
   config.ranks = 4;        // worker ranks for every parallel stage
   config.overlap.min_overlap = 50;
   config.overlap.min_identity = 0.90;
-  config.coarsen.threads = 0;  // auto: pool the HEM scoring passes
-  std::printf("Host thread pool width: %u threads\n",
-              resolve_thread_count(0));
+  std::printf("Stage-2 pool width: %u threads\n", config.overlap.threads);
   const auto result = core::assemble_reads(sim_reads.reads, config);
 
   // 3. Inspect the pipeline products.

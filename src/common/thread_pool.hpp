@@ -2,9 +2,9 @@
 //
 // Focus has two parallelism layers (see DESIGN.md, "Execution model"):
 // the mpr runtime simulates *cluster* ranks in deterministic virtual time,
-// while this pool provides real *host* parallelism for the compute-bound
-// loops (stage 2's index builds and query blocks under the rank driver,
-// heavy-edge-matching candidate scoring, the node-list gather).
+// while this pool provides real *host* parallelism. It has one consumer in
+// the library: stage 2's index builds and query blocks under the rank
+// driver, run on align::stage2_pool, the only place that constructs a pool.
 //
 // Design:
 //  * One task deque per participant (the calling thread occupies slot 0,
@@ -28,8 +28,7 @@
 // hardware concurrency.
 //
 // Multi-pool safety: several pools may coexist in one process (stage 2 keeps
-// one per width for the life of the process; other stages run transient
-// ones).
+// one per width for the life of the process; tests build their own).
 // The worker-slot thread_local is keyed by pool identity, so a thread
 // entering a pool it does not work for participates as an external caller
 // (slot 0) instead of indexing a foreign deque array.
@@ -102,30 +101,6 @@ class ThreadPool {
       for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
     });
     return out;
-  }
-
-  /// Deterministic chunked reduction: splits [0, n) into the same fixed
-  /// chunks as parallel_for (chunk c covers [c*grain, min(n, (c+1)*grain))),
-  /// computes fn(begin, end) -> T for every chunk, then folds the per-chunk
-  /// values in ascending chunk order: acc = merge(acc, value). The chunk
-  /// decomposition and the merge order depend only on (n, grain) — never on
-  /// the thread count — so the result is identical at every pool width; the
-  /// serial width-1 path runs the chunks inline in the same order.
-  template <typename T, typename ChunkFn, typename MergeFn>
-  T parallel_reduce(std::size_t n, std::size_t grain, T init,
-                    const ChunkFn& fn, const MergeFn& merge) {
-    if (n == 0) return init;
-    grain = grain == 0 ? 1 : grain;
-    const std::size_t chunks = (n + grain - 1) / grain;
-    std::vector<T> slot(chunks);
-    parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-      slot[begin / grain] = fn(begin, end);
-    });
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      acc = merge(std::move(acc), std::move(slot[c]));
-    }
-    return acc;
   }
 
  private:

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 
 namespace focus::core {
@@ -23,12 +24,10 @@ FocusConfig::FocusConfig(const EnvSnapshot& env)
       fault(mpr::FaultConfig::from_env(env)),
       dist{dist::dist_protocol_from_env(env)},
       graph_store(graph::GraphStoreConfig::from_env(env)) {
-  // Bake the auto thread width now so no pipeline stage consults the
+  // Bake stage 2's auto pool width now so no pipeline stage consults the
   // environment later: a mid-run setenv("FOCUS_THREADS") has no effect on an
   // already-constructed config.
-  const unsigned width = default_thread_count(env);
-  if (overlap.threads == 0) overlap.threads = width;
-  if (partitioner.threads == 0) partitioner.threads = width;
+  if (overlap.threads == 0) overlap.threads = default_thread_count(env);
 }
 
 FocusAssembler::FocusAssembler(FocusConfig config)
@@ -36,7 +35,12 @@ FocusAssembler::FocusAssembler(FocusConfig config)
   FOCUS_CHECK(config_.partitions >= 1 &&
                   (config_.partitions & (config_.partitions - 1)) == 0,
               "partition count must be a power of two");
+  FOCUS_CHECK(config_.partitions <= kMaxPartitions,
+              "partition count must be at most " +
+                  std::to_string(kMaxPartitions));
   FOCUS_CHECK(config_.ranks >= 1, "need at least one rank");
+  FOCUS_CHECK(config_.ranks <= mpr::kMaxRanks,
+              "rank count must be at most " + std::to_string(mpr::kMaxRanks));
 }
 
 AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
@@ -236,7 +240,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
   {
     auto simplified = dist::simplify_parallel(
         built.graph, node_part, config_.partitions, config_.simplify,
-        config_.ranks, config_.cost, config_.partitioner.threads,
+        config_.ranks, config_.cost, /*threads (no effect)=*/1,
         config_.fault_plan, config_.fault, config_.dist);
     result.simplify_stats = simplified.stats;
     result.simplify_run = simplified.run;
@@ -251,7 +255,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
   {
     auto traversed = dist::traverse_parallel(
         built.graph, node_part, config_.partitions, config_.ranks,
-        config_.cost, config_.partitioner.threads, config_.fault_plan,
+        config_.cost, /*threads (no effect)=*/1, config_.fault_plan,
         config_.fault, config_.dist);
     result.paths = std::move(traversed.paths);
     result.traverse_run = traversed.run;

@@ -27,6 +27,11 @@
 
 namespace focus::core {
 
+/// Largest partition count the assembler accepts: the partitioner's wave
+/// driver builds 2^s region lists at step s, so memory grows with k whatever
+/// the input.
+inline constexpr PartId kMaxPartitions = 65536;
+
 struct FocusConfig {
   /// Captures ONE EnvSnapshot and derives every env-defaulted knob from it —
   /// the environment is read once per FocusConfig, never per call inside the
@@ -34,7 +39,7 @@ struct FocusConfig {
   FocusConfig() : FocusConfig(EnvSnapshot::capture()) {}
 
   /// Derives the env-defaulted knobs (overlap.strategy, dist.protocol,
-  /// graph_store, fault_plan, fault, auto thread widths) from an
+  /// graph_store, fault_plan, fault, the auto overlap.threads width) from an
   /// already-captured snapshot. Pass a default-constructed-from-fields
   /// snapshot (EnvSnapshot{}) for a fully environment-independent config.
   explicit FocusConfig(const EnvSnapshot& env);
@@ -44,9 +49,9 @@ struct FocusConfig {
   graph::CoarsenConfig coarsen;
   partition::PartitionerConfig partitioner;
   dist::SimplifyConfig simplify;
-  /// Number of graph partitions k (power of two).
+  /// Number of graph partitions k (power of two, at most kMaxPartitions).
   PartId partitions = 16;
-  /// Worker ranks for every parallel stage.
+  /// Worker ranks for every parallel stage (at most mpr::kMaxRanks).
   int ranks = 4;
   mpr::CostModel cost;
   /// Partition the hybrid graph set (paper's contribution) instead of the
@@ -125,6 +130,8 @@ struct AssemblyResult {
 
 class FocusAssembler {
  public:
+  /// Throws focus::Error unless partitions is a power of two in
+  /// [1, kMaxPartitions] and ranks is in [1, mpr::kMaxRanks].
   explicit FocusAssembler(FocusConfig config);
 
   const FocusConfig& config() const { return config_; }

@@ -22,8 +22,7 @@
 // included. Keying on the envelope keeps that property at the cost of some
 // hit rate; determinism outranks reuse. Pool widths are not keyed: the
 // stage-2 drivers' overlaps and RunStats are bit-identical at every
-// `overlap.threads` width, and the coarsened hierarchy and its vtime do not
-// depend on `coarsen.threads`.
+// `overlap.threads` width, and `coarsen.threads` has no effect.
 //
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
 // postings) are transients of the stage — built once per reference subset

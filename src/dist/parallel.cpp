@@ -9,10 +9,8 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/heap.hpp"
-#include "common/thread_pool.hpp"
 #include "io/preprocess.hpp"
 #include "mpr/ft_phase.hpp"
-#include "mpr/rounds.hpp"
 
 namespace focus::dist {
 
@@ -36,10 +34,6 @@ DistProtocol dist_protocol_from_env(const EnvSnapshot& env) {
 }
 
 namespace {
-
-/// Below this the chunked gather costs more than the serial scan.
-constexpr std::size_t kParallelGatherMinNodes = 4096;
-constexpr std::size_t kGatherGrain = 4096;
 
 bool mine(std::size_t partition, const mpr::Comm& comm) {
   return static_cast<int>(partition %
@@ -137,40 +131,13 @@ std::vector<std::vector<std::uint32_t>> owned_partitions(
 }  // namespace
 
 std::vector<std::vector<NodeId>> partition_node_lists(
-    std::span<const PartId> part, PartId nparts, unsigned threads) {
+    std::span<const PartId> part, PartId nparts) {
   std::vector<std::vector<NodeId>> nodes(static_cast<std::size_t>(nparts));
-  const std::size_t n = part.size();
-  const auto gather = [&](std::size_t begin, std::size_t end,
-                          std::vector<std::vector<NodeId>>& out) {
-    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      FOCUS_CHECK(part[v] >= 0 && part[v] < nparts,
-                  "node with invalid partition id");
-      out[static_cast<std::size_t>(part[v])].push_back(v);
-    }
-  };
-  const unsigned resolved = resolve_thread_count(threads);
-  if (resolved <= 1 || n < kParallelGatherMinNodes) {
-    gather(0, n, nodes);
-    return nodes;
+  for (NodeId v = 0; v < part.size(); ++v) {
+    FOCUS_CHECK(part[v] >= 0 && part[v] < nparts,
+                "node with invalid partition id");
+    nodes[static_cast<std::size_t>(part[v])].push_back(v);
   }
-  ThreadPool pool(resolved);
-  // parallel_reduce merges the per-chunk buckets in chunk order, so each
-  // per-part list stays in ascending node order and the result equals the
-  // serial scan at every width.
-  using Buckets = std::vector<std::vector<NodeId>>;
-  nodes = pool.parallel_reduce(
-      n, kGatherGrain, std::move(nodes),
-      [&](std::size_t b, std::size_t e) {
-        Buckets local(static_cast<std::size_t>(nparts));
-        gather(b, e, local);
-        return local;
-      },
-      [](Buckets acc, Buckets chunk) {
-        for (std::size_t p = 0; p < acc.size(); ++p) {
-          acc[p].insert(acc[p].end(), chunk[p].begin(), chunk[p].end());
-        }
-        return acc;
-      });
   return nodes;
 }
 
@@ -185,7 +152,7 @@ namespace {
 // its source node — partitions are disjoint, so each edge record has exactly
 // one recorder). Cross-owner deltas — containment absorptions, tip and
 // bubble node kills landing in another rank's partition — travel in one
-// batched mpr::exchange_deltas round per phase and are applied by their
+// batched exchange_deltas round per phase and are applied by their
 // owner in ascending source-rank order after a sort-unique, which is the
 // same dedup the master performs globally: ownership classes are disjoint,
 // so per-owner sorted-unique apply produces the identical graph and counts.
@@ -194,6 +161,42 @@ namespace {
 constexpr int kTagSymContained = 215;
 constexpr int kTagSymTips = 216;
 constexpr int kTagSymBubbles = 217;
+
+/// One batched delta round: rank r's `buckets[d]` (node kills routed to the
+/// node's owner, rank d) go to rank d as one frame packed with
+/// Message::pack_vector; the self bucket never touches the network. Every
+/// send is posted before any receive, so the round cannot deadlock, and the
+/// arrived records are concatenated in ascending source-rank order — a
+/// total order independent of scheduling, so the owner-side applies are
+/// deterministic. Every live rank calls this with the same `tag`, once per
+/// round.
+std::vector<NodeId> exchange_deltas(
+    mpr::Comm& comm, const std::vector<std::vector<NodeId>>& buckets,
+    int tag) {
+  const int size = comm.size();
+  const Rank self = comm.rank();
+  FOCUS_CHECK(buckets.size() == static_cast<std::size_t>(size),
+              "one delta bucket per rank required");
+  for (Rank d = 0; d < size; ++d) {
+    if (d == self) continue;
+    mpr::Message msg;
+    msg.pack_vector(buckets[static_cast<std::size_t>(d)]);
+    comm.send(d, tag, std::move(msg));
+  }
+  std::vector<NodeId> merged;
+  for (Rank s = 0; s < size; ++s) {
+    if (s == self) {
+      const auto& own = buckets[static_cast<std::size_t>(s)];
+      merged.insert(merged.end(), own.begin(), own.end());
+      continue;
+    }
+    mpr::Message msg = comm.recv(s, tag);
+    const auto recs = msg.unpack_vector<NodeId>();
+    FOCUS_CHECK(msg.fully_consumed(), "trailing bytes in delta frame");
+    merged.insert(merged.end(), recs.begin(), recs.end());
+  }
+  return merged;
+}
 
 void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
                              const std::vector<std::vector<NodeId>>& nodes,
@@ -252,8 +255,7 @@ void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
     for (const NodeId w : records.contained_nodes) {
       buckets[owner_of_node(w)].push_back(w);
     }
-    auto contained =
-        mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymContained);
+    auto contained = exchange_deltas(comm, buckets, kTagSymContained);
     comm.charge(static_cast<double>(records.verified.size() +
                                     records.false_edges.size() +
                                     contained.size()));
@@ -274,7 +276,7 @@ void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
     comm.charge(work);
     std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(size));
     for (const NodeId v : records) buckets[owner_of_node(v)].push_back(v);
-    auto arrived = mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymTips);
+    auto arrived = exchange_deltas(comm, buckets, kTagSymTips);
     comm.charge(static_cast<double>(arrived.size()));
     my.tip_nodes = apply_node_removals(g, std::move(arrived));
     comm.barrier();
@@ -290,7 +292,7 @@ void simplify_symmetric_rank(mpr::Comm& comm, AsmGraph& g,
     comm.charge(work);
     std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(size));
     for (const NodeId v : records) buckets[owner_of_node(v)].push_back(v);
-    auto arrived = mpr::exchange_deltas<NodeId>(comm, buckets, kTagSymBubbles);
+    auto arrived = exchange_deltas(comm, buckets, kTagSymBubbles);
     comm.charge(static_cast<double>(arrived.size()));
     my.bubble_nodes = apply_node_removals(g, std::move(arrived));
     comm.barrier();
@@ -459,12 +461,12 @@ ParallelSimplifyResult simplify_parallel(AsmGraph& g,
                                          PartId nparts,
                                          const SimplifyConfig& config,
                                          int nranks, mpr::CostModel cost,
-                                         unsigned threads,
+                                         unsigned /*threads*/,
                                          const mpr::FaultPlan& fault_plan,
                                          const mpr::FaultConfig& fault,
                                          const DistConfig& dist) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
-  const auto nodes = partition_node_lists(part, nparts, threads);
+  const auto nodes = partition_node_lists(part, nparts);
 
   ParallelSimplifyResult out;
   if (!fault_plan.empty()) {
@@ -717,12 +719,12 @@ ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts, int nranks,
                                          mpr::CostModel cost,
-                                         unsigned threads,
+                                         unsigned /*threads*/,
                                          const mpr::FaultPlan& fault_plan,
                                          const mpr::FaultConfig& fault,
                                          const DistConfig& dist) {
   FOCUS_CHECK(part.size() == g.node_count(), "partition size mismatch");
-  const auto nodes = partition_node_lists(part, nparts, threads);
+  const auto nodes = partition_node_lists(part, nparts);
 
   // The recovering driver, for every plan. An empty plan injects nothing,
   // so it runs fault-free (DESIGN.md §7).

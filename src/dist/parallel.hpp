@@ -31,6 +31,10 @@
 // miss the DistParallelTiming floors of 2.0x and 1.5x) and overlap_parallel
 // (its empty plan is align::find_overlaps_parallel, the driver the
 // assembler's default all-pairs strategy calls without a plan).
+//
+// Host threads: overlap_parallel runs stage 2's host work on
+// align::stage2_pool; everything else here, the node-list gather and every
+// per-rank body, is serial on the rank threads or the caller's thread.
 #pragma once
 
 #include <span>
@@ -55,8 +59,8 @@ namespace focus::dist {
 /// kSymmetric has no irreplaceable rank (DESIGN.md §7b). Its fault-free
 /// simplify is owner-computes: partitions are LPT-assigned to ranks by
 /// estimated scan cost, every rank applies the deltas for the nodes and
-/// edges it owns, and cross-owner deltas travel in batched
-/// mpr::exchange_deltas rounds. Every recovering driver replicates its
+/// edges it owns, and cross-owner deltas travel in batched all-to-all
+/// rounds (exchange_deltas). Every recovering driver replicates its
 /// phase log under kSymmetric, so a survivor can take over the coordinator
 /// role and any rank but the last may die.
 /// Both protocols produce byte-identical graphs, stats and paths
@@ -78,14 +82,12 @@ struct DistConfig {
   DistProtocol protocol = dist_protocol_from_env();
 };
 
-/// Nodes of each partition, in ascending node-id order. This is the host-side
-/// gather the simplify, traverse and variants drivers run before entering the
-/// mpr runtime. `threads` follows the PartitionerConfig::threads convention
-/// (0 = auto via FOCUS_THREADS; 1 = serial): with more than one thread,
-/// chunks of the part vector are scattered in parallel into per-chunk lists
-/// that are merged in chunk order, so the result is identical at every width.
+/// Nodes of each partition, in ascending node-id order: the serial
+/// host-side gather the simplify, traverse and variants drivers run before
+/// entering the mpr runtime. Throws focus::Error on a part id outside
+/// [0, nparts).
 std::vector<std::vector<NodeId>> partition_node_lists(
-    std::span<const PartId> part, PartId nparts, unsigned threads = 1);
+    std::span<const PartId> part, PartId nparts);
 
 struct ParallelSimplifyResult {
   SimplifyStats stats;
@@ -94,10 +96,10 @@ struct ParallelSimplifyResult {
 
 /// Distributed graph trimming: transitive reduction, containment removal and
 /// edge verification, dead-end trimming, bubble popping — each as a
-/// worker-record / coordinator-apply phase. `threads`
-/// parallelizes the host-side partition gather only (see
-/// partition_node_lists); the per-rank bodies stay single-threaded so the
-/// virtual-time measurement is not confounded by host parallelism.
+/// worker-record / coordinator-apply phase. The per-rank bodies are
+/// single-threaded, so the virtual-time measurement is not confounded by
+/// host parallelism. `threads` has no effect; it is kept only because the
+/// whole-pipeline benchmark (pipeline_bench/pipeline.cpp) passes it.
 /// A non-empty `fault_plan` selects the recovering driver (see file
 /// comment); `fault` bounds its retries and sets the receive deadline.
 ParallelSimplifyResult simplify_parallel(AsmGraph& g,
@@ -119,7 +121,7 @@ struct ParallelTraverseResult {
 /// sub-paths; the coordinator joins them across partition boundaries from
 /// the logged sub-paths (rank 0 under kMaster; under kSymmetric whichever
 /// rank holds the role). Runs the recovering driver for every plan.
-/// `threads` and `fault` as in simplify_parallel.
+/// `threads` (no effect) and `fault` as in simplify_parallel.
 ParallelTraverseResult traverse_parallel(const AsmGraph& g,
                                          std::span<const PartId> part,
                                          PartId nparts, int nranks,

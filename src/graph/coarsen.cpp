@@ -1,7 +1,5 @@
 #include "graph/coarsen.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -34,15 +32,14 @@ NodeId GraphHierarchy::ancestor_at(NodeId v, std::size_t level) const {
 
 namespace {
 
-/// Heaviest eligible neighbor of v among those for which `eligible` holds,
-/// with the serial HEM tie-break (weight descending, then id ascending).
-template <typename Eligible>
+/// Heaviest unmatched neighbor of v that respects the weight cap, ties
+/// broken by weight descending, then id ascending.
 NodeId best_neighbor(const Graph& g, NodeId v, Weight max_node_weight,
-                     Eligible&& eligible) {
+                     const std::vector<bool>& matched) {
   NodeId best = kInvalidNode;
   Weight best_weight = 0;
   for (const Edge& e : g.neighbors(v)) {
-    if (!eligible(e.to)) continue;
+    if (matched[e.to]) continue;
     if (max_node_weight > 0 &&
         g.node_weight(v) + g.node_weight(e.to) > max_node_weight) {
       continue;
@@ -56,54 +53,19 @@ NodeId best_neighbor(const Graph& g, NodeId v, Weight max_node_weight,
   return best;
 }
 
-/// Below this the scoring pass is cheaper than waking the pool.
-constexpr std::size_t kParallelHemMinNodes = 512;
-
 }  // namespace
 
 std::vector<NodeId> heavy_edge_matching(const Graph& g, Rng& rng,
-                                        Weight max_node_weight,
-                                        ThreadPool* pool) {
+                                        Weight max_node_weight) {
   const std::size_t n = g.node_count();
   std::vector<NodeId> match(n);
   std::iota(match.begin(), match.end(), 0u);
 
   const auto order = rng.permutation(static_cast<std::uint32_t>(n));
   std::vector<bool> matched(n, false);
-
-  // Parallel scoring pass: each node's heaviest cap-eligible neighbor,
-  // ignoring matched state (which does not exist yet). The commit pass
-  // below can use candidate[v] verbatim whenever it is still unmatched —
-  // the best over all eligible neighbors is also the best over the
-  // unmatched ones — and rescans otherwise, so the matching is
-  // byte-identical to the serial one.
-  std::vector<NodeId> candidate;
-  if (pool != nullptr && pool->thread_count() > 1 &&
-      n >= kParallelHemMinNodes) {
-    candidate.assign(n, kInvalidNode);
-    pool->parallel_for(n, 256, [&](std::size_t b, std::size_t e) {
-      for (std::size_t v = b; v < e; ++v) {
-        candidate[v] = best_neighbor(g, static_cast<NodeId>(v),
-                                     max_node_weight,
-                                     [](NodeId) { return true; });
-      }
-    });
-  }
-
-  // Sequential deterministic commit in rng order.
-  const auto unmatched = [&](NodeId u) { return !matched[u]; };
   for (const NodeId v : order) {
     if (matched[v]) continue;
-    NodeId best;
-    if (!candidate.empty()) {
-      const NodeId c = candidate[v];
-      if (c == kInvalidNode) continue;  // no eligible neighbor at all
-      best = !matched[c]
-                 ? c
-                 : best_neighbor(g, v, max_node_weight, unmatched);
-    } else {
-      best = best_neighbor(g, v, max_node_weight, unmatched);
-    }
+    const NodeId best = best_neighbor(g, v, max_node_weight, matched);
     if (best != kInvalidNode) {
       match[v] = best;
       match[best] = v;
@@ -153,16 +115,11 @@ GraphHierarchy build_multilevel(const Graph& g0, const CoarsenConfig& config) {
   h.levels.push_back(g0);
 
   Rng rng(config.seed);
-  const unsigned threads = resolve_thread_count(config.threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && g0.node_count() >= kParallelHemMinNodes) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
   while (h.levels.size() <= config.max_levels) {
     const Graph& fine = h.levels.back();
     if (fine.node_count() <= config.min_nodes) break;
     const auto matching =
-        heavy_edge_matching(fine, rng, config.max_node_weight, pool.get());
+        heavy_edge_matching(fine, rng, config.max_node_weight);
     std::vector<NodeId> parent;
     Graph coarse = contract(fine, matching, parent);
     if (static_cast<double>(coarse.node_count()) >

@@ -7,12 +7,15 @@
 // node weights add, parallel edges merge with summed weights. Iterating
 // produces the multilevel graph set G = {G0, G1, …, Gn} with
 // |V(Gn)| <= … <= |V(G0)|.
+//
+// Coarsening is serial: a pooled scoring pass for the matching measured no
+// faster on the D1-D3 overlap graphs (EXPERIMENTS.md, "Shared-memory thread
+// pool").
 #pragma once
 
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
 
@@ -52,24 +55,16 @@ struct CoarsenConfig {
   /// hybrid graph — while the partitioner's internal re-coarsening caps it.
   Weight max_node_weight = 0;
   std::uint64_t seed = 1;
-  /// Real host threads for candidate scoring inside heavy-edge matching:
-  /// 1 = serial (the default — coarsening also runs inside mpr rank threads
-  /// and inside the partitioner's per-region re-coarsening, where extra
-  /// pools would oversubscribe), 0 = auto (FOCUS_THREADS env var, else
-  /// hardware concurrency). The matching is byte-identical for every value.
+  /// Has no effect: coarsening is serial. Kept only because the
+  /// whole-pipeline benchmark (pipeline_bench/pipeline.cpp) sets it.
   unsigned threads = 1;
 };
 
 /// Heavy-edge matching: returns match[v] = partner (or v itself when
 /// unmatched). Deterministic given the rng state. `max_node_weight`
 /// (positive) rejects matches whose merged weight would exceed the cap.
-/// When `pool` is non-null (and wider than one thread), the heavy
-/// best-neighbor scoring pass runs on the pool and the commit pass stays
-/// sequential in rng order, so the result is byte-identical to the serial
-/// matching.
 std::vector<NodeId> heavy_edge_matching(const Graph& g, Rng& rng,
-                                        Weight max_node_weight = 0,
-                                        ThreadPool* pool = nullptr);
+                                        Weight max_node_weight = 0);
 
 /// Contracts a matching: fills `parent` (fine -> coarse id) and returns the
 /// coarse graph.

@@ -11,20 +11,6 @@
 
 namespace focus::mpr {
 
-namespace {
-
-// Collective op codes folded into internal (negative) tags.
-enum CollectiveOp : int {
-  kOpBroadcast = 0,
-  kOpGather = 1,
-  kOpReduceSum = 2,
-  kOpReduceMax = 3,
-  kOpReduceFMax = 4,
-  kOpCount = 5,
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Comm
 // ---------------------------------------------------------------------------
@@ -123,44 +109,12 @@ void Comm::barrier() {
   rt_->barrier_wait(*this);
 }
 
-int Comm::next_collective_tag(int op) {
-  // Collectives are SPMD-ordered, so a per-rank sequence number matches
-  // across ranks. Negative tags keep the internal space disjoint from user
-  // tags (which must be >= 0).
-  const int seq = static_cast<int>(collective_seq_++ % 0x0ffffff);
-  return -(seq * kOpCount + op + 1);
-}
-
-Message Comm::broadcast(Message msg, Rank root) {
-  const int p = size();
-  const int tag = next_collective_tag(kOpBroadcast);
-  if (p == 1) return msg;
-  // Binomial tree rooted at `root`, in the rotated space
-  // vrank = (rank - root) mod p. A node's parent clears its lowest set bit;
-  // its children are vrank | m for masks m below that bit.
-  const int vrank = (rank_ - root + p) % p;
-  int level = 1;
-  if (vrank == 0) {
-    while (level < p) level <<= 1;
-  } else {
-    while ((vrank & level) == 0) level <<= 1;
-  }
-  if (vrank != 0) {
-    msg = recv(((vrank & ~level) + root) % p, tag);
-  }
-  for (int mask = level >> 1; mask >= 1; mask >>= 1) {
-    const int vdst = vrank | mask;
-    if (vdst < p) {
-      Message copy = msg;  // payload duplicated per subtree
-      send((vdst + root) % p, tag, std::move(copy));
-    }
-  }
-  return msg;
-}
-
 std::vector<Message> Comm::gather(Message local, Rank root) {
   const int p = size();
-  const int tag = next_collective_tag(kOpGather);
+  // Gathers are SPMD-ordered, so a per-rank sequence number matches across
+  // ranks. Negative tags keep the internal space disjoint from user tags
+  // (which must be >= 0).
+  const int tag = -static_cast<int>(gather_seq_++ % 0x0ffffff) - 1;
   if (p == 1) {
     std::vector<Message> out;
     out.push_back(std::move(local));
@@ -185,78 +139,6 @@ std::vector<Message> Comm::gather(Message local, Rank root) {
   return out;
 }
 
-namespace {
-
-template <typename T, typename Fold>
-T tree_reduce_broadcast(Comm& comm, int tag, T v, Fold fold) {
-  // Reduce up a binomial tree rooted at rank 0, then broadcast the result
-  // down the same tree. The same tag serves both phases: each parent/child
-  // pair exchanges exactly one message per direction, and mailbox queues are
-  // keyed by (source, tag), so the phases cannot interfere.
-  const int p = comm.size();
-  const Rank r = comm.rank();
-
-  // Lowest set bit of r = the level at which r hands off to its parent.
-  // Rank 0 never hands off; its level is the smallest power of two >= p.
-  int level = 1;
-  if (r == 0) {
-    while (level < p) level <<= 1;
-  } else {
-    while ((r & level) == 0) level <<= 1;
-  }
-
-  // Reduce phase: absorb each child (r | mask for mask < level), then hand
-  // the folded value to the parent.
-  for (int mask = 1; mask < level; mask <<= 1) {
-    const int child = r | mask;
-    if (child < p) {
-      Message m = comm.recv(child, tag);
-      v = fold(v, m.unpack<T>());
-    }
-  }
-  if (r != 0) {
-    Message m;
-    m.pack(v);
-    comm.send(r & ~level, tag, std::move(m));
-    Message back = comm.recv(r & ~level, tag);
-    v = back.unpack<T>();
-  }
-
-  // Broadcast phase: forward the final value to every child.
-  for (int mask = level >> 1; mask >= 1; mask >>= 1) {
-    const int child = r | mask;
-    if (child < p) {
-      Message fm;
-      fm.pack(v);
-      comm.send(child, tag, std::move(fm));
-    }
-  }
-  return v;
-}
-
-}  // namespace
-
-std::int64_t Comm::allreduce_sum(std::int64_t v) {
-  const int tag = next_collective_tag(kOpReduceSum);
-  if (size() == 1) return v;
-  return tree_reduce_broadcast(*this, tag, v,
-                               [](std::int64_t a, std::int64_t b) { return a + b; });
-}
-
-std::int64_t Comm::allreduce_max(std::int64_t v) {
-  const int tag = next_collective_tag(kOpReduceMax);
-  if (size() == 1) return v;
-  return tree_reduce_broadcast(
-      *this, tag, v, [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
-}
-
-double Comm::allreduce_fmax(double v) {
-  const int tag = next_collective_tag(kOpReduceFMax);
-  if (size() == 1) return v;
-  return tree_reduce_broadcast(
-      *this, tag, v, [](double a, double b) { return std::max(a, b); });
-}
-
 // ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
@@ -267,6 +149,9 @@ Runtime::Runtime(int nranks, CostModel cost, FaultPlan plan)
       plan_(std::move(plan)),
       plan_active_(!plan_.empty()) {
   FOCUS_CHECK(nranks >= 1, "runtime requires at least one rank");
+  FOCUS_CHECK(nranks <= kMaxRanks,
+              "runtime supports at most " + std::to_string(kMaxRanks) +
+                  " ranks, got " + std::to_string(nranks));
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());

@@ -3,13 +3,17 @@
 // Focus's distributed algorithms (paper §IV–V) are written against this
 // rank/message API exactly as they would be against MPI: SPMD functions
 // receive a Comm bound to their rank, exchange typed byte messages, and
-// synchronize with barriers and collectives. Ranks execute as preemptively
-// scheduled threads inside one process; see cost_model.hpp for how virtual
-// time reproduces cluster timing behaviour on one shared-memory host, however
-// many cores it has.
+// synchronize with barriers. Comm offers only what the drivers call:
+// point-to-point send/recv/try_recv, barrier and a flat gather; the
+// symmetric simplify builds its all-to-all delta rounds from send and recv
+// (dist/parallel.cpp). Ranks execute as preemptively scheduled threads
+// inside one process, one OS thread per rank, so a Runtime holds at most
+// kMaxRanks ranks; see cost_model.hpp for how virtual time reproduces
+// cluster timing behaviour on one shared-memory host, however many cores it
+// has.
 //
 // Determinism contract: recv() requires an explicit (source, tag), all ranks
-// call collectives in the same order, and virtual clocks advance only through
+// call gathers in the same order, and virtual clocks advance only through
 // explicit charges and message causality — so a run's makespan is a pure
 // function of (algorithm, input, cost model), independent of host scheduling.
 //
@@ -45,6 +49,10 @@
 
 namespace focus::mpr {
 
+/// Largest rank count a Runtime accepts: every rank is an OS thread. It
+/// equals the FOCUS_THREADS ceiling; the largest bench run uses 32 ranks.
+inline constexpr int kMaxRanks = 256;
+
 class Runtime;
 
 /// Aggregate outcome of one SPMD run.
@@ -53,7 +61,7 @@ struct RunStats {
   double makespan = 0.0;
   /// Final virtual clock per rank.
   std::vector<double> rank_vtime;
-  /// Total delivered point-to-point messages (collectives decompose into
+  /// Total delivered point-to-point messages (a gather decomposes into
   /// p2p; dropped messages are not delivered, duplicates count twice).
   std::uint64_t messages = 0;
   /// Total payload bytes delivered.
@@ -119,23 +127,13 @@ class Comm {
   /// log2(p) tree latency. Ranks that terminated are not waited for.
   void barrier();
 
-  /// Binomial-tree broadcast from root; every rank returns the payload.
-  Message broadcast(Message msg, Rank root);
-
-  /// Binomial-tree gather; at root returns size() messages ordered by rank,
+  /// Flat gather; at root returns size() messages ordered by rank,
   /// elsewhere returns an empty vector.
   std::vector<Message> gather(Message local, Rank root);
-
-  /// All-reduce over i64 sum / i64 max / f64 max (tree up + broadcast down).
-  std::int64_t allreduce_sum(std::int64_t v);
-  std::int64_t allreduce_max(std::int64_t v);
-  double allreduce_fmax(double v);
 
  private:
   friend class Runtime;
   Comm(Runtime* rt, Rank rank) : rt_(rt), rank_(rank) {}
-
-  int next_collective_tag(int op);
 
   /// Advances the op counter and consults the fault plan; throws RankFailed
   /// on a crash decision. No-op (and no counter advance) with an empty plan.
@@ -144,13 +142,15 @@ class Comm {
   Runtime* rt_;
   Rank rank_;
   double clock_ = 0.0;
-  std::uint32_t collective_seq_ = 0;
+  std::uint32_t gather_seq_ = 0;
   std::uint64_t op_seq_ = 0;
 };
 
 /// Owns the mailboxes and barrier; executes SPMD functions over n ranks.
 class Runtime {
  public:
+  /// Throws focus::Error unless 1 <= nranks <= kMaxRanks; the check runs
+  /// before any rank thread exists.
   explicit Runtime(int nranks, CostModel cost = {}, FaultPlan plan = {});
 
   int size() const { return nranks_; }

@@ -18,6 +18,8 @@
 //    deterministic virtual time. It is the driver the assembler runs.
 //  * partition_hierarchy — the single-threaded recursion-tree reference the
 //    mpr driver is tested against. Both produce byte-identical partitions.
+// Neither uses a host thread pool: the mpr driver's region bodies run
+// serially on their rank threads.
 //
 // Feeding the *multilevel* hierarchy here reproduces the paper's naïve
 // baseline (full uncoarsening to G0); feeding the *hybrid* hierarchy
@@ -50,11 +52,9 @@ struct PartitionerConfig {
   unsigned trials = 1;
   /// Run the per-level global k-way refinement stage.
   bool kway_refinement = true;
-  /// Pool width of dist::partition_node_lists, the gather of per-partition
-  /// node lists the distributed graph stages run after partitioning (0 =
-  /// auto: honor FOCUS_THREADS, else hardware concurrency). The lists are
-  /// byte-identical for every value. Both partitioning drivers are
-  /// single-threaded and ignore it.
+  /// Has no effect: both partitioning drivers and the node-list gather are
+  /// single-threaded. Kept only because the whole-pipeline benchmark
+  /// (pipeline_bench/pipeline.cpp) sets it.
   unsigned threads = 0;
 };
 

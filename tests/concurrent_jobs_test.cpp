@@ -46,11 +46,7 @@ core::FocusConfig jobs_config(dist::DistProtocol protocol,
   cfg.ranks = 2;
   cfg.min_contig_length = 150;
   cfg.dist.protocol = protocol;
-  if (width != 0) {
-    cfg.overlap.threads = width;
-    cfg.coarsen.threads = width;
-    cfg.partitioner.threads = width;
-  }
+  if (width != 0) cfg.overlap.threads = width;
   return cfg;
 }
 

@@ -3,6 +3,8 @@
 // popping, traversal, and serial/parallel equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/dna.hpp"
@@ -641,15 +643,32 @@ TEST(DistParallelTiming, SymmetricProtocolStillScalesDespiteWalCharge) {
   EXPECT_GT(t1 / t8, 1.5);
 }
 
-TEST(PartitionNodeLists, IdenticalAcrossWidths) {
+TEST(PartitionNodeLists, EveryNodeOnceInAscendingOrder) {
   Rng rng(777);
   const PartId nparts = 14;
   std::vector<PartId> part(10'000);
   for (auto& p : part) p = static_cast<PartId>(rng.next_below(nparts));
-  const auto reference = partition_node_lists(part, nparts, 1);
-  for (const unsigned width : {2u, 4u, 8u}) {
-    SCOPED_TRACE(width);
-    EXPECT_EQ(partition_node_lists(part, nparts, width), reference);
+  const auto lists = partition_node_lists(part, nparts);
+  ASSERT_EQ(lists.size(), static_cast<std::size_t>(nparts));
+  std::vector<int> seen(part.size(), 0);
+  for (PartId p = 0; p < nparts; ++p) {
+    SCOPED_TRACE(p);
+    const auto& list = lists[static_cast<std::size_t>(p)];
+    EXPECT_EQ(std::adjacent_find(list.begin(), list.end(),
+                                 std::greater_equal<NodeId>()),
+              list.end());
+    for (const NodeId v : list) {
+      ASSERT_LT(v, part.size());
+      EXPECT_EQ(part[v], p);
+      ++seen[v];
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(part.size()));
+
+  for (const PartId bad : {nparts, PartId{-1}}) {
+    part[4321] = bad;
+    EXPECT_THROW(partition_node_lists(part, nparts), Error);
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the message-passing runtime: correctness of point-to-point,
-// collectives, and the deterministic virtual-time cost model.
+// the gather, and the deterministic virtual-time cost model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -143,23 +143,6 @@ TEST(Runtime, ExceptionPropagatesFromWorkerRank) {
 
 class CollectiveTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CollectiveTest, BroadcastDeliversToAll) {
-  const int p = GetParam();
-  for (Rank root = 0; root < p; ++root) {
-    std::vector<std::string> got(p);
-    Runtime::execute(p, [&](Comm& comm) {
-      Message m;
-      if (comm.rank() == root) m.pack_string("payload-from-root");
-      Message out = comm.broadcast(std::move(m), root);
-      got[comm.rank()] =
-          comm.rank() == root ? "payload-from-root" : out.unpack_string();
-    });
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(got[r], "payload-from-root") << "p=" << p << " root=" << root;
-    }
-  }
-}
-
 TEST_P(CollectiveTest, GatherCollectsInRankOrder) {
   const int p = GetParam();
   std::vector<int> collected;
@@ -178,36 +161,28 @@ TEST_P(CollectiveTest, GatherCollectsInRankOrder) {
   for (int r = 0; r < p; ++r) EXPECT_EQ(collected[r], r * 10);
 }
 
-TEST_P(CollectiveTest, AllreduceSum) {
-  const int p = GetParam();
-  std::vector<std::int64_t> results(p);
-  Runtime::execute(p, [&](Comm& comm) {
-    results[comm.rank()] = comm.allreduce_sum(comm.rank() + 1);
-  });
-  const std::int64_t expected = static_cast<std::int64_t>(p) * (p + 1) / 2;
-  for (int r = 0; r < p; ++r) EXPECT_EQ(results[r], expected);
-}
-
-TEST_P(CollectiveTest, AllreduceMax) {
-  const int p = GetParam();
-  std::vector<std::int64_t> results(p);
-  std::vector<double> fresults(p);
-  Runtime::execute(p, [&](Comm& comm) {
-    results[comm.rank()] = comm.allreduce_max(100 - comm.rank());
-    fresults[comm.rank()] = comm.allreduce_fmax(0.5 * comm.rank());
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(results[r], 100);
-    EXPECT_DOUBLE_EQ(fresults[r], 0.5 * (p - 1));
-  }
-}
-
 TEST_P(CollectiveTest, ConsecutiveCollectivesDoNotInterfere) {
+  // Back-to-back gathers to rotating roots, interleaved with barriers: each
+  // round's root must see exactly that round's payloads, in rank order.
   const int p = GetParam();
   Runtime::execute(p, [&](Comm& comm) {
     for (int round = 0; round < 5; ++round) {
-      EXPECT_EQ(comm.allreduce_sum(1), p);
-      EXPECT_EQ(comm.allreduce_max(comm.rank()), p - 1);
+      const Rank root = round % p;
+      for (int k = 0; k < 2; ++k) {
+        Message m;
+        m.pack<int>(1000 * round + 10 * comm.rank() + k);
+        auto all = comm.gather(std::move(m), root);
+        if (comm.rank() == root) {
+          ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
+          for (int r = 0; r < p; ++r) {
+            EXPECT_EQ(all[static_cast<std::size_t>(r)].unpack<int>(),
+                      1000 * round + 10 * r + k);
+          }
+        } else {
+          EXPECT_TRUE(all.empty());
+        }
+      }
+      comm.barrier();
     }
   });
 }
@@ -274,8 +249,10 @@ TEST(VirtualTime, DeterministicAcrossRuns) {
     return Runtime::execute(6, [](Comm& comm) {
       // A little SPMD program with mixed communication.
       comm.charge(100.0 * (comm.rank() + 1));
-      const auto total = comm.allreduce_sum(comm.rank());
-      comm.charge(static_cast<double>(total));
+      Message mine;
+      mine.pack<int>(comm.rank());
+      auto all = comm.gather(std::move(mine), 0);
+      for (auto& msg : all) comm.charge(msg.unpack<int>());
       comm.barrier();
       if (comm.rank() > 0) {
         Message m;
@@ -336,7 +313,11 @@ TEST(Runtime, SingleRankNeedsNoThreads) {
     ++calls;
     comm.barrier();          // no-op with one rank
     comm.charge(10.0);
-    EXPECT_EQ(comm.allreduce_sum(5), 5);
+    Message m;
+    m.pack<int>(5);
+    auto all = comm.gather(std::move(m), 0);
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].unpack<int>(), 5);
   });
   EXPECT_EQ(calls, 1);
   EXPECT_GT(stats.makespan, 0.0);
@@ -345,6 +326,11 @@ TEST(Runtime, SingleRankNeedsNoThreads) {
 TEST(Runtime, InvalidConstruction) {
   EXPECT_THROW(Runtime(0), Error);
   EXPECT_THROW(Runtime(-3), Error);
+  // One OS thread per rank: the bound is checked before any thread exists
+  // (construction starts none; run() would start one per rank).
+  EXPECT_THROW(Runtime(kMaxRanks + 1), Error);
+  EXPECT_THROW(Runtime::execute(kMaxRanks + 1, [](Comm&) { FAIL(); }), Error);
+  EXPECT_NO_THROW(Runtime{kMaxRanks});
 }
 
 }  // namespace

@@ -264,9 +264,19 @@ TEST(PipelineFailure, InvalidPartitionCountRejected) {
   EXPECT_THROW(FocusAssembler{cfg}, Error);
   cfg.partitions = 0;
   EXPECT_THROW(FocusAssembler{cfg}, Error);
+  // A power of two, but past the bound: the wave driver's region lists grow
+  // with k whatever the input.
+  cfg.partitions = 131'072;
+  EXPECT_THROW(FocusAssembler{cfg}, Error);
   cfg.partitions = 4;
   cfg.ranks = 0;
   EXPECT_THROW(FocusAssembler{cfg}, Error);
+  // Every rank is an OS thread.
+  cfg.ranks = mpr::kMaxRanks + 1;
+  EXPECT_THROW(FocusAssembler{cfg}, Error);
+  cfg.ranks = mpr::kMaxRanks;
+  cfg.partitions = kMaxPartitions;
+  EXPECT_NO_THROW(FocusAssembler{cfg});
 }
 
 TEST(PipelineFailure, NoOverlapsStillProducesPerReadContigs) {

@@ -252,8 +252,9 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_TRUE(reuse.cache_hits.overlaps);
   EXPECT_TRUE(reuse.cache_hits.coarsen);
 
-  // Pool widths change neither the cached artifacts nor their vtime, so a
-  // config that differs only in them hits all three stages.
+  // Width fields stay out of the keys: the stage-2 pool width changes
+  // neither the cached artifacts nor their vtime, and coarsen.threads has no
+  // effect, so a config that differs only in them hits all three stages.
   core::FocusConfig rewidth = cfg;
   rewidth.overlap.threads = cfg.overlap.threads + 3;
   rewidth.coarsen.threads = cfg.coarsen.threads + 3;

@@ -1,7 +1,7 @@
 // Tests for the shared-memory work-stealing pool and for the determinism
-// contract of everything built on it: stage 2 on its host pool under the
-// rank driver, parallel heavy-edge-matching scoring, and the full pipeline
-// must produce byte-identical results at every thread count.
+// contract of its one consumer: stage 2 on its host pool under the rank
+// driver, and the full pipeline around it, must produce byte-identical
+// results at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,8 +19,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/assembler.hpp"
-#include "graph/coarsen.hpp"
-#include "graph/graph.hpp"
 #include "io/preprocess.hpp"
 #include "partition/partition.hpp"
 #include "sim/community.hpp"
@@ -230,22 +228,6 @@ io::ReadSet simulated_reads(std::size_t genome_len, double coverage,
   return io::preprocess(simulated.reads, io::PreprocessConfig{});
 }
 
-graph::Graph random_graph(std::uint64_t seed, std::size_t n,
-                          std::size_t extra) {
-  Rng rng(seed);
-  graph::GraphBuilder b(n);
-  for (NodeId v = 1; v < n; ++v) {
-    b.add_edge(v, static_cast<NodeId>(rng.next_below(v)),
-               1 + static_cast<Weight>(rng.next_below(50)));
-  }
-  for (std::size_t i = 0; i < extra; ++i) {
-    const auto u = static_cast<NodeId>(rng.next_below(n));
-    const auto v = static_cast<NodeId>(rng.next_below(n));
-    if (u != v) b.add_edge(u, v, 1 + static_cast<Weight>(rng.next_below(50)));
-  }
-  return b.build();
-}
-
 // ---------------------------------------------------------------------------
 // Determinism regression: stage 2 on the host pool
 // ---------------------------------------------------------------------------
@@ -298,52 +280,6 @@ TEST(OverlapDeterminism, SingleSubsetAndMoreSubsetsThanReads) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism regression: parallel HEM scoring and coarsening
-// ---------------------------------------------------------------------------
-
-TEST(CoarsenDeterminism, PooledMatchingIsByteIdentical) {
-  const auto g = random_graph(21, 3000, 9000);
-  for (const Weight cap : {Weight{0}, Weight{4}}) {
-    SCOPED_TRACE("cap=" + std::to_string(cap));
-    Rng serial_rng(99);
-    const auto serial = graph::heavy_edge_matching(g, serial_rng, cap);
-    for (const unsigned threads : {2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      ThreadPool pool(threads);
-      Rng pooled_rng(99);
-      const auto pooled =
-          graph::heavy_edge_matching(g, pooled_rng, cap, &pool);
-      EXPECT_EQ(serial, pooled);
-    }
-  }
-}
-
-TEST(CoarsenDeterminism, MultilevelHierarchyIdenticalAcrossThreadCounts) {
-  const auto g0 = random_graph(31, 4000, 12000);
-  graph::CoarsenConfig cfg;
-  cfg.min_nodes = 32;
-  cfg.threads = 1;
-  const auto reference = graph::build_multilevel(g0, cfg);
-  ASSERT_GT(reference.depth(), 1u);
-
-  for (const unsigned threads : {2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cfg.threads = threads;
-    const auto pooled = graph::build_multilevel(g0, cfg);
-    ASSERT_EQ(pooled.depth(), reference.depth());
-    EXPECT_EQ(pooled.parent, reference.parent);
-    for (std::size_t l = 0; l < reference.depth(); ++l) {
-      EXPECT_EQ(pooled.levels[l].node_count(),
-                reference.levels[l].node_count());
-      EXPECT_EQ(pooled.levels[l].edge_count(),
-                reference.levels[l].edge_count());
-      EXPECT_EQ(pooled.levels[l].total_edge_weight(),
-                reference.levels[l].total_edge_weight());
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism regression: full quickstart pipeline
 // ---------------------------------------------------------------------------
 
@@ -373,7 +309,6 @@ TEST(PipelineDeterminism, ContigsEdgeCutsAndOverlapsIdenticalAcrossThreads) {
     config.partitions = 8;
     config.ranks = 4;
     config.overlap.threads = threads;
-    config.coarsen.threads = threads;
     const auto result = core::assemble_reads(sim_reads.reads, config);
     const Weight cut =
         partition::edge_cut(result.overlap_graph, result.read_partition);

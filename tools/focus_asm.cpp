@@ -13,7 +13,6 @@
 // Exit status: 0 on success, 1 on an input, assembly or output error, 2 on a
 // usage error (unknown flag, missing value, or a numeric value that is
 // malformed or out of range).
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -118,8 +117,9 @@ void usage(const char* argv0) {
                "usage: %s -i <reads.fast[aq]> -o <prefix> [options]\n"
                "\n"
                "options:\n"
-               "  -k <int>     graph partitions, power of two (default 16)\n"
-               "  -r <int>     worker ranks (default 8)\n"
+               "  -k <int>     graph partitions, power of two in [1, 65536] "
+               "(default 16)\n"
+               "  -r <int>     worker ranks in [1, 256] (default 8)\n"
                "  --min-overlap <bp>      overlap length threshold (default 50)\n"
                "  --min-identity <frac>   overlap identity threshold (default 0.90)\n"
                "  --seed-k <int>          seeding k-mer length (default 14)\n"
@@ -160,13 +160,15 @@ int main(int argc, char** argv) {
         prefix = next();
       } else if (arg == "-k") {
         const char* value = next();
-        config.partitions = static_cast<int>(flag_u64(arg, value, 1, 1u << 30));
+        config.partitions = static_cast<PartId>(
+            flag_u64(arg, value, 1, core::kMaxPartitions));
         if ((config.partitions & (config.partitions - 1)) != 0) {
           throw CliError("-k must be a power of two, got '" +
                          std::string(value) + "'");
         }
       } else if (arg == "-r") {
-        config.ranks = static_cast<int>(flag_u64(arg, next(), 1, INT_MAX));
+        config.ranks =
+            static_cast<int>(flag_u64(arg, next(), 1, mpr::kMaxRanks));
       } else if (arg == "--min-overlap") {
         config.overlap.min_overlap =
             static_cast<std::uint32_t>(flag_u64(arg, next(), 0, UINT32_MAX));

@@ -15,8 +15,10 @@
 # partitioner suite (partition_test: the single-threaded recursion-tree
 # driver against the mpr wave driver with one and three trials, the chunked
 # KL pair search against the heap and naive scans, and the PartitionGolden
-# levels, cuts and mpr RunStats on D1-D3; dist_test's node-list gather
-# across pool widths), the stage-2
+# levels, cuts and mpr RunStats on D1-D3), the seeded-mutation fuzz suite
+# (label `fuzz`: mutated FASTQ/FASTA through the parser and preprocess,
+# mutated mpr message frames through an unpack sequence; every mutant
+# parses or throws focus::Error), the stage-2
 # oracle suite (overlap_dist_test: find_overlaps_parallel and the recovering
 # subset-pair driver against find_overlaps_serial across rank counts and
 # both protocols, with empty, never-firing and crash-at-every-op plans: one
@@ -72,9 +74,11 @@
 #   tools/run_sanitizers.sh asan-ubsan -R Seed     # equivalence, ASan+UBSan
 #   tools/run_sanitizers.sh asan-ubsan -R 'BandedNw|Seed'  # NW kernels too
 #   tools/run_sanitizers.sh thread -L fault        # fault suite under TSan
+#   tools/run_sanitizers.sh asan-ubsan -L fuzz     # mutation fuzzing
 #
-# The partitioner legs (partition_test, the node-list gather, the pool and
-# the bench_partition_smoke gate; ctest names tests by gtest suite):
+# The partitioner legs (partition_test, the serial node-list gather, the
+# pool and the bench_partition_smoke gate; ctest names tests by gtest
+# suite):
 #
 #   tools/run_sanitizers.sh thread -R \
 #     '^(Ggg|Kl|Kway|Metrics|MlPart|PartitionGolden|RankCounts/MlPartParallel|PartitionNodeLists|ThreadPool|Widths/ThreadPoolWidths)|bench_partition_smoke'

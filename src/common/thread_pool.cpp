@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -48,11 +49,21 @@ ThreadPool::ThreadPool(unsigned threads)
   }
   workers_.reserve(threads_ - 1);
   for (unsigned w = 1; w < threads_; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
+    try {
+      workers_.emplace_back([this, w] { worker_main(w); });
+    } catch (const std::exception& e) {
+      // The destructor does not run for a throwing constructor: stop and
+      // join the workers already started, or their std::threads terminate.
+      stop_workers();
+      throw Error("cannot start thread pool worker " + std::to_string(w) +
+                  " of " + std::to_string(threads_ - 1) + ": " + e.what());
+    }
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lk(wake_mu_);
     stop_ = true;

@@ -73,6 +73,8 @@ class ThreadPool {
  public:
   /// `threads` is resolved with resolve_thread_count(); the pool spawns
   /// threads-1 workers (the caller participates as the remaining one).
+  /// Throws focus::Error naming the worker that could not be started, after
+  /// joining the ones that were.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -110,6 +112,7 @@ class ThreadPool {
   };
 
   void worker_main(unsigned self);
+  void stop_workers();
   bool try_acquire(unsigned self, std::function<void()>& task);
 
   unsigned threads_;

@@ -135,33 +135,28 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
 
   // --- Stage 3: overlap graph + multilevel graph set (§II-C). -------------
   wall.restart();
-  {
-    std::shared_ptr<const CoarsenArtifact> hit;
-    if (cache != nullptr) hit = cache->get_coarsen(co_key);
-    double coarsen_vtime = 0.0;
-    if (hit != nullptr) {
-      result.overlap_graph = hit->overlap_graph;
-      result.multilevel = hit->multilevel;
-      coarsen_vtime = hit->vtime;
-      result.cache_hits.coarsen = true;
-    } else {
-      result.overlap_graph =
-          graph::build_overlap_graph(result.reads.size(), result.overlaps);
-      result.multilevel =
-          graph::build_multilevel(result.overlap_graph, config_.coarsen);
-      double edges = 0.0;
-      for (const auto& level : result.multilevel.levels) {
-        edges += static_cast<double>(level.edge_count());
-      }
-      coarsen_vtime = config_.cost.compute_cost(edges);
-      if (cache != nullptr) {
-        auto artifact = std::make_shared<CoarsenArtifact>();
-        artifact->overlap_graph = result.overlap_graph;
-        artifact->multilevel = result.multilevel;
-        artifact->vtime = coarsen_vtime;
-        cache->put_coarsen(co_key, std::move(artifact));
-      }
+  // A hit also holds the hybrid set and the unsimplified assembly graph
+  // (stage_cache.hpp): stages 4 and 6 copy them instead of building them.
+  std::shared_ptr<const CoarsenArtifact> coarsened;
+  if (cache != nullptr) coarsened = cache->get_coarsen(co_key);
+  double coarsen_vtime = 0.0;
+  if (coarsened != nullptr) {
+    result.overlap_graph = coarsened->overlap_graph;
+    result.multilevel = coarsened->multilevel;
+    coarsen_vtime = coarsened->vtime;
+    result.cache_hits.coarsen = true;
+  } else {
+    result.overlap_graph =
+        graph::build_overlap_graph(result.reads.size(), result.overlaps);
+    result.multilevel =
+        graph::build_multilevel(result.overlap_graph, config_.coarsen);
+    double edges = 0.0;
+    for (const auto& level : result.multilevel.levels) {
+      edges += static_cast<double>(level.edge_count());
     }
+    coarsen_vtime = config_.cost.compute_cost(edges);
+  }
+  {
     StageTiming t;
     t.wall = wall.seconds();
     t.vtime = coarsen_vtime;
@@ -170,9 +165,13 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
 
   // --- Stage 4: hybrid graph set (§II-D). ----------------------------------
   wall.restart();
-  graph::Digraph read_graph =
-      graph::build_read_digraph(result.reads.size(), result.overlaps);
-  {
+  dist::AsmGraph asm_graph;  // unsimplified; stage 6 simplifies it in place
+  double asm_build_wall = 0.0;  // stage 6's share of this section
+  if (coarsened != nullptr) {
+    result.hybrid = coarsened->hybrid;
+  } else {
+    const graph::Digraph read_graph =
+        graph::build_read_digraph(result.reads.size(), result.overlaps);
     std::vector<std::uint32_t> lengths;
     lengths.reserve(result.reads.size());
     for (const auto& r : result.reads) {
@@ -180,8 +179,26 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     }
     result.hybrid =
         graph::build_hybrid(result.multilevel, read_graph, std::move(lengths));
+    // The hybrid set, the read graph and the reads are the assembly graph's
+    // only inputs, so it is built while the read graph is alive, and the
+    // stage-3 artifact is deposited once it exists.
+    Timer asm_build;
+    asm_graph =
+        build_assembly_graph(result.hybrid, read_graph, result.reads).graph;
+    asm_build_wall = asm_build.seconds();
+    if (cache != nullptr) {
+      auto artifact = std::make_shared<CoarsenArtifact>();
+      artifact->overlap_graph = result.overlap_graph;
+      artifact->multilevel = result.multilevel;
+      artifact->hybrid = result.hybrid;
+      artifact->assembly_graph = asm_graph;
+      artifact->vtime = coarsen_vtime;
+      cache->put_coarsen(co_key, std::move(artifact));
+    }
+  }
+  {
     StageTiming t;
-    t.wall = wall.seconds();
+    t.wall = wall.seconds() - asm_build_wall;
     t.vtime = config_.cost.compute_cost(result.hybrid.selection_work);
     result.timings["4-hybrid"] = t;
   }
@@ -235,17 +252,17 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     }
   }
 
-  AsmBuildResult built =
-      build_assembly_graph(result.hybrid, read_graph, result.reads);
+  // A miss built the assembly graph in stage 4; a hit copies it here.
+  if (coarsened != nullptr) asm_graph = coarsened->assembly_graph;
   {
     auto simplified = dist::simplify_parallel(
-        built.graph, node_part, config_.partitions, config_.simplify,
+        asm_graph, node_part, config_.partitions, config_.simplify,
         config_.ranks, config_.cost, /*threads (no effect)=*/1,
         config_.fault_plan, config_.fault, config_.dist);
     result.simplify_stats = simplified.stats;
     result.simplify_run = simplified.run;
     StageTiming t;
-    t.wall = wall.seconds();
+    t.wall = wall.seconds() + asm_build_wall;
     t.vtime = simplified.run.makespan;
     result.timings["6-simplify"] = t;
   }
@@ -254,7 +271,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
   wall.restart();
   {
     auto traversed = dist::traverse_parallel(
-        built.graph, node_part, config_.partitions, config_.ranks,
+        asm_graph, node_part, config_.partitions, config_.ranks,
         config_.cost, /*threads (no effect)=*/1, config_.fault_plan,
         config_.fault, config_.dist);
     result.paths = std::move(traversed.paths);
@@ -262,7 +279,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     std::vector<std::string> contigs;
     contigs.reserve(result.paths.size());
     for (const auto& path : result.paths) {
-      contigs.push_back(built.graph.merge_path_contigs(path));
+      contigs.push_back(asm_graph.merge_path_contigs(path));
     }
     result.contigs =
         dedupe_contigs(std::move(contigs), config_.min_contig_length);
@@ -272,7 +289,7 @@ AssemblyResult FocusAssembler::assemble(const io::ReadSet& raw_reads,
     t.vtime = traversed.run.makespan;
     result.timings["7-traverse"] = t;
   }
-  result.assembly_graph = std::move(built.graph);
+  result.assembly_graph = std::move(asm_graph);
 
   return result;
 }

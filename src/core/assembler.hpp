@@ -94,6 +94,8 @@ struct StageTiming {
 struct StageCacheHits {
   bool preprocess = false;
   bool overlaps = false;
+  /// Stages 3-4 and the assembly-graph build: the stage-3 artifact also
+  /// holds the hybrid set and the unsimplified assembly graph.
   bool coarsen = false;
 };
 
@@ -142,9 +144,10 @@ class FocusAssembler {
   }
 
   /// Runs the full pipeline, consulting `cache` (may be null) for the
-  /// stage-1..3 artifacts and depositing freshly built ones. Byte-identical
-  /// to the uncached overload apart from AssemblyResult::cache_hits and
-  /// wall-clock timings.
+  /// stage-1..3 artifacts (the third also serves stage 4 and the
+  /// unsimplified assembly graph) and depositing freshly built ones.
+  /// Byte-identical to the uncached overload apart from
+  /// AssemblyResult::cache_hits and wall-clock timings.
   AssemblyResult assemble(const io::ReadSet& raw_reads,
                           StageCache* cache) const;
 

@@ -3,9 +3,11 @@
 // The same dataset is often re-assembled with tweaked downstream knobs (the
 // pipeline benchmark's `resweep` workload re-partitions one dataset at many
 // k). The expensive early stages — preprocessing (packed reads), overlap
-// discovery (the product of the k-mer index), and multilevel coarsening (the
-// graph hierarchy) — are pure functions of (dataset, config), so their
-// results can be cached and re-used across runs.
+// discovery (the product of the k-mer index), multilevel coarsening (the
+// graph hierarchy), and what follows from them without a knob of its own
+// (the hybrid graph set and the unsimplified assembly graph) — are pure
+// functions of (dataset, config), so their results can be cached and re-used
+// across runs.
 //
 // This header defines the *mechanism* the assembler consults: immutable
 // artifact value types, a digest-chained key schema, and an abstract
@@ -24,6 +26,14 @@
 // stage-2 drivers' overlaps and RunStats are bit-identical at every
 // `overlap.threads` width, and `coarsen.threads` has no effect.
 //
+// The stage-3 artifact also carries stage 4's hybrid graph set and the
+// assembly graph built from it, before simplification. Neither build reads
+// a knob (nor the partition count k, nor the partitioning route), so the
+// coarsen key, which chains the dataset, every upstream config and the
+// envelope, already determines them: a re-partition at another k copies
+// them instead of rebuilding the read digraph, the hybrid set and the
+// assembly graph.
+//
 // Note on the k-mer index: the overlap stage's indices (per-subset hashed
 // postings) are transients of the stage — built once per reference subset
 // per call and freed before it returns. What the cache stores is the
@@ -36,8 +46,10 @@
 
 #include "align/overlap.hpp"
 #include "common/digest.hpp"
+#include "dist/asm_graph.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/graph.hpp"
+#include "graph/hybrid.hpp"
 #include "io/preprocess.hpp"
 #include "io/read.hpp"
 #include "mpr/runtime.hpp"
@@ -64,10 +76,15 @@ struct OverlapArtifact {
 };
 
 /// Stage-3 product: the overlap graph and its multilevel coarsening
-/// hierarchy, plus the stage's virtual-time charge.
+/// hierarchy, plus the stage's virtual-time charge; and what follows from
+/// them with no knob of its own: the stage-4 hybrid graph set and the
+/// assembly graph build_assembly_graph returns, kept unsimplified because
+/// stage 6 simplifies its own copy in place.
 struct CoarsenArtifact {
   graph::Graph overlap_graph;
   graph::GraphHierarchy multilevel;
+  graph::HybridGraphSet hybrid;
+  dist::AsmGraph assembly_graph;
   double vtime = 0.0;
 };
 

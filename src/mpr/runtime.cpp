@@ -339,14 +339,23 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks_));
     for (Rank r = 0; r < nranks_; ++r) {
-      threads.emplace_back([&, r] {
-        try {
-          fn(comms[static_cast<std::size_t>(r)]);
-        } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-        }
-        finish_rank(r, errors[static_cast<std::size_t>(r)] != nullptr);
-      });
+      try {
+        threads.emplace_back([&, r] {
+          try {
+            fn(comms[static_cast<std::size_t>(r)]);
+          } catch (...) {
+            errors[static_cast<std::size_t>(r)] = std::current_exception();
+          }
+          finish_rank(r, errors[static_cast<std::size_t>(r)] != nullptr);
+        });
+      } catch (const std::exception& e) {
+        // Ranks r.. never run: terminate them so started peers blocked on
+        // them wake, and join the started ones before reporting.
+        for (Rank q = r; q < nranks_; ++q) finish_rank(q, /*failed=*/true);
+        for (auto& t : threads) t.join();
+        throw Error("cannot start the thread of rank " + std::to_string(r) +
+                    " of " + std::to_string(nranks_) + ": " + e.what());
+      }
     }
     for (auto& t : threads) t.join();
   }

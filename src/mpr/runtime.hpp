@@ -165,6 +165,10 @@ class Runtime {
   /// what(). While a fault plan is active, RankFailed exceptions are the
   /// expected injected outcome: they are counted in RunStats::ranks_failed
   /// and excluded from the composite (recovery is the drivers' job).
+  ///
+  /// If a rank thread cannot be started, the unstarted ranks are terminated
+  /// as failed (so started peers blocked on them wake), the started threads
+  /// are joined, and a focus::Error naming the rank is thrown.
   RunStats run(const std::function<void(Comm&)>& fn);
 
   /// One-shot convenience: Runtime(nranks, cost, plan).run(fn).

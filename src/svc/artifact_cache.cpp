@@ -11,12 +11,35 @@ std::size_t graph_bytes(const graph::Graph& g) {
          2 * g.edge_count() * sizeof(graph::Edge) + sizeof(graph::Graph);
 }
 
+template <typename T>
+std::size_t nested_bytes(const std::vector<std::vector<T>>& v) {
+  std::size_t total = v.capacity() * sizeof(std::vector<T>);
+  for (const auto& inner : v) total += inner.capacity() * sizeof(T);
+  return total;
+}
+
 std::size_t hierarchy_bytes(const graph::GraphHierarchy& h) {
   std::size_t total = sizeof(graph::GraphHierarchy);
   for (const graph::Graph& level : h.levels) total += graph_bytes(level);
-  total += h.parent.capacity() * sizeof(std::vector<NodeId>);
-  for (const auto& level : h.parent) total += level.capacity() * sizeof(NodeId);
-  return total;
+  return total + nested_bytes(h.parent);
+}
+
+std::size_t hybrid_bytes(const graph::HybridGraphSet& h) {
+  return hierarchy_bytes(h.hierarchy) + nested_bytes(h.origin) +
+         nested_bytes(h.cluster_reads) + nested_bytes(h.layouts) +
+         h.reps_per_level.capacity() * sizeof(std::size_t);
+}
+
+std::size_t asm_graph_bytes(const dist::AsmGraph& g) {
+  // Node records with their contigs, edge records, and one out- and one
+  // in-adjacency list per node holding every edge id once each.
+  std::size_t total = g.node_count() * (sizeof(dist::AsmNode) +
+                                        2 * sizeof(std::vector<dist::EdgeId>));
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    total += g.node(v).contig.capacity();
+  }
+  return total + g.edge_count() *
+                     (sizeof(dist::AsmEdge) + 2 * sizeof(dist::EdgeId));
 }
 
 }  // namespace
@@ -37,7 +60,9 @@ std::size_t artifact_bytes(const core::OverlapArtifact& artifact) {
 
 std::size_t artifact_bytes(const core::CoarsenArtifact& artifact) {
   return sizeof(core::CoarsenArtifact) + graph_bytes(artifact.overlap_graph) +
-         hierarchy_bytes(artifact.multilevel);
+         hierarchy_bytes(artifact.multilevel) +
+         hybrid_bytes(artifact.hybrid) +
+         asm_graph_bytes(artifact.assembly_graph);
 }
 
 std::shared_ptr<const void> ArtifactCache::get_any(Kind kind,

@@ -9,9 +9,10 @@
 // that assembly still reads it.
 //
 // Sizing is approximate by design: artifact_bytes() counts the dominant heap
-// blocks (read strings, overlap vectors, CSR arrays) and ignores allocator
-// slack. The budget is a *target* for resident artifact bytes, not an exact
-// RSS bound.
+// blocks (read strings, overlap vectors, CSR arrays, the hybrid set's
+// clusters and layouts, the assembly graph's contigs and edges) and ignores
+// allocator slack. The budget is a *target* for resident artifact bytes, not
+// an exact RSS bound.
 #pragma once
 
 #include <cstddef>

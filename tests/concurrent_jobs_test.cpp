@@ -8,12 +8,14 @@
 // tools/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.hpp"
 #include "core/assembler.hpp"
+#include "dist/gfa.hpp"
 #include "sim/datasets.hpp"
 #include "svc/artifact_cache.hpp"
 
@@ -146,6 +148,45 @@ TEST(ConcurrentAssemblers, SharedArtifactCacheMatchesSerial) {
   EXPECT_TRUE(again.cache_hits.overlaps);
   EXPECT_TRUE(again.cache_hits.coarsen);
   expect_same_assembly(again, oracle_one(), "shared cache / repeat");
+
+  // Two simultaneous re-partitions of dataset 1 at other k over the warm
+  // cache: both copy the hybrid set and the unsimplified assembly graph out
+  // of the one stage-3 artifact at once, and each must equal a cache-free
+  // serial run at its k, down to the simplified graph and every stage's
+  // vtime.
+  const auto gfa_text = [](const dist::AsmGraph& graph) {
+    std::ostringstream out;
+    dist::write_gfa(out, graph);
+    return out.str();
+  };
+  std::vector<core::FocusConfig> configs(2, cfg);
+  configs[0].partitions = 2;
+  configs[1].partitions = 16;
+  std::vector<core::AssemblyResult> warm(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      warm[i] = core::FocusAssembler(configs[i])
+                    .assemble(dataset_one().data.reads, &cache);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string ctx =
+        "shared cache / k=" + std::to_string(configs[i].partitions);
+    const core::AssemblyResult oracle =
+        core::assemble_reads(dataset_one().data.reads, configs[i]);
+    EXPECT_TRUE(warm[i].cache_hits.coarsen) << ctx;
+    expect_same_assembly(warm[i], oracle, ctx);
+    EXPECT_EQ(warm[i].read_partition, oracle.read_partition) << ctx;
+    EXPECT_EQ(gfa_text(warm[i].assembly_graph),
+              gfa_text(oracle.assembly_graph))
+        << ctx;
+    for (const auto& [stage, timing] : oracle.timings) {
+      EXPECT_EQ(warm[i].timings.at(stage).vtime, timing.vtime)
+          << ctx << " / " << stage;
+    }
+  }
 }
 
 }  // namespace

@@ -2,19 +2,23 @@
 // capture and strict parsing (including the removed
 // FOCUS_GRAPH_BACKEND=csr-spill value), ArtifactCache policy (hit/miss, LRU
 // eviction, oversized decline), and the end-to-end stage-cache path through
-// the assembler (repeat runs must hit and stay byte-identical).
+// the assembler (repeat runs and re-partitions at other k must hit and stay
+// byte-identical to cache-free runs, RunStats and vtime included).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/assembler.hpp"
+#include "dist/gfa.hpp"
 #include "sim/datasets.hpp"
 #include "svc/artifact_cache.hpp"
 
@@ -199,6 +203,24 @@ core::FocusConfig tiny_config() {
   return cfg;
 }
 
+std::string gfa_text(const dist::AsmGraph& graph) {
+  std::ostringstream out;
+  dist::write_gfa(out, graph);
+  return out.str();
+}
+
+void expect_identical_run(const mpr::RunStats& got, const mpr::RunStats& want,
+                          const char* which) {
+  SCOPED_TRACE(which);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.rank_vtime, want.rank_vtime);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.ranks_failed, want.ranks_failed);
+  EXPECT_EQ(got.recovery_vtime, want.recovery_vtime);
+}
+
 void expect_identical_assembly(const core::AssemblyResult& got,
                                const core::AssemblyResult& want) {
   ASSERT_EQ(got.contigs, want.contigs);
@@ -208,9 +230,31 @@ void expect_identical_assembly(const core::AssemblyResult& got,
   EXPECT_EQ(got.stats.n50, want.stats.n50);
   EXPECT_EQ(got.stats.total_bases, want.stats.total_bases);
   EXPECT_EQ(got.partitioning.finest_cut, want.partitioning.finest_cut);
+  EXPECT_EQ(got.read_partition, want.read_partition);
+  EXPECT_EQ(gfa_text(got.assembly_graph), gfa_text(want.assembly_graph));
+  EXPECT_EQ(got.hybrid.hybrid_graph().node_count(),
+            want.hybrid.hybrid_graph().node_count());
+  EXPECT_EQ(got.hybrid.selection_work, want.hybrid.selection_work);
+  const dist::SimplifyStats& gs = got.simplify_stats;
+  const dist::SimplifyStats& ws = want.simplify_stats;
+  EXPECT_EQ(gs.transitive_edges, ws.transitive_edges);
+  EXPECT_EQ(gs.false_edges, ws.false_edges);
+  EXPECT_EQ(gs.contained_nodes, ws.contained_nodes);
+  EXPECT_EQ(gs.verified_edges, ws.verified_edges);
+  EXPECT_EQ(gs.tip_nodes, ws.tip_nodes);
+  EXPECT_EQ(gs.bubble_nodes, ws.bubble_nodes);
   // Cached stages must reproduce the stats a fresh run records, bitwise.
-  EXPECT_EQ(got.preprocess_run.makespan, want.preprocess_run.makespan);
-  EXPECT_EQ(got.total_vtime(), want.total_vtime());
+  ASSERT_EQ(got.timings.size(), want.timings.size());
+  for (const auto& [stage, timing] : want.timings) {
+    const auto it = got.timings.find(stage);
+    ASSERT_NE(it, got.timings.end()) << stage;
+    EXPECT_EQ(it->second.vtime, timing.vtime) << stage;
+  }
+  expect_identical_run(got.preprocess_run, want.preprocess_run, "preprocess");
+  expect_identical_run(got.align_run, want.align_run, "align");
+  expect_identical_run(got.partition_run, want.partition_run, "partition");
+  expect_identical_run(got.simplify_run, want.simplify_run, "simplify");
+  expect_identical_run(got.traverse_run, want.traverse_run, "traverse");
 }
 
 TEST(StageCache, AssemblerRepeatRunHitsAllThreeStages) {
@@ -243,9 +287,13 @@ TEST(StageCache, KeysChainThroughTheStages) {
   const auto cold =
       core::FocusAssembler(cfg).assemble(tiny_dataset().data.reads, &cache);
 
-  // A downstream-only knob keeps all three artifacts valid.
+  // Downstream-only knobs keep all three artifacts valid: stage 4 and the
+  // assembly-graph build, which the third also holds, read neither k nor
+  // the partitioning route.
   core::FocusConfig downstream = cfg;
   downstream.min_contig_length = 200;
+  downstream.partitions = 16;
+  downstream.use_hybrid_partitioning = false;
   const auto reuse = core::FocusAssembler(downstream)
                          .assemble(tiny_dataset().data.reads, &cache);
   EXPECT_TRUE(reuse.cache_hits.preprocess);
@@ -283,6 +331,80 @@ TEST(StageCache, KeysChainThroughTheStages) {
   EXPECT_FALSE(envelope.cache_hits.preprocess);
   EXPECT_FALSE(envelope.cache_hits.overlaps);
   EXPECT_FALSE(envelope.cache_hits.coarsen);
+}
+
+// The stage-3 artifact also holds the hybrid set and the unsimplified
+// assembly graph, none of which reads k or the partitioning route: a cache
+// filled at k = 4 must reproduce a cache-free run at every other k, on both
+// routes and under both wire protocols.
+TEST(StageCache, StageThreeHitMatchesFreshRunAtEveryK) {
+  const io::ReadSet& reads = tiny_dataset().data.reads;
+  for (const auto protocol :
+       {dist::DistProtocol::kMaster, dist::DistProtocol::kSymmetric}) {
+    SCOPED_TRACE(protocol == dist::DistProtocol::kMaster ? "master"
+                                                          : "symmetric");
+    svc::ArtifactCache cache(0);
+    core::FocusConfig fill = tiny_config();
+    fill.partitions = 4;
+    fill.dist.protocol = protocol;
+    const auto filled = core::FocusAssembler(fill).assemble(reads, &cache);
+    ASSERT_FALSE(filled.cache_hits.coarsen);
+    ASSERT_EQ(cache.stats().entries, 3u);
+    for (const bool hybrid_route : {true, false}) {
+      for (const PartId k : {2u, 16u, 64u}) {
+        SCOPED_TRACE(std::string(hybrid_route ? "hybrid" : "multilevel") +
+                     " route, k=" + std::to_string(k));
+        core::FocusConfig cfg = fill;
+        cfg.partitions = k;
+        cfg.use_hybrid_partitioning = hybrid_route;
+        const core::FocusAssembler assembler(cfg);
+        const auto warm = assembler.assemble(reads, &cache);
+        EXPECT_TRUE(warm.cache_hits.preprocess);
+        EXPECT_TRUE(warm.cache_hits.overlaps);
+        EXPECT_TRUE(warm.cache_hits.coarsen);
+        expect_identical_assembly(warm, assembler.assemble(reads));
+      }
+    }
+    EXPECT_EQ(cache.stats().entries, 3u);
+  }
+}
+
+// The budget counts the grown stage-3 artifact, hybrid set and assembly
+// graph included: a budget that holds stages 1-2, and would hold the
+// overlap graph and multilevel set alone, declines it, and the next
+// assembly rebuilds stages 3-4 and still equals the cache-free run.
+TEST(StageCache, BudgetBelowTheGrownStageThreeArtifactDeclinesIt) {
+  const io::ReadSet& reads = tiny_dataset().data.reads;
+  const core::FocusConfig cfg = tiny_config();
+  const core::FocusAssembler assembler(cfg);
+
+  svc::ArtifactCache sizing(0);
+  (void)assembler.assemble(reads, &sizing);
+  const common::Digest pre_key =
+      core::preprocess_key(core::dataset_digest(reads), cfg);
+  const common::Digest ov_key = core::overlap_key(pre_key, cfg);
+  const auto coarsened = sizing.get_coarsen(core::coarsen_key(ov_key, cfg));
+  ASSERT_NE(coarsened, nullptr);
+  core::CoarsenArtifact stage_three_only;
+  stage_three_only.overlap_graph = coarsened->overlap_graph;
+  stage_three_only.multilevel = coarsened->multilevel;
+  const std::size_t budget = std::max(
+      svc::artifact_bytes(*sizing.get_preprocess(pre_key)) +
+          svc::artifact_bytes(*sizing.get_overlaps(ov_key)),
+      svc::artifact_bytes(stage_three_only));
+  ASSERT_LT(budget, svc::artifact_bytes(*coarsened));
+
+  svc::ArtifactCache cache(budget);
+  (void)assembler.assemble(reads, &cache);
+  EXPECT_EQ(cache.stats().declined, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  const auto again = assembler.assemble(reads, &cache);
+  EXPECT_TRUE(again.cache_hits.preprocess);
+  EXPECT_TRUE(again.cache_hits.overlaps);
+  EXPECT_FALSE(again.cache_hits.coarsen);
+  expect_identical_assembly(again, assembler.assemble(reads));
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Tests for the shared-memory work-stealing pool and for the determinism
 // contract of its one consumer: stage 2 on its host pool under the rank
 // driver, and the full pipeline around it, must produce byte-identical
-// results at every thread count.
+// results at every thread count. Also: a thread that cannot be started is
+// a typed error in the pool and in the mpr runtime, never std::terminate.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -20,10 +23,30 @@
 #include "common/thread_pool.hpp"
 #include "core/assembler.hpp"
 #include "io/preprocess.hpp"
+#include "mpr/runtime.hpp"
 #include "partition/partition.hpp"
 #include "sim/community.hpp"
 #include "sim/genome.hpp"
 #include "sim/sequencer.hpp"
+
+// The thread-spawn death tests read VmSize from /proc and the default thread
+// stack size from glibc. Sanitizer runtimes reserve terabytes of shadow
+// address space, so under them an address-space cap cannot single out one
+// thread stack.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FOCUS_SHADOW_MAPPED_BUILD 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FOCUS_SHADOW_MAPPED_BUILD 1
+#endif
+#if defined(__linux__) && defined(__GLIBC__) && \
+    !defined(FOCUS_SHADOW_MAPPED_BUILD)
+#define FOCUS_CAN_CAP_THREADS 1
+#include <pthread.h>
+#include <sys/resource.h>
+#endif
 
 namespace focus {
 namespace {
@@ -76,6 +99,73 @@ TEST(ThreadPool, SerialFallbackSpawnsNoWorkers) {
     for (std::size_t i = b; i < e; ++i) ++hits[i];
   });
   for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Thread-spawn failure
+// ---------------------------------------------------------------------------
+
+#if defined(FOCUS_CAN_CAP_THREADS)
+// Caps the address space at its current size plus one default thread stack
+// and 1 MiB: one more std::thread starts, the next fails with EAGAIN.
+void cap_address_space_at_one_more_thread() {
+  std::ifstream status("/proc/self/status");
+  std::size_t vm_kib = 0;
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) vm_kib = std::stoull(line.substr(7));
+  }
+  pthread_attr_t attr;
+  std::size_t stack = 0;
+  if (vm_kib == 0 || pthread_getattr_default_np(&attr) != 0) std::_Exit(2);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  const rlim_t cap = vm_kib * 1024 + stack + (rlim_t{1} << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+}
+#endif
+
+// Runs `spawn` in a death-test child whose address space admits one more
+// thread; the child exits 0 after printing the focus::Error it catches.
+template <typename Spawn>
+void expect_typed_spawn_error(Spawn spawn, const char* message_regex) {
+#if !defined(FOCUS_CAN_CAP_THREADS)
+  (void)spawn;
+  (void)message_regex;
+  GTEST_SKIP() << "needs Linux and glibc without a sanitizer, whose shadow "
+                  "mappings defeat RLIMIT_AS";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space_at_one_more_thread();
+        try {
+          spawn();
+        } catch (const Error& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          std::_Exit(0);
+        }
+        std::_Exit(1);  // every thread started: the cap did not bite
+      },
+      ::testing::ExitedWithCode(0), message_regex);
+#endif
+}
+
+// Four ranks, one thread admitted: the started rank waits in a barrier for
+// ranks that never start, so it must be woken and joined before the error.
+TEST(ThreadSpawnDeathTest, RuntimeJoinsStartedRanksAndThrowsTypedError) {
+  expect_typed_spawn_error(
+      [] {
+        mpr::Runtime::execute(4, [](mpr::Comm& comm) { comm.barrier(); });
+      },
+      "cannot start the thread of rank [1-3] of 4");
+}
+
+// Three workers, one admitted: the started worker sleeps on the pool's
+// condition variable and must be stopped and joined before the error.
+TEST(ThreadSpawnDeathTest, ThreadPoolJoinsStartedWorkersAndThrowsTypedError) {
+  expect_typed_spawn_error([] { ThreadPool pool(4); },
+                           "cannot start thread pool worker [2-3] of 3");
 }
 
 class ThreadPoolWidths : public ::testing::TestWithParam<unsigned> {};

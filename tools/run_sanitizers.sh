@@ -51,14 +51,21 @@
 # the whole-pipeline chaos soak (label `soak`: 50-seed storms and crash
 # sweeps through the full assembler across both protocols), the
 # stage-cache suite (svc_test: EnvSnapshot capture/strict parsing, the
-# removed FOCUS_GRAPH_BACKEND value's typed error, ArtifactCache LRU policy,
-# cached repeat runs through the assembler), and the concurrent-assembler
+# removed FOCUS_GRAPH_BACKEND value's typed error, ArtifactCache LRU policy
+# and budget accounting, cached repeat runs through the assembler, and
+# re-partitions at k = 2/16/64 served from one stage-3 artifact that also
+# holds the hybrid set and the unsimplified assembly graph, on both
+# partitioning routes and both protocols), and the concurrent-assembler
 # determinism suite (concurrent_jobs_test: two simultaneous in-process
 # pipelines vs the serial oracle across protocols × seed strategies × fault
-# plans × pool widths, and two pipelines writing one shared ArtifactCache —
-# the TSan proof obligation for the EnvSnapshot sweep, the per-pool TLS slot
-# fix and the cache's mutex-guarded map) are exercised under both memory/UB
-# and data-race checking.
+# plans × pool widths, two pipelines writing one shared ArtifactCache, and
+# in SharedArtifactCacheMatchesSerial two re-partitions at k = 2 and 16
+# copying the same stage-3 artifact at once — the TSan proof obligation for
+# the EnvSnapshot sweep, the per-pool TLS slot fix and the cache's
+# mutex-guarded map) are exercised under both memory/UB and data-race
+# checking. The thread-spawn death tests (threads_test,
+# ThreadSpawnDeathTest.*) cap RLIMIT_AS, which the sanitizers' shadow
+# mappings defeat, so they skip in both trees.
 #
 # Review note: src/common/env.cpp must stay the only std::getenv call site
 # (grep 'std::getenv' src/); scattered env reads were the original
@@ -98,6 +105,12 @@
 #            concurrent_jobs_test; do build-tsan/tests/$t || exit 1; done
 #   build-tsan/tests/mpr_fault_test \
 #     --gtest_filter='OverlapFault*:RecoveringRunStats*'
+#
+# The stage-cache legs (stages 3-4 and the assembly graph copied out of one
+# cached artifact, by one assembly and by two at once), under TSan and under
+# the strict ASan+UBSan configuration above:
+#
+#   for t in svc_test concurrent_jobs_test; do build-tsan/tests/$t || exit 1; done
 #
 # The recovering engine's legs (both protocols):
 #
